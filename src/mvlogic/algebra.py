@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+from . import kernel
 from .errors import CarrierTooLarge, MissingConnective, TooManyVariables
 from .formula import app, canon_key, parse_formula, var, variables
 from .semantics import MultiAlgebra, PNMatrix
@@ -79,11 +80,21 @@ def check_identity(alg, lhs, rhs, variable_bound=DEFAULT_VARIABLE_BOUND):
     vs = sorted(variables(lhs) | variables(rhs))
     if len(vs) > variable_bound:
         raise TooManyVariables("%d variables exceed the bound %d" % (len(vs), variable_bound))
-    for combo in product(alg.carrier, repeat=len(vs)):
-        assignment = dict(zip(vs, combo))
-        if alg.eval_formula(lhs, assignment) != alg.eval_formula(rhs, assignment):
-            return assignment
-    return None
+    k = kernel.compiled(alg.multi)
+    tables = k.single_valued(k.all)
+
+    def differ(bitsets):
+        left, right = bitsets.row(lhs), bitsets.row(rhs)
+        same = 0
+        for a, b in zip(left, right):
+            same |= a & b
+        return bitsets.full & ~same
+
+    digits = [tuple(range(k.n))] * len(vs)
+    hit = next(kernel.satisfying(tables, k.n, [var(v) for v in vs], digits, differ), None)
+    if hit is None:
+        return None
+    return {v: alg.carrier[i] for v, i in zip(vs, hit[1])}
 
 
 def check_inequality(alg, lhs, rhs, variable_bound=DEFAULT_VARIABLE_BOUND):
@@ -423,10 +434,6 @@ def filters(alg, flavor=FILTER_LATTICE):
     return sorted(out, key=lambda f: (len(f), tuple(sorted(f))))
 
 
-def principal_upset(alg, a):
-    return frozenset(b for b in alg.carrier if alg.leq(a, b))
-
-
 def subalgebras(alg, carrier_bound=DEFAULT_CARRIER_BOUND):
     if len(alg.carrier) > carrier_bound:
         raise CarrierTooLarge(str(len(alg.carrier)))
@@ -477,25 +484,26 @@ def unary_term_functions(alg, carrier_bound=DEFAULT_CARRIER_BOUND):
     while frontier:
         existing = sorted(known.items(), key=lambda kv: canon_key(kv[1]))
         fresh = []
+
+        def extend(nf, conn, *witnesses):
+            # the witness formula is built only for a new function
+            if nf not in known:
+                known[nf] = app(conn, *witnesses)
+                fresh.append((nf, known[nf]))
+
         for conn in sorted(alg.ops):
             k = alg.arity(conn)
             table = alg.ops[conn]
             if k == 1:
                 for func, formula in frontier:
-                    nf = tuple(table[(func[i],)] for i in idx)
-                    if add(nf, app(conn, formula)):
-                        fresh.append((nf, app(conn, formula)))
+                    extend(tuple(table[(func[i],)] for i in idx), conn, formula)
             elif k == 2:
                 # combine pairs touching the frontier on at least one side
                 for f1, w1 in existing:
                     for f2, w2 in frontier:
-                        nf = tuple(table[(f1[i], f2[i])] for i in idx)
-                        if add(nf, app(conn, w1, w2)):
-                            fresh.append((nf, app(conn, w1, w2)))
+                        extend(tuple(table[(f1[i], f2[i])] for i in idx), conn, w1, w2)
                 for f1, w1 in frontier:
                     for f2, w2 in existing:
-                        nf = tuple(table[(f1[i], f2[i])] for i in idx)
-                        if add(nf, app(conn, w1, w2)):
-                            fresh.append((nf, app(conn, w1, w2)))
+                        extend(tuple(table[(f1[i], f2[i])] for i in idx), conn, w1, w2)
         frontier = fresh
     return known

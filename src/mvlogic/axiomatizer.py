@@ -6,9 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from . import kernel
 from .calculus import Rule
 from .errors import NotARefinement
-from .formula import app, canon_key, render_formula, substitute, subformulas, var
+from .formula import app, substitute, subformulas, var
 
 
 @dataclass
@@ -34,85 +35,65 @@ _P = var("p")
 
 
 def unary_profile(m, formula):
-    """For each carrier value a, the set of values the formula can take,
-    evaluating connectives as set-valued multioperations."""
-    alg = m.algebra
-
-    def ev(f, a):
-        if f.is_var:
-            return frozenset({a})
-        arg_sets = [ev(g, a) for g in f.args]
-        out = set()
-        table = alg.interp[f.head]
-        for combo in product(*arg_sets):
-            out |= table[combo]
-        return frozenset(out)
-
-    return tuple(ev(formula, a) for a in m.carrier)
-
-
-def _combine(alg, conn, arg_profiles):
-    table = alg.interp[conn]
-    out = []
-    for i in range(len(alg.carrier)):
-        vals = set()
-        for combo in product(*(p[i] for p in arg_profiles)):
-            vals |= table[combo]
-        out.append(frozenset(vals))
-    return tuple(out)
+    """For each carrier value a, the set of values the formula can take when
+    its variables take a, evaluating connectives as set-valued
+    multioperations."""
+    k = kernel.compiled(m.algebra)
+    rows = {}
+    for g in sorted(subformulas(formula), key=lambda g: g.size):
+        if g.is_var:
+            rows[g] = k.identity
+        else:
+            rows[g] = k.combine(g.head, [rows[a] for a in g.args])
+    return tuple(k.values(mask) for mask in rows[formula])
 
 
 def _enumerate_unary(m, max_depth):
     """Unary formulas by increasing connective depth, de-duplicated by their
-    induced profile on the matrix.  Yields (depth, formula, profile)."""
+    induced profile on the matrix.  Yields (depth, formula, profile), the
+    profile one mask of values per carrier value.  A formula is built only
+    for a profile not seen before."""
     alg = m.algebra
+    k = kernel.compiled(alg)
     conns = sorted(alg.interp, key=lambda c: (alg.arity(c), c))
-    seen = set()
-    levels = {0: []}
-    prof = tuple(frozenset({a}) for a in m.carrier)
-    seen.add(prof)
-    levels[0].append((_P, prof))
-    yield 0, _P, prof
+    pool = [(_P, k.identity)]
+    seen = {k.identity}
+    yield 0, _P, k.identity
     for conn in conns:
         if alg.arity(conn) == 0:
-            f = app(conn)
-            p = tuple(alg.interp[conn][()] for _ in m.carrier)
+            p = k.combine(conn, ())
             if p not in seen:
                 seen.add(p)
-                levels[0].append((f, p))
-                yield 0, f, p
-    depth = 0
-    while depth < max_depth:
-        depth += 1
-        fresh = []
-        pool = [fp for d in range(depth) for fp in levels.get(d, [])]
-        frontier = set(f for f, _ in levels.get(depth - 1, []))
+                pool.append((app(conn), p))
+                yield 0, pool[-1][0], p
+    # the formulas of the previous depth are the pool's suffix from `start`
+    start = 0
+    for depth in range(1, max_depth + 1):
+        size = len(pool)
         for conn in conns:
-            k = alg.arity(conn)
-            if k == 0:
+            arity = alg.arity(conn)
+            if arity == 0:
                 continue
-            for args in product(pool, repeat=k):
-                if not any(f in frontier for f, _ in args):
+            for args in product(range(size), repeat=arity):
+                if max(args) < start:
                     continue
-                f = app(conn, *(g for g, _ in args))
-                p = _combine(alg, conn, [pr for _, pr in args])
+                p = k.combine(conn, [pool[i][1] for i in args])
                 if p in seen:
                     continue
                 seen.add(p)
-                fresh.append((f, p))
+                f = app(conn, *(pool[i][0] for i in args))
+                pool.append((f, p))
                 yield depth, f, p
-        levels[depth] = fresh
-        if not fresh:
+        if len(pool) == size:
             return
+        start = size
 
 
-def _separates(profile, i, j, designated, carrier):
-    des = designated
-    undes = frozenset(carrier) - des
+def _separates(profile, i, j, des):
     a, b = profile[i], profile[j]
-    if a <= des and b <= undes:
+    if not a & ~des and not b & des:
         return 1
-    if a <= undes and b <= des:
+    if not a & des and not b & ~des:
         return -1
     return 0
 
@@ -124,6 +105,7 @@ def find_discriminator(m, max_depth):
     definitive when the unary clone saturated below max_depth."""
     carrier = m.carrier
     n = len(carrier)
+    des = kernel.compiled(m.algebra).mask_of(m.designated)
     found = []
     pending = {(i, j) for i in range(n) for j in range(i + 1, n)}
     explored = 0
@@ -135,7 +117,7 @@ def find_discriminator(m, max_depth):
         last_depth = depth
         hits = []
         for (i, j) in sorted(pending):
-            s = _separates(profile, i, j, m.designated, carrier)
+            s = _separates(profile, i, j, des)
             if s:
                 hits.append((i, j, s))
         if hits:
@@ -248,15 +230,3 @@ def subsume_simplify(rules):
             keep.append(r)
     return keep
 
-
-def describe_discriminator(d, carrier):
-    lines = []
-    for a in carrier:
-        pos = ", ".join(
-            render_formula(f) for f in sorted(d.pos.get(a, ()), key=canon_key)
-        )
-        neg = ", ".join(
-            render_formula(f) for f in sorted(d.neg.get(a, ()), key=canon_key)
-        )
-        lines.append("%s: pos {%s} neg {%s}" % (a, pos, neg))
-    return "\n".join(lines)

@@ -7,7 +7,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import product
 
-from .errors import ClassificationError, MissingDisjunction
+from . import kernel
+from .errors import ClassificationError, MissingDisjunction, SignatureMismatch
 from .formula import (
     app,
     big_or,
@@ -156,28 +157,23 @@ def _model_truths(calc, base, universe):
         return None
     truths = []
     for m in models:
-        interp = m.algebra.interp
-        if any(
-            len(out) != 1 for table in interp.values() for out in table.values()
-        ):
+        k = kernel.compiled(m.algebra)
+        tables = k.single_valued(k.all)
+        if tables is None:
             return None
-        for combo in product(m.carrier, repeat=len(vs)):
-            cache = dict(zip((var(v) for v in vs), combo))
-
-            def ev(f):
-                got = cache.get(f)
-                if got is None:
-                    (got,) = interp[f.head][tuple(ev(a) for a in f.args)]
-                    cache[f] = got
-                return got
-
-            try:
-                truths.append(
-                    frozenset(f for f in universe if ev(f) in m.designated)
-                )
-            except KeyError:
-                # universe formula outside the model's signature
-                return None
+        try:
+            kernel.check_signature(m.algebra, universe)
+        except SignatureMismatch:
+            return None
+        # at most 20000 assignments: one bitset covers them all
+        digits = [tuple(range(k.n))] * len(vs)
+        bitsets = kernel.Bitsets(tables, k.n, [var(v) for v in vs], digits)
+        des = k.mask_of(m.designated)
+        rows = [[] for _ in range(bitsets.size)]
+        for f in universe:
+            for i in kernel.bits(bitsets.where(f, des)):
+                rows[i].append(f)
+        truths.extend(frozenset(row) for row in rows)
     return truths
 
 

@@ -360,10 +360,6 @@ def variables(fs):
     return {g.head for g in subformulas(fs) if g.is_var}
 
 
-def decompose(f):
-    return subformulas(f), variables(f)
-
-
 def generalized_subformulas(base, xi):
     """sub(base) plus all instantiations of xi members into sub(base)."""
     subs = subformulas(base)

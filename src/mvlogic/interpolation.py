@@ -5,8 +5,8 @@ logic, and a machine certificate that the order-preserving logic lacks CIP."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
+from . import kernel
 from .errors import NoSharedVariables, PremiseNotEntailed
 from .formula import (
     app,
@@ -115,20 +115,30 @@ def _case_formula(value, p):
 def valuation_family(phi, shared):
     """Projections to the shared variables of the assignments making every
     member of phi take the top value."""
-    from .algebra import FiniteAlgebra
     from .registry import ALG_PP6H
 
-    alg = FiniteAlgebra(ALG_PP6H)
+    k = kernel.compiled(ALG_PP6H)
+    tables = k.single_valued(k.all)
+    top = ALG_PP6H.carrier.index("ht")
     phi_vars = sorted(variables(phi))
+
+    def all_top(bitsets):
+        good = bitsets.full
+        for f in phi:
+            good &= bitsets.row(f)[top]
+        return good
+
+    digits = [tuple(range(k.n))] * len(phi_vars)
+    at = [phi_vars.index(v) for v in shared]
     u = []
     seen = set()
-    for combo in product(alg.carrier, repeat=len(phi_vars)):
-        env = dict(zip(phi_vars, combo))
-        if all(alg.eval_formula(f, env) == "ht" for f in phi):
-            proj = tuple(env[v] for v in shared)
-            if proj not in seen:
-                seen.add(proj)
-                u.append(proj)
+    for _, values in kernel.satisfying(
+        tables, k.n, [var(v) for v in phi_vars], digits, all_top
+    ):
+        proj = tuple(k.carrier[values[i]] for i in at)
+        if proj not in seen:
+            seen.add(proj)
+            u.append(proj)
     return u
 
 

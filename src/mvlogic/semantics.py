@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 
-from .errors import ArityError, SignatureMismatch, UnknownConnective, ValueAbsent
+from . import kernel
+from .errors import ArityError, UnknownConnective, ValueAbsent
 from .formula import canon_key, subformulas
 
 SET_SET = "set-set"
@@ -77,14 +79,27 @@ class PNMatrix:
 
 
 @dataclass(frozen=True)
+class CheckStats:
+    """The work behind a consequence answer.  path is "bitset" when every
+    component visited was decided by the bitset kernel and "backtrack" when
+    some needed solve_valuations; assignments counts the variable
+    assignments decided, up to the witness when there is one."""
+
+    path: str
+    components: int
+    assignments: int
+
+
+@dataclass(frozen=True)
 class Holds:
-    pass
+    stats: CheckStats = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Fails:
     matrix_index: int
     witness: dict
+    stats: CheckStats = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -119,7 +134,9 @@ def eval_multiop(alg, conn, args):
 def solve_valuations(m, domain, constraints, limit=None):
     """Legal valuations on a subformula-closed domain, restricted by the
     constraint sets; deterministic order from the carrier order and the
-    canonical formula order."""
+    canonical formula order.  This backtracking search is the general path:
+    it handles non-deterministic and partial tables, where the bitset kernel
+    needs single-valued ones."""
     alg = m.algebra
     order = sorted(domain, key=canon_key)
     results = []
@@ -129,12 +146,7 @@ def solve_valuations(m, domain, constraints, limit=None):
         if f.is_var:
             opts = alg.carrier
         else:
-            try:
-                opts = eval_multiop(alg, f.head, tuple(assign[a] for a in f.args))
-            except KeyError:
-                raise SignatureMismatch(
-                    "formula %r not over the matrix signature" % f
-                )
+            opts = eval_multiop(alg, f.head, tuple(assign[a] for a in f.args))
             opts = alg.sort_values(opts)
         cons = constraints.get(f)
         if cons is None:
@@ -204,12 +216,69 @@ def _restrict_constraints(m, domain, base_constraints, component):
     return cons
 
 
+def _first_valuation(m, order, variables, base, comp, tables):
+    """solve_valuations(..., limit=1) on a component where every table
+    restricts to single values: the lowest-ranked variable assignment
+    meeting the constraints, found with bitsets, and the assignments
+    decided."""
+    k = kernel.compiled(m.algebra)
+    comp_mask = k.mask_of(comp)
+    digits = [
+        tuple(k.members(comp_mask & k.mask_of(base.get(x, comp))))
+        for x in variables
+    ]
+    wanted = [
+        (f, k.mask_of(c)) for f, c in base.items() if not f.is_var
+    ]
+
+    def select(bitsets):
+        good = bitsets.full
+        for f, allowed in wanted:
+            good &= bitsets.where(f, allowed)
+            if not good:
+                break
+        return good
+
+    hit = next(kernel.satisfying(tables, k.n, variables, digits, select), None)
+    if hit is None:
+        return None, prod(map(len, digits))
+    rank, values = hit
+    index = dict(zip(variables, values))
+    witness = {}
+    for f in order:
+        if not f.is_var:
+            index[f] = tables[f.head][tuple(index[a] for a in f.args)]
+        witness[f] = m.carrier[index[f]]
+    return witness, rank + 1
+
+
+def _backtrack(m, domain, variables, base, comp):
+    cons = _restrict_constraints(m, domain, base, comp)
+    found = solve_valuations(m, domain, cons, limit=1)
+    k = kernel.compiled(m.algebra)
+    digits = [tuple(k.members(k.mask_of(cons[x]))) for x in variables]
+    if not found:
+        return None, prod(map(len, digits))
+    values = [k.carrier.index(found[0][x]) for x in variables]
+    return found[0], kernel.rank(digits, values) + 1
+
+
 def check_consequence(problem):
+    """Set-Set (or Set-Fmla) consequence over the problem's matrices: Holds,
+    or Fails with the first matrix and the first valuation, in
+    solve_valuations' order, that designates every premise and no
+    conclusion.  Components whose tables restrict to single values are
+    decided by the bitset kernel, the others by solve_valuations."""
     premises = frozenset(problem.premises)
     conclusions = frozenset(problem.conclusions)
     if problem.mode == SET_FMLA and len(conclusions) != 1:
         raise ValueError("Set-Fmla problems need exactly one conclusion")
     domain = subformulas(premises | conclusions)
+    for m in problem.models:
+        kernel.check_signature(m.algebra, domain)
+    order = sorted(domain, key=canon_key)
+    variables = [f for f in order if f.is_var]
+    path, visited, covered = "bitset", 0, 0
     for idx, m in enumerate(problem.models):
         base = {}
         for f in premises:
@@ -219,12 +288,19 @@ def check_consequence(problem):
             base[f] = base.get(f, frozenset(m.carrier)) & undes
         if any(not c for c in base.values()):
             continue
+        k = kernel.compiled(m.algebra)
         for comp in total_components(m):
-            cons = _restrict_constraints(m, domain, base, comp)
-            found = solve_valuations(m, domain, cons, limit=1)
-            if found:
-                return Fails(idx, found[0])
-    return Holds()
+            visited += 1
+            tables = k.single_valued(k.mask_of(comp))
+            if tables is None:
+                path = "backtrack"
+                witness, n = _backtrack(m, domain, variables, base, comp)
+            else:
+                witness, n = _first_valuation(m, order, variables, base, comp, tables)
+            covered += n
+            if witness is not None:
+                return Fails(idx, witness, CheckStats(path, visited, covered))
+    return Holds(CheckStats(path, visited, covered))
 
 
 def check_rule_soundness(rule, models):

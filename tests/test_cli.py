@@ -71,6 +71,17 @@ def test_check_fails_with_witness(capsys):
         assert rendered[parse_formula(text)] not in m.designated
 
 
+def test_check_connective_outside_the_matrix(capsys):
+    # pp6-ub has no =>: a usage error whatever the conclusions
+    for conclusions in ("top", "q"):
+        code = run([
+            "check", "--matrix", "pp6-ub",
+            "--premises", "p => q", "--conclusions", conclusions,
+        ])
+        assert code == EXIT_USAGE
+        assert "imp" in capsys.readouterr().err
+
+
 def test_check_needs_models(capsys):
     code = run(["check", "--premises", "p", "--conclusions", "p"])
     assert code == EXIT_USAGE

@@ -1,0 +1,218 @@
+"""The bitset and mask kernel against the reference evaluators it replaced:
+solve_valuations for consequence, set-valued recursion for unary profiles,
+and FiniteAlgebra.eval_formula for assignments."""
+
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mvlogic import kernel
+from mvlogic.algebra import FiniteAlgebra, check_identity
+from mvlogic.axiomatizer import _enumerate_unary, unary_profile
+from mvlogic.calculus import _model_truths
+from mvlogic.formula import (
+    app,
+    generalized_subformulas,
+    parse_formula_set,
+    subformulas,
+    var,
+    variables,
+)
+from mvlogic.registry import MAT_PP6H, lookup, names, resolve_models
+from mvlogic.semantics import (
+    ConsequenceProblem,
+    Fails,
+    Holds,
+    check_consequence,
+    solve_valuations,
+    total_components,
+)
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+MODEL_NAMES = names("matrix") + names("matrix-class")
+
+
+def formulas(sig, names_, max_leaves=5):
+    """Formulas over the connectives of sig (name -> arity)."""
+    leaves = st.sampled_from(names_).map(var)
+    consts = [c for c, k in sig.items() if k == 0]
+    if consts:
+        leaves = leaves | st.sampled_from(sorted(consts)).map(app)
+
+    def extend(children):
+        return st.one_of(
+            *(
+                st.tuples(*([children] * k)).map(lambda args, c=c: app(c, *args))
+                for c, k in sorted(sig.items())
+                if k > 0
+            )
+        )
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+@st.composite
+def problems(draw, model_names=MODEL_NAMES, max_vars=3):
+    models = resolve_models([draw(st.sampled_from(model_names))])
+    sig = models[0].algebra.connectives
+    vs = ["p", "q", "r", "s"][: draw(st.integers(1, max_vars))]
+    side = st.frozensets(formulas(sig, vs), max_size=2)
+    return ConsequenceProblem(models, draw(side), draw(side))
+
+
+def reference_check(problem):
+    """check_consequence by backtracking alone."""
+    premises, conclusions = problem.premises, problem.conclusions
+    domain = subformulas(premises | conclusions)
+    for idx, m in enumerate(problem.models):
+        carrier = frozenset(m.carrier)
+        base = {f: m.designated for f in premises}
+        for f in conclusions:
+            base[f] = base.get(f, carrier) - m.designated
+        if any(not c for c in base.values()):
+            continue
+        for comp in total_components(m):
+            comp = frozenset(comp)
+            cons = {f: comp & base.get(f, comp) for f in domain}
+            found = solve_valuations(m, domain, cons, limit=1)
+            if found:
+                return Fails(idx, found[0])
+    return Holds()
+
+
+def assert_same_answer(problem):
+    got, want = check_consequence(problem), reference_check(problem)
+    assert got == want
+    if isinstance(want, Fails):
+        assert list(got.witness.items()) == list(want.witness.items())
+
+
+@SETTINGS
+@given(problems())
+def test_check_consequence_matches_backtracking(problem):
+    assert_same_answer(problem)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(problems(["pp6h-order", "pp6h-ub", "m-up", "dm4-bt"], max_vars=4))
+def test_chunked_enumeration_matches_backtracking(problem):
+    # a tiny chunk makes every problem enumerate leading digits outside
+    # the bitset
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "CHUNK", 7)
+        assert_same_answer(problem)
+
+
+def test_first_witness_past_the_first_chunk():
+    # @p1 & p1 is designated only at p1 = ht, the last digit, so the lowest
+    # witness lies in the sixth chunk of 6**6 assignments
+    prem = parse_formula_set("@p1 & p1")
+    conc = parse_formula_set("p2 | p3 | p4 | p5 | p6 | p7")
+    res = check_consequence(ConsequenceProblem([MAT_PP6H["b"]], prem, conc))
+    assert isinstance(res, Fails)
+    assert {f.head: v for f, v in res.witness.items() if f.is_var} == dict(
+        p1="ht", p2="hf", p3="hf", p4="hf", p5="hf", p6="hf", p7="hf"
+    )
+    assert res.stats.path == "bitset"
+    assert res.stats.assignments == 5 * 6**6 + 1 > kernel.CHUNK
+
+
+def set_valued_profile(m, f):
+    interp = m.algebra.interp
+
+    def ev(g, a):
+        if g.is_var:
+            return frozenset({a})
+        out = set()
+        for combo in product(*(ev(x, a) for x in g.args)):
+            out |= interp[g.head][combo]
+        return frozenset(out)
+
+    return tuple(ev(f, a) for a in m.carrier)
+
+
+UNARY_MATRICES = ["m-up", "m-leq", "letk-ub"]
+
+
+@SETTINGS
+@given(st.sampled_from(UNARY_MATRICES).flatmap(
+    lambda name: st.tuples(
+        st.just(name),
+        formulas(lookup("matrix", name).payload.algebra.connectives, ["p"], 8),
+    )
+))
+def test_unary_profile_matches_set_valued_evaluation(case):
+    name, f = case
+    m = lookup("matrix", name).payload
+    assert unary_profile(m, f) == set_valued_profile(m, f)
+
+
+@pytest.mark.parametrize("name", UNARY_MATRICES)
+def test_enumerated_profiles_match_set_valued_evaluation(name):
+    m = lookup("matrix", name).payload
+    k = kernel.compiled(m.algebra)
+    for n, (_, f, profile) in enumerate(_enumerate_unary(m, 2)):
+        assert tuple(map(k.values, profile)) == set_valued_profile(m, f)
+        if n == 150:
+            break
+
+
+STEERED = [
+    lookup("calculus", c).payload for c in names("calculus")
+    if lookup("calculus", c).payload.xi is not None
+]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(STEERED).flatmap(
+    lambda calc: st.tuples(
+        st.just(calc),
+        st.frozensets(
+            formulas(calc.models[0].algebra.connectives, ["p", "q"], 4),
+            min_size=1, max_size=3,
+        ),
+    )
+))
+def test_model_truths_match_eval_formula(case):
+    calc, base = case
+    universe = frozenset(generalized_subformulas(base, calc.xi))
+    got = _model_truths(calc, base, universe)
+    vs = sorted(variables(base))
+    want = []
+    for m in calc.models:
+        sig = m.algebra.connectives
+        if not m.algebra.is_deterministic() or any(
+            not f.is_var and sig.get(f.head) != len(f.args) for f in universe
+        ):
+            want = None
+            break
+        alg = FiniteAlgebra(m.algebra)
+        for combo in product(alg.carrier, repeat=len(vs)):
+            env = dict(zip(vs, combo))
+            want.append(frozenset(
+                f for f in universe if alg.eval_formula(f, env) in m.designated
+            ))
+    assert got == want
+
+
+PP6H = FiniteAlgebra(lookup("algebra", "pp6h").payload)
+
+
+@SETTINGS
+@given(st.tuples(
+    formulas(PP6H.multi.connectives, ["x", "y", "z"]),
+    formulas(PP6H.multi.connectives, ["x", "y", "z"]),
+))
+def test_check_identity_first_counterexample(pair):
+    lhs, rhs = pair
+    vs = sorted(variables(lhs) | variables(rhs))
+    want = None
+    for combo in product(PP6H.carrier, repeat=len(vs)):
+        env = dict(zip(vs, combo))
+        if PP6H.eval_formula(lhs, env) != PP6H.eval_formula(rhs, env):
+            want = env
+            break
+    assert check_identity(PP6H, lhs, rhs) == want
+

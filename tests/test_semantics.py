@@ -3,7 +3,12 @@
 import pytest
 
 from conftest import make_rng, random_sequent
-from mvlogic.errors import ArityError, UnknownConnective, ValueAbsent
+from mvlogic.errors import (
+    ArityError,
+    SignatureMismatch,
+    UnknownConnective,
+    ValueAbsent,
+)
 from mvlogic.formula import app, parse_formula, parse_formula_set, subformulas, var
 from mvlogic.registry import (
     ALG_PP6,
@@ -119,6 +124,43 @@ def test_check_consequence_set_fmla_arity():
                 [MAT_PP6_UB], frozenset(), parse_formula_set("p, q"), SET_FMLA
             )
         )
+
+
+def test_check_consequence_signature_checked_before_search():
+    # pp6 has no =>; the answer must not depend on whether the search
+    # reaches the => node, which it does not when top prunes it first
+    prem = parse_formula_set("p => q")
+    for conc in ("top", "q"):
+        with pytest.raises(SignatureMismatch):
+            check_consequence(
+                ConsequenceProblem([MAT_PP6_UB], prem, parse_formula_set(conc))
+            )
+    # the same on a non-deterministic matrix, decided by backtracking
+    bad = app("neg", var("p"), var("q"))
+    with pytest.raises(SignatureMismatch):
+        check_consequence(
+            ConsequenceProblem([MAT_PP6A1_UB], frozenset({bad}), frozenset())
+        )
+
+
+def test_check_consequence_reports_the_path():
+    for cls in (ORDER_CLASS, [MAT_M_UP]):
+        for k in (2, 5):
+            names = ["p%d" % i for i in range(1, k + 1)]
+            prem = parse_formula_set("~(%s)" % " & ".join(names))
+            conc = parse_formula_set(" | ".join("~" + n for n in names))
+            res = check_consequence(ConsequenceProblem(cls, prem, conc))
+            assert isinstance(res, Holds)
+            assert res.stats.path == "bitset"
+            assert res.stats.components == sum(
+                len(total_components(m)) for m in cls
+            )
+    res = check_consequence(ConsequenceProblem(
+        [MAT_PP6A1_UB], frozenset(), parse_formula_set("p => q")
+    ))
+    assert res.stats.path == "backtrack"
+    # the record is not part of the answer
+    assert res == Fails(res.matrix_index, res.witness)
 
 
 def test_class_consequence_is_conjunction():
