@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 from . import kernel
 from .errors import CarrierTooLarge, MissingConnective, TooManyVariables
-from .formula import app, canon_key, parse_formula, var, variables
+from .formula import app, canon_key, parse_formula, subformulas, var, variables
 from .semantics import MultiAlgebra, PNMatrix
 
 DEFAULT_CARRIER_BOUND = 12
@@ -80,6 +80,7 @@ def check_identity(alg, lhs, rhs, variable_bound=DEFAULT_VARIABLE_BOUND):
     vs = sorted(variables(lhs) | variables(rhs))
     if len(vs) > variable_bound:
         raise TooManyVariables("%d variables exceed the bound %d" % (len(vs), variable_bound))
+    kernel.check_signature(alg.multi, subformulas((lhs, rhs)))
     k = kernel.compiled(alg.multi)
     tables = k.single_valued(k.all)
 
@@ -159,18 +160,12 @@ def _nabla_formula(alg):
     raise MissingConnective("∇ needs ∘")
 
 
-def variety_profile(alg, report_skipped=False):
+def variety_profile(alg):
     names = set()
-    skipped = {}
-
-    def suite_eqs(pairs):
-        return all(check_identity(alg, l, r) is None for l, r in pairs)
-
     for name, (required, pairs) in VARIETY_SUITES.items():
-        if not required <= set(alg.ops):
-            skipped[name] = "missing connectives"
-            continue
-        if suite_eqs(pairs):
+        if required <= set(alg.ops) and all(
+            check_identity(alg, l, r) is None for l, r in pairs
+        ):
             names.add(name)
 
     # InvolutiveStone: IS1-IS4 over the derived ∇
@@ -192,8 +187,8 @@ def variety_profile(alg, report_skipped=False):
             check_identity(alg, l, r) is None for l, r in is_eqs
         ):
             names.add("InvolutiveStone")
-    except MissingConnective as exc:
-        skipped["InvolutiveStone"] = str(exc)
+    except MissingConnective:
+        pass
 
     # SymmetricHeyting: ⇒ is the residuum of ∧ and ∼ is a De Morgan negation
     if alg.has("imp", "and", "or", "neg", "top", "bot"):
@@ -207,8 +202,6 @@ def variety_profile(alg, report_skipped=False):
         )
         if heyting and demorgan:
             names.add("SymmetricHeyting")
-    else:
-        skipped["SymmetricHeyting"] = "missing connectives"
 
     # PPImp: PP reduct + SHA + the four-variable ∘/⇒ inequality
     if alg.has("imp", "circ", "and", "or", "neg", "top", "bot"):
@@ -222,19 +215,14 @@ def variety_profile(alg, report_skipped=False):
         )
         if "PP" in names and "SymmetricHeyting" in names and ineq_ok:
             names.add("PPImp")
-    else:
-        skipped["PPImp"] = "missing connectives"
 
     # DeltaIdempotent: ΔΔx ≈ Δx for the derived Δ
     try:
         delta = _delta_map(alg)
         if all(delta[delta[a]] == delta[a] for a in alg.carrier):
             names.add("DeltaIdempotent")
-    except MissingConnective as exc:
-        skipped["DeltaIdempotent"] = str(exc)
-
-    if report_skipped:
-        return names, skipped
+    except MissingConnective:
+        pass
     return names
 
 

@@ -8,7 +8,12 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from . import kernel
-from .errors import ClassificationError, MissingDisjunction, SignatureMismatch
+from .errors import (
+    ClassificationError,
+    FrameworkMismatch,
+    MissingDisjunction,
+    SignatureMismatch,
+)
 from .formula import (
     app,
     big_or,
@@ -99,17 +104,6 @@ def _build_instances(calc, targets, universe):
             rule.succedent, key=canon_key
         )
         n_ant = len(rule.antecedent)
-        if not vs:
-            ant = frozenset(fmlas[:n_ant])
-            succ = frozenset(fmlas[n_ant:])
-            if universe is not None and not (ant | succ) <= universe:
-                continue
-            key = (ant, succ)
-            if ant & succ or key in seen:
-                continue
-            seen.add(key)
-            instances.append((rule.name, {}, ant, succ))
-            continue
         # projection table per rule formula, over that formula's own variables
         proj = []
         for f in fmlas:
@@ -385,10 +379,17 @@ class _Searcher:
 
 
 def prove(calc, premises, goal, budget_nodes=1_000_000):
+    """Proved with a derivation tree, Refuted with a saturated partition
+    (which needs an analyticity set), or OutOfBudget.  A calculus made by
+    to_set_fmla_calculus is never searched itself: its source's Set-Set
+    proof of the goal is replayed with the disjunction rules, and the
+    source's refutation is passed on."""
     premises = frozenset(premises)
     goal = frozenset(goal)
     if calc.framework == SET_FMLA and len(goal) != 1:
         raise ValueError("Set-Fmla proving needs exactly one goal formula")
+    if calc.source is not None:
+        return _prove_by_simulation(calc, premises, goal, budget_nodes)
     base = premises | goal
     targets = sorted(subformulas(base), key=canon_key)
     if calc.xi is not None:
@@ -412,13 +413,6 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
                 universe=universe,
             )
         )
-    # direct search exhausted; a transformed calculus can fall back on
-    # its originating Set-Set calculus and replay that proof with the
-    # disjunction rules
-    if calc.framework == SET_FMLA and calc.source is not None:
-        result = _prove_by_simulation(calc, premises, goal, budget_nodes)
-        if result is not None:
-            return result
     return OutOfBudget()
 
 
@@ -442,13 +436,13 @@ def _prove_by_simulation(calc, premises, goal, budget_nodes):
     splits.append(frozenset({g}))
     for psis in splits:
         res = prove(calc.source, premises, psis, budget_nodes)
-        if not isinstance(res, Proved):
-            continue
-        spec, _ = _condense(calc.source, res.tree, psis)
-        sim = _Simulation(calc, calc.source, psis)
-        steps = sim.run(spec, premises)
-        return Proved(_chain_tree(premises, steps))
-    return None
+        if isinstance(res, Proved):
+            spec, _ = _condense(calc.source, res.tree, psis)
+            sim = _Simulation(calc, calc.source, psis)
+            steps = sim.run(spec, premises)
+            return Proved(_chain_tree(premises, steps))
+    # the last attempt had the goal {g}: the source refuting it refutes g
+    return res if isinstance(res, Refuted) else OutOfBudget()
 
 
 def _condense(calc, tree, goal):
@@ -593,7 +587,8 @@ class _Simulation:
         for i, (phi, _, _) in enumerate(steps):
             if phi is goal:
                 return steps[: i + 1]
-        return steps
+        # never derived, so the goal is a premise
+        return []
 
     def _lift(self, f, appended, prefix):
         for _ in range(appended):
@@ -909,6 +904,8 @@ def to_set_fmla_calculus(calc, sig=None):
     from .formula import SIG_PP_IMP
 
     sig = sig or SIG_PP_IMP
+    if calc.framework != SET_SET:
+        raise FrameworkMismatch("%s is not a Set-Set calculus" % calc.name)
     if "or" not in sig:
         raise MissingDisjunction("signature has no disjunction connective")
     p, q, r = var("p"), var("q"), var("r")

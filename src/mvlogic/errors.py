@@ -39,6 +39,10 @@ class MissingDisjunction(MvlError):
     pass
 
 
+class FrameworkMismatch(MvlError):
+    pass
+
+
 class ClassificationError(MvlError):
     pass
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from itertools import product
 
-from .calculus import Calculus, Rule, SET_FMLA, SET_SET
+from .calculus import Calculus, Rule, SET_FMLA, SET_SET, VARIANT_LEQ, VARIANT_UP
 from .errors import NotFound
 from .formula import parse_formula, parse_formula_set, render_formula
 from .semantics import MultiAlgebra, PNMatrix
@@ -163,8 +163,6 @@ G10 = {
     "tp": "t",
 }
 
-VARIANT_UP = "up"
-VARIANT_LEQ = "leq"
 
 # A sign pattern over V10 is compatible exactly when some principal filter
 # of the six-valued algebra realizes it: a value d carries + iff d lies in

@@ -102,15 +102,8 @@ class Fails:
     stats: CheckStats = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
-class Sound:
-    pass
-
-
-@dataclass(frozen=True)
-class Unsound:
-    matrix_index: int
-    witness: dict
+# a rule is sound when its consequence holds
+Sound, Unsound = Holds, Fails
 
 
 @dataclass
@@ -304,12 +297,9 @@ def check_consequence(problem):
 
 
 def check_rule_soundness(rule, models):
-    res = check_consequence(
+    return check_consequence(
         ConsequenceProblem(models, rule.antecedent, rule.succedent, SET_SET)
     )
-    if isinstance(res, Holds):
-        return Sound()
-    return Unsound(res.matrix_index, res.witness)
 
 
 def refine_matrix(m, deletions, name=None):

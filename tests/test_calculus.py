@@ -10,6 +10,7 @@ from mvlogic.calculus import (
     Refuted,
     Rule,
     SET_SET,
+    _build_instances,
     countermodel_from_partition,
     prove,
     to_set_fmla_calculus,
@@ -17,16 +18,25 @@ from mvlogic.calculus import (
     tree_to_json,
     validate_tree,
 )
-from mvlogic.errors import MissingDisjunction
+from mvlogic.errors import FrameworkMismatch, MissingDisjunction, MvlError
 from mvlogic.formula import (
     Signature,
     app,
+    canon_key,
+    generalized_subformulas,
     parse_formula,
     parse_formula_set,
+    subformulas,
     var,
 )
 from mvlogic.registry import KIND_CALCULUS, MAT_PP6H, lookup
-from mvlogic.semantics import solve_valuations
+from mvlogic.semantics import (
+    SET_FMLA,
+    ConsequenceProblem,
+    Fails,
+    check_consequence,
+    solve_valuations,
+)
 
 
 R_B = lookup(KIND_CALCULUS, "r-b").payload
@@ -47,6 +57,15 @@ def test_prove_bot_branch_example():
     res = prove(R_B, premises, goal)
     assert isinstance(res, Proved)
     assert validate_tree(R_B, res.tree, premises, goal) is None
+    # the variable-free rules r1 (|> top) and r4 (bot |>) are grounded once
+    # each, and r1 is dropped when top lies outside the universe
+    base = premises | goal
+    targets = sorted(subformulas(base), key=canon_key)
+    universe = frozenset(generalized_subformulas(base, R_B.xi))
+    names = [i[0] for i in _build_instances(R_B, targets, universe)]
+    assert names.count("r4") == 1 and "r1" not in names
+    names = [i[0] for i in _build_instances(R_B, targets, None)]
+    assert names.count("r1") == 1 and names.count("r4") == 1
 
 
 def test_prove_trivial_closure():
@@ -168,6 +187,52 @@ def test_transform_needs_disjunction():
     sig = Signature({"and": 2, "neg": 1})
     with pytest.raises(MissingDisjunction):
         to_set_fmla_calculus(R_LEQ, sig)
+
+
+def test_transform_needs_set_set_source():
+    with pytest.raises(FrameworkMismatch) as exc:
+        to_set_fmla_calculus(lookup(KIND_CALCULUS, "moisil-m12").payload)
+    assert isinstance(exc.value, MvlError)
+
+
+def test_transformed_calculus_only_replays(monkeypatch):
+    rv = to_set_fmla_calculus(R_LEQ)
+    grounded = []
+
+    def counting(calc, targets, universe):
+        grounded.append(calc)
+        return _build_instances(calc, targets, universe)
+
+    monkeypatch.setattr("mvlogic.calculus._build_instances", counting)
+    for prem_text, goal_text in (("@p, p, ~p", "q"), ("", "@(p => p)"),
+                                 ("p", "q")):
+        prove(rv, parse_formula_set(prem_text), parse_formula_set(goal_text))
+    assert grounded and all(c is not rv for c in grounded)
+
+
+def test_transformed_proof_is_short_and_exports():
+    rv = to_set_fmla_calculus(R_LEQ)
+    premises = parse_formula_set("@p, p, ~p")
+    goal = parse_formula_set("q")
+    res = prove(rv, premises, goal)
+    assert isinstance(res, Proved)
+    assert validate_tree(rv, res.tree, premises, goal) is None
+    assert tree_to_json(res.tree)["label"] == ["@p", "p", "~p"]
+    assert tree_to_dot(res.tree).endswith("}")
+    # a goal among the premises closes the root
+    res = prove(rv, premises, parse_formula_set("p"))
+    assert res.tree.closed and not res.tree.children
+
+
+def test_transformed_calculus_passes_on_refutation():
+    rv = to_set_fmla_calculus(R_LEQ)
+    premises = parse_formula_set("p")
+    goal = parse_formula_set("q")
+    res = prove(rv, premises, goal)
+    assert isinstance(res, Refuted)
+    assert res.partition.base == premises | goal
+    problem = ConsequenceProblem(R_LEQ.models, premises, goal, SET_FMLA)
+    assert isinstance(check_consequence(problem), Fails)
 
 
 def test_prove_out_of_budget():

@@ -134,6 +134,14 @@ def test_algebra_check(capsys):
     assert code == EXIT_USAGE
 
 
+def test_algebra_check_connective_outside_the_algebra(capsys):
+    code = run([
+        "algebra", "check", "--algebra", "dm4", "--identity", "@x == x",
+    ])
+    assert code == EXIT_USAGE
+    assert "circ" in capsys.readouterr().err
+
+
 def test_interpolate(capsys):
     code = run([
         "interpolate", "--logic", "pp-top", "--phi", "p",
