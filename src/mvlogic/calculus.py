@@ -381,14 +381,17 @@ class _Searcher:
 def prove(calc, premises, goal, budget_nodes=1_000_000):
     """Proved with a derivation tree, Refuted with a saturated partition
     (which needs an analyticity set), or OutOfBudget.  A calculus made by
-    to_set_fmla_calculus is never searched itself: its source's Set-Set
-    proof of the goal is replayed with the disjunction rules, and the
-    source's refutation is passed on."""
+    to_set_fmla_calculus from an analytic source is never searched itself:
+    the source's Set-Set proof of the goal is replayed with the
+    disjunction rules, and the source's refutation is passed on.  With a
+    non-analytic source the replay is only tried after a direct search,
+    since the source may be unable to break up a premise that the
+    disjunction rules can."""
     premises = frozenset(premises)
     goal = frozenset(goal)
     if calc.framework == SET_FMLA and len(goal) != 1:
         raise ValueError("Set-Fmla proving needs exactly one goal formula")
-    if calc.source is not None:
+    if calc.source is not None and calc.source.xi is not None:
         return _prove_by_simulation(calc, premises, goal, budget_nodes)
     base = premises | goal
     targets = sorted(subformulas(base), key=canon_key)
@@ -413,6 +416,8 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
                 universe=universe,
             )
         )
+    if calc.source is not None:
+        return _prove_by_simulation(calc, premises, goal, budget_nodes)
     return OutOfBudget()
 
 
@@ -441,8 +446,16 @@ def _prove_by_simulation(calc, premises, goal, budget_nodes):
             sim = _Simulation(calc, calc.source, psis)
             steps = sim.run(spec, premises)
             return Proved(_chain_tree(premises, steps))
-    # the last attempt had the goal {g}: the source refuting it refutes g
-    return res if isinstance(res, Refuted) else OutOfBudget()
+    # the last attempt had the goal {g}: the source refuting it refutes g,
+    # but only certifiably if its models interpret every connective
+    if not isinstance(res, Refuted):
+        return OutOfBudget()
+    try:
+        for m in calc.source.models or ():
+            kernel.check_signature(m.algebra, subformulas(premises | goal))
+    except SignatureMismatch:
+        return OutOfBudget()
+    return res
 
 
 def _condense(calc, tree, goal):

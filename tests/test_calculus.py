@@ -233,6 +233,22 @@ def test_transformed_calculus_passes_on_refutation():
     assert res.partition.base == premises | goal
     problem = ConsequenceProblem(R_LEQ.models, premises, goal, SET_FMLA)
     assert isinstance(check_consequence(problem), Fails)
+    # r-b's only model has no @, so a refutation of |- @q has no
+    # countermodel and is not passed on
+    res = prove(to_set_fmla_calculus(R_B), [], parse_formula_set("@q"))
+    assert not isinstance(res, Refuted)
+
+
+def test_transformed_non_analytic_calculus_searches_directly():
+    source = lookup(KIND_CALCULUS, "pp-top-rules").payload
+    assert source.xi is None
+    rv = to_set_fmla_calculus(source)
+    for prem_text, goal_text in (("p | q", "q | p"), ("p | p", "p")):
+        premises = parse_formula_set(prem_text)
+        goal = parse_formula_set(goal_text)
+        res = prove(rv, premises, goal, budget_nodes=10_000)
+        assert isinstance(res, Proved)
+        assert validate_tree(rv, res.tree, premises, goal) is None
 
 
 def test_prove_out_of_budget():
