@@ -52,7 +52,11 @@ class Calculus:
 
 @dataclass
 class TreeNode:
-    label: frozenset
+    """A derivation step.  A node's label is the union of `adds` on the
+    path from the root: the root adds the premises, each child of a rule
+    step adds its one branch formula, and a star child adds nothing."""
+
+    adds: frozenset = frozenset()
     rule: str = None
     subst: dict = None
     children: list = field(default_factory=list)
@@ -204,13 +208,15 @@ class _Searcher:
             if missing[i] == 0 and not satisfied[i]:
                 queue.append(i)
         if label & self.goal:
-            return TreeNode(frozenset(label), closed=True)
+            return TreeNode(frozenset(premises), closed=True)
         try:
-            return self._search(label, missing, satisfied, queue, [])
+            root = self._search(label, missing, satisfied, queue, [])
         except _RefutedSignal as sig:
             return frozenset(sig.label)
         except _Budget:
             return None
+        root.adds = frozenset(premises)
+        return root
 
     def _add(self, phi, label, missing, satisfied, queue):
         label.add(phi)
@@ -234,12 +240,11 @@ class _Searcher:
             succ = self.succ_sorted[i]
             if not succ:
                 node = TreeNode(
-                    frozenset(label),
-                    self.names[i],
-                    self.substs[i],
-                    [TreeNode(frozenset(label), star=True)],
+                    rule=self.names[i],
+                    subst=self.substs[i],
+                    children=[TreeNode(star=True)],
                 )
-                return self._wrap(steps_taken, label, node)
+                return self._wrap(steps_taken, node)
             if len(succ) == 1:
                 phi = succ[0]
                 self._add(phi, label, missing, satisfied, queue)
@@ -248,8 +253,7 @@ class _Searcher:
                 if self.steps > self.budget:
                     raise _Budget()
                 if phi in self.goal:
-                    node = TreeNode(frozenset(label), closed=True)
-                    return self._wrap(steps_taken, label, node)
+                    return self._wrap(steps_taken, TreeNode(closed=True))
             else:
                 pending.append(i)
         # phase 2: pick a branching instance adding the fewest formulas,
@@ -307,18 +311,18 @@ class _Searcher:
                     c_queue = []
                     self._add(phi, c_label, c_missing, c_satisfied, c_queue)
                     if phi in self.goal:
-                        children.append(TreeNode(frozenset(c_label), closed=True))
-                        continue
-                    c_pending = [
-                        i
-                        for i in pending
-                        if c_missing[i] == 0 and not c_satisfied[i]
-                    ]
-                    children.append(
-                        self._search(
+                        child = TreeNode(closed=True)
+                    else:
+                        c_pending = [
+                            i
+                            for i in pending
+                            if c_missing[i] == 0 and not c_satisfied[i]
+                        ]
+                        child = self._search(
                             c_label, c_missing, c_satisfied, c_queue, c_pending
                         )
-                    )
+                    child.adds = frozenset({phi})
+                    children.append(child)
             except _RefutedSignal:
                 # with an analyticity set a saturated branch refutes the
                 # whole statement; without one it just fails this choice
@@ -326,9 +330,9 @@ class _Searcher:
                     raise
                 continue
             node = TreeNode(
-                frozenset(label), self.names[best], self.substs[best], children
+                rule=self.names[best], subst=self.substs[best], children=children
             )
-            return self._wrap(steps_taken, label, node)
+            return self._wrap(steps_taken, node)
         raise _RefutedSignal(set(label))
 
     def _unit_closes(self, label, missing, satisfied, phi0):
@@ -364,23 +368,21 @@ class _Searcher:
                         stack.append(succ[0])
         return False
 
-    def _wrap(self, steps_taken, label, node):
-        """Re-chain the unit steps of phase 1 into unary tree nodes."""
+    def _wrap(self, steps_taken, node):
+        """Re-chain the unit steps of phase 1 into unary tree nodes; the
+        caller sets what the outermost node adds."""
         for i, phi in reversed(steps_taken):
-            pre = set(node.label)
-            pre.discard(phi)
+            node.adds = frozenset({phi})
             node = TreeNode(
-                frozenset(pre) - {phi},
-                self.names[i],
-                self.substs[i],
-                [node],
+                rule=self.names[i], subst=self.substs[i], children=[node]
             )
         return node
 
 
 def prove(calc, premises, goal, budget_nodes=1_000_000):
     """Proved with a derivation tree, Refuted with a saturated partition
-    (which needs an analyticity set), or OutOfBudget.  A calculus made by
+    (which needs an analyticity set and models that interpret every
+    connective of the sequent), or OutOfBudget.  A calculus made by
     to_set_fmla_calculus from an analytic source is never searched itself:
     the source's Set-Set proof of the goal is replayed with the
     disjunction rules, and the source's refutation is passed on.  With a
@@ -408,6 +410,13 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     if isinstance(outcome, TreeNode):
         return Proved(outcome)
     if isinstance(outcome, frozenset) and universe is not None:
+        # a refutation is certified only if the models interpret every
+        # connective of the sequent; otherwise no countermodel exists
+        try:
+            for m in calc.models or ():
+                kernel.check_signature(m.algebra, subformulas(base))
+        except SignatureMismatch:
+            return OutOfBudget()
         return Refuted(
             SaturatedPartition(
                 omega=frozenset(outcome),
@@ -446,15 +455,7 @@ def _prove_by_simulation(calc, premises, goal, budget_nodes):
             sim = _Simulation(calc, calc.source, psis)
             steps = sim.run(spec, premises)
             return Proved(_chain_tree(premises, steps))
-    # the last attempt had the goal {g}: the source refuting it refutes g,
-    # but only certifiably if its models interpret every connective
-    if not isinstance(res, Refuted):
-        return OutOfBudget()
-    try:
-        for m in calc.source.models or ():
-            kernel.check_signature(m.algebra, subformulas(premises | goal))
-    except SignatureMismatch:
-        return OutOfBudget()
+    # the last attempt had the goal {g}: the source refuting it refutes g
     return res
 
 
@@ -470,7 +471,9 @@ def _condense(calc, tree, goal):
         node, expanded = stack.pop()
         if not expanded:
             if not node.children:
-                pick = min(node.label & goal, key=canon_key)
+                # a closed leaf adds its goal formula, or it is the root
+                # and its premises meet the goal
+                pick = min(node.adds & goal, key=canon_key)
                 results[id(node)] = (("closed", pick), frozenset({pick}))
                 continue
             if len(node.children) == 1 and node.children[0].star:
@@ -490,7 +493,7 @@ def _condense(calc, tree, goal):
         shortcut = None
         for child in node.children:
             spec, needed = results.pop(id(child))
-            (phi,) = child.label - node.label
+            (phi,) = child.adds
             if phi not in needed and shortcut is None:
                 # the branch formula went unused: splice the child in
                 shortcut = (spec, needed)
@@ -697,66 +700,10 @@ def _spec_needed(spec):
     return ant.union(*(n - {phi} for phi, _, n in kids))
 
 
-class _ChainLabel:
-    """Label of a node on a linear derivation chain: a prefix of a shared
-    formula sequence.  Behaves like a set for the validator without storing
-    one frozenset per node."""
-
-    __slots__ = ("store", "index", "k")
-
-    def __init__(self, store, index, k):
-        self.store = store
-        self.index = index
-        self.k = k
-
-    def __contains__(self, f):
-        i = self.index.get(f)
-        return i is not None and i < self.k
-
-    def __iter__(self):
-        return iter(self.store[: self.k])
-
-    def __len__(self):
-        return self.k
-
-    def __hash__(self):
-        return hash((id(self.store), self.k))
-
-    def __eq__(self, other):
-        if isinstance(other, _ChainLabel):
-            return other.store is self.store and other.k == self.k
-        if isinstance(other, (set, frozenset)):
-            return len(other) == self.k and all(f in self for f in other)
-        return NotImplemented
-
-    def __le__(self, other):
-        return all(f in other for f in self)
-
-    def __ge__(self, other):
-        return all(f in self for f in other)
-
-    def __and__(self, other):
-        return frozenset(f for f in other if f in self)
-
-    def __or__(self, other):
-        extra = [f for f in other if f not in self]
-        if len(extra) == 1 and self.index.get(extra[0]) == self.k:
-            return _ChainLabel(self.store, self.index, self.k + 1)
-        if not extra:
-            return self
-        return frozenset(self.store[: self.k]) | frozenset(extra)
-
-
 def _chain_tree(premises, steps):
-    store = sorted(premises, key=canon_key)
-    store.extend(phi for phi, _, _ in steps)
-    index = {f: i for i, f in enumerate(store)}
-    k = len(premises)
-    root = TreeNode(_ChainLabel(store, index, k))
-    node = root
+    root = node = TreeNode(frozenset(premises))
     for phi, rule, subst in steps:
-        k += 1
-        child = TreeNode(_ChainLabel(store, index, k))
+        child = TreeNode(frozenset({phi}))
         node.rule = rule
         node.subst = subst
         node.children = [child]
@@ -766,18 +713,28 @@ def _chain_tree(premises, steps):
 
 
 def validate_tree(calc, tree, premises, goal):
+    """None if the tree derives goal from premises, else the first node
+    found at fault.  One label set serves the whole walk: a node's adds
+    join it on entry and leave it on exit, and every child is checked to
+    add exactly one new formula before it is entered."""
     premises = frozenset(premises)
     goal = frozenset(goal)
     rules = {r.name: r for r in calc.rules}
-    if not tree.label <= premises:
+    if not tree.adds <= premises:
         return tree
-    stack = [tree]
+    label = set()
+    stack = [(tree, False)]
     while stack:
-        node = stack.pop()
+        node, leaving = stack.pop()
+        if leaving:
+            label -= node.adds
+            continue
+        label |= node.adds
+        stack.append((node, True))
         if not node.children:
             if node.star:
                 continue
-            if node.closed and node.label & goal:
+            if node.closed and not label.isdisjoint(goal):
                 continue
             return node
         rule = rules.get(node.rule)
@@ -785,17 +742,21 @@ def validate_tree(calc, tree, premises, goal):
             return node
         ant = frozenset(substitute(f, node.subst) for f in rule.antecedent)
         succ = frozenset(substitute(f, node.subst) for f in rule.succedent)
-        if not ant <= node.label:
+        if not ant <= label:
             return node
         if not succ:
-            if len(node.children) != 1 or not node.children[0].star:
+            kids = node.children
+            if len(kids) != 1 or not kids[0].star or kids[0].adds:
                 return node
             continue
-        expected = {node.label | {phi} for phi in succ if phi not in node.label}
-        got = {c.label for c in node.children}
-        if expected != got:
+        expected = {phi for phi in succ if phi not in label}
+        if len(node.children) != len(expected):
             return node
-        stack.extend(node.children)
+        for child in node.children:
+            if len(child.adds) != 1 or not child.adds <= expected:
+                return node
+            expected -= child.adds
+            stack.append((child, False))
     return None
 
 
@@ -984,15 +945,16 @@ def tree_to_dot(tree):
     lines = ["digraph proof {", '  node [shape=box, fontname="monospace"];']
     counter = [0]
 
-    def visit(node):
+    def visit(node, label):
+        label = label | node.adds
         my = counter[0]
         counter[0] += 1
-        text = "*" if node.star else _label_text(node.label)
+        text = "*" if node.star else _label_text(label)
         if node.closed:
             text += "  [closed]"
         lines.append('  n%d [label="%s"];' % (my, text.replace('"', "'")))
         for child in node.children:
-            cid = visit(child)
+            cid = visit(child, label)
             edge = node.rule or ""
             st = _subst_text(node.subst)
             if st:
@@ -1002,7 +964,7 @@ def tree_to_dot(tree):
             )
         return my
 
-    visit(tree)
+    visit(tree, frozenset())
     lines.append("}")
     return "\n".join(lines)
 
@@ -1010,8 +972,9 @@ def tree_to_dot(tree):
 def tree_to_json(tree):
     from .formula import render_formula
 
-    def visit(node):
-        out = {"label": sorted(render_formula(f) for f in node.label)}
+    def visit(node, label):
+        label = label | node.adds
+        out = {"label": sorted(render_formula(f) for f in label)}
         if node.star:
             out["star"] = True
         if node.closed:
@@ -1022,7 +985,7 @@ def tree_to_json(tree):
                 k: render_formula(v) for k, v in sorted((node.subst or {}).items())
             }
         if node.children:
-            out["children"] = [visit(c) for c in node.children]
+            out["children"] = [visit(c, label) for c in node.children]
         return out
 
-    return visit(tree)
+    return visit(tree, frozenset())

@@ -1,7 +1,8 @@
 """Command-line front-end.
 
 Exit codes: 0 positive answer (Proved/Holds/Sound/Valid), 1 negative with a
-certificate printed, 2 usage or input error, 3 budget exhausted.
+certificate printed, 2 usage or input error, 3 budget exhausted, 4 internal
+error (an unexpected exception, never an answer).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -410,6 +412,10 @@ def run(argv):
     except (UsageError, MvlError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main():

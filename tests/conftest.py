@@ -1,7 +1,9 @@
-"""Shared helpers: seeded random formula and sequent generators."""
+"""Shared helpers: seeded random formula and sequent generators, and a
+proof-tree copier for tamper tests."""
 
 import random
 
+from mvlogic.calculus import TreeNode
 from mvlogic.formula import app, var
 
 
@@ -33,3 +35,16 @@ def random_sequent(rng, conns, names, depth=2, max_side=2):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def copy_tree(node):
+    """Fresh TreeNode structure; the added formulas stay shared since
+    they are immutable."""
+    return TreeNode(
+        node.adds,
+        node.rule,
+        node.subst,
+        [copy_tree(c) for c in node.children],
+        node.star,
+        node.closed,
+    )

@@ -3,6 +3,7 @@ transform."""
 
 import pytest
 
+from conftest import copy_tree
 from mvlogic.calculus import (
     Calculus,
     OutOfBudget,
@@ -99,28 +100,13 @@ def test_countermodel_from_refutation():
     assert solve_valuations(matrix, set(valuation), cons, limit=1)
 
 
-def copy_tree(node):
-    """Fresh TreeNode structure; labels and formulas stay shared since
-    they are immutable."""
-    from mvlogic.calculus import TreeNode
-
-    return TreeNode(
-        node.label,
-        node.rule,
-        node.subst,
-        [copy_tree(c) for c in node.children],
-        node.star,
-        node.closed,
-    )
-
-
 def test_validate_tree_rejects_tampering():
     premises = parse_formula_set("~(p & q)")
     goal = parse_formula_set("~p | ~q")
     tree = prove(R_B, premises, goal).tree
 
     bad_root = copy_tree(tree)
-    bad_root.label = frozenset(parse_formula_set("r"))
+    bad_root.adds = frozenset(parse_formula_set("r"))
     assert validate_tree(R_B, bad_root, premises, goal) is not None
 
     bad_rule = copy_tree(tree)
@@ -138,6 +124,44 @@ def test_validate_tree_rejects_tampering():
             break
         node = node.children[0]
     assert validate_tree(R_B, pruned, premises, goal) is not None
+
+
+def test_tree_nodes_store_only_what_they_add():
+    import mvlogic.calculus
+
+    assert not hasattr(mvlogic.calculus, "_ChainLabel")
+    # the k=2 De Morgan ladder on r-leq needs about 40,000 nodes
+    premises = parse_formula_set("~(p1 & p2)")
+    goal = parse_formula_set("~p1 | ~p2")
+    tree = prove(R_LEQ, premises, goal).tree
+    assert tree.adds == premises
+    nodes = stars = total = 0
+    stack = list(tree.children)
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        if node.star:
+            stars += 1
+            assert not node.adds
+        else:
+            assert len(node.adds) == 1
+        total += len(node.adds)
+        stack.extend(node.children)
+    assert nodes > 30_000
+    assert total == nodes - stars
+    assert validate_tree(R_LEQ, tree, premises, goal) is None
+
+
+def test_refutation_needs_interpreted_connectives():
+    # r-b's only model, dm4-bt, has neither @ nor =>
+    for prem_text, goal_text in (("", "@q"), ("p => q", "q")):
+        res = prove(R_B, parse_formula_set(prem_text),
+                    parse_formula_set(goal_text))
+        assert not isinstance(res, Refuted), (prem_text, goal_text)
+    premises = goal = parse_formula_set("@q")
+    res = prove(R_B, premises, goal)
+    assert isinstance(res, Proved)
+    assert validate_tree(R_B, res.tree, premises, goal) is None
 
 
 def test_prove_set_fmla_needs_single_goal():

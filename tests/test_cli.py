@@ -4,6 +4,7 @@ import json
 
 from mvlogic.cli import (
     EXIT_BUDGET,
+    EXIT_INTERNAL,
     EXIT_NEGATIVE,
     EXIT_POSITIVE,
     EXIT_USAGE,
@@ -36,6 +37,21 @@ def test_prove_budget(capsys):
         "--goal", "(p | q) => p, q", "--budget-nodes", "1",
     ])
     assert code == EXIT_BUDGET
+
+
+def test_prove_refutation_without_countermodel(capsys):
+    # dm4-bt, r-b's only model, has no @: no countermodel can exist
+    code = run(["prove", "--calculus", "r-b", "--goal", "@q"])
+    assert code == EXIT_BUDGET
+    assert "Refuted" not in capsys.readouterr().out
+
+
+def test_crash_is_not_an_answer(capsys):
+    code = run([
+        "check", "--matrix", "m-up", "--conclusions", "~" * 3000 + "p",
+    ])
+    assert code == EXIT_INTERNAL
+    assert "RecursionError" in capsys.readouterr().err
 
 
 def test_prove_unknown_calculus(capsys):
