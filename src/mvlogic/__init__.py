@@ -28,6 +28,7 @@ from .semantics import (
 )
 from .calculus import (
     Calculus,
+    Inconclusive,
     OutOfBudget,
     Proved,
     Refuted,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 from . import kernel
@@ -34,10 +35,6 @@ class Rule:
     name: str
     antecedent: frozenset
     succedent: frozenset
-
-    @property
-    def variables(self):
-        return sorted(variables(self.antecedent | self.succedent))
 
 
 @dataclass
@@ -87,6 +84,12 @@ class OutOfBudget:
     pass
 
 
+@dataclass
+class Inconclusive:
+    """A search without an analyticity set tried every choice and found no
+    proof; without analyticity that refutes nothing."""
+
+
 class _Budget(Exception):
     pass
 
@@ -96,55 +99,95 @@ class _RefutedSignal(Exception):
         self.label = label
 
 
+@lru_cache(maxsize=1024)
+def _compiled_rule(rule):
+    """A rule's variables, sorted, and its formulas (antecedent first, each
+    side in canon_key order) filed by the position of their last variable:
+    level 0 holds the variable-free formulas, level j + 1 those whose last
+    variable is the j-th.  An entry is (formula, positions of its own
+    variables, whether it is in the antecedent)."""
+    vs = sorted(variables(rule.antecedent | rule.succedent))
+    index = {v: i for i, v in enumerate(vs)}
+    levels = [[] for _ in range(len(vs) + 1)]
+    for side, in_ant in ((rule.antecedent, True), (rule.succedent, False)):
+        for f in sorted(side, key=canon_key):
+            pos = tuple(index[v] for v in _own_variables(f))
+            levels[pos[-1] + 1 if pos else 0].append((f, pos, in_ant))
+    return tuple(vs), tuple(map(tuple, levels))
+
+
+@lru_cache(maxsize=4096)
+def _own_variables(f):
+    return tuple(sorted(variables(f)))
+
+
+class _Instances(dict):
+    """(rule formula, values of its own variables, sorted by name) -> the
+    substitution instance, or None when it lies outside the universe."""
+
+    def __init__(self, universe):
+        super().__init__()
+        self.universe = universe
+
+    def __missing__(self, key):
+        f, values = key
+        inst = substitute(f, dict(zip(_own_variables(f), values)))
+        if self.universe is not None and inst not in self.universe:
+            inst = None
+        self[key] = inst
+        return inst
+
+
 def _build_instances(calc, targets, universe):
     """Ground every rule by mapping its variables into `targets`; keep an
     instance only if all of its formulas stay inside `universe` (when given).
-    Per-formula projection tables keep this linear in the useful work."""
+    The variables are bound in order and a formula is instantiated once its
+    last variable is bound, so a prefix that leaves the universe is dropped
+    with all its extensions; the assignments come out in product order."""
     instances = []
     seen = set()
+    inst_of = _Instances(universe)
     for rule in calc.rules:
-        vs = rule.variables
-        fmlas = sorted(rule.antecedent, key=canon_key) + sorted(
-            rule.succedent, key=canon_key
-        )
-        n_ant = len(rule.antecedent)
-        # projection table per rule formula, over that formula's own variables
-        proj = []
-        for f in fmlas:
-            fv = sorted(variables(f))
-            table = {}
-            for combo in product(targets, repeat=len(fv)):
-                inst = substitute(f, dict(zip(fv, combo)))
-                if universe is not None and inst not in universe:
-                    inst = None
-                table[combo] = inst
-            proj.append((tuple(vs.index(v) for v in fv), table))
-        for combo in product(targets, repeat=len(vs)):
-            parts = []
-            ok = True
-            for positions, table in proj:
-                inst = table[tuple(combo[i] for i in positions)]
-                if inst is None:
-                    ok = False
-                    break
-                parts.append(inst)
-            if not ok:
-                continue
-            ant = frozenset(parts[:n_ant])
-            succ = frozenset(parts[n_ant:])
+        vs, levels = _compiled_rule(rule)
+        # partial assignments with the instances of their formulas so far
+        rows = [((), (), ())]
+        for j, level in enumerate(levels):
+            # level 0 binds no variable, level j + 1 the j-th
+            choices = [(t,) for t in targets] if j else [()]
+            grown = []
+            for values, ant0, succ0 in rows:
+                for choice in choices:
+                    vals = values + choice
+                    ant, succ = ant0, succ0
+                    for f, pos, in_ant in level:
+                        inst = inst_of[f, tuple([vals[p] for p in pos])]
+                        if inst is None:
+                            break
+                        if in_ant:
+                            ant += (inst,)
+                        else:
+                            succ += (inst,)
+                    else:
+                        grown.append((vals, ant, succ))
+            rows = grown
+        for values, ant, succ in rows:
+            ant = frozenset(ant)
+            succ = frozenset(succ)
             if ant & succ:
                 continue
             key = (ant, succ)
             if key in seen:
                 continue
             seen.add(key)
-            instances.append((rule.name, dict(zip(vs, combo)), ant, succ))
+            instances.append((rule.name, dict(zip(vs, values)), ant, succ))
     return instances
 
 
 def _model_truths(calc, base, universe):
-    """One frozenset of designated universe formulas per (deterministic
-    model, variable assignment) pair; used to steer branch selection."""
+    """Per universe formula, the truth rows where it is designated, as a
+    bitmask: a row is a (deterministic model, variable assignment) pair, and
+    each model's rows follow the previous models' rows.  Used to steer
+    branch selection."""
     models = getattr(calc, "models", None)
     if not models or universe is None:
         return None
@@ -153,7 +196,8 @@ def _model_truths(calc, base, universe):
         return None
     if sum(len(m.carrier) ** len(vs) for m in models) > 20000:
         return None
-    truths = []
+    masks = dict.fromkeys(universe, 0)
+    shift = 0
     for m in models:
         k = kernel.compiled(m.algebra)
         tables = k.single_valued(k.all)
@@ -167,12 +211,10 @@ def _model_truths(calc, base, universe):
         digits = [tuple(range(k.n))] * len(vs)
         bitsets = kernel.Bitsets(tables, k.n, [var(v) for v in vs], digits)
         des = k.mask_of(m.designated)
-        rows = [[] for _ in range(bitsets.size)]
         for f in universe:
-            for i in kernel.bits(bitsets.where(f, des)):
-                rows[i].append(f)
-        truths.extend(frozenset(row) for row in rows)
-    return truths
+            masks[f] |= bitsets.where(f, des) << shift
+        shift += bitsets.size
+    return masks
 
 
 class _Searcher:
@@ -264,14 +306,20 @@ class _Searcher:
         if not candidates:
             raise _RefutedSignal(set(label))
         candidates.sort(key=lambda i: (len(self.succs[i]), i))
-        S = [t for t in self.truths if t >= label] if self.truths else []
-        if S:
+        # the truth rows designating every formula of the label; -1 has
+        # every row's bit set, for an empty label
+        alive = 0
+        if self.truths is not None:
+            alive = -1
+            for phi in label:
+                alive &= self.truths[phi]
+        if alive:
             weight = {}
 
             def w(phi):
                 got = weight.get(phi)
                 if got is None:
-                    got = sum(1 for t in S if phi in t)
+                    got = (alive & self.truths[phi]).bit_count()
                     weight[phi] = got
                 return got
 
@@ -382,13 +430,14 @@ class _Searcher:
 def prove(calc, premises, goal, budget_nodes=1_000_000):
     """Proved with a derivation tree, Refuted with a saturated partition
     (which needs an analyticity set and models that interpret every
-    connective of the sequent), or OutOfBudget.  A calculus made by
-    to_set_fmla_calculus from an analytic source is never searched itself:
-    the source's Set-Set proof of the goal is replayed with the
-    disjunction rules, and the source's refutation is passed on.  With a
-    non-analytic source the replay is only tried after a direct search,
-    since the source may be unable to break up a premise that the
-    disjunction rules can."""
+    connective of the sequent), Inconclusive when a calculus without an
+    analyticity set saturates every choice and no replay proves the goal,
+    or OutOfBudget.  A calculus made by to_set_fmla_calculus from an
+    analytic source is never searched itself: the source's Set-Set proof of
+    the goal is replayed with the disjunction rules, and the source's
+    refutation is passed on.  With a non-analytic source the replay is only
+    tried after a direct search, since the source may be unable to break up
+    a premise that the disjunction rules can."""
     premises = frozenset(premises)
     goal = frozenset(goal)
     if calc.framework == SET_FMLA and len(goal) != 1:
@@ -425,9 +474,15 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
                 universe=universe,
             )
         )
+    # without an analyticity set, a search that saturates every choice
+    # ends without an answer that a larger budget could change
+    saturated = isinstance(outcome, frozenset)
     if calc.source is not None:
-        return _prove_by_simulation(calc, premises, goal, budget_nodes)
-    return OutOfBudget()
+        res = _prove_by_simulation(calc, premises, goal, budget_nodes)
+        if isinstance(res, Proved):
+            return res
+        saturated = saturated and isinstance(res, Inconclusive)
+    return Inconclusive() if saturated else OutOfBudget()
 
 
 def _or_spine(f):

@@ -2,7 +2,8 @@
 
 Exit codes: 0 positive answer (Proved/Holds/Sound/Valid), 1 negative with a
 certificate printed, 2 usage or input error, 3 budget exhausted, 4 internal
-error (an unexpected exception, never an answer).
+error (an unexpected exception, never an answer), 5 inconclusive (a search
+without an analyticity set ended with neither a proof nor a refutation).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+EXIT_INCONCLUSIVE = 5
 
 
 class UsageError(Exception):
@@ -82,7 +84,14 @@ def _print(args, data, text):
 
 
 def cmd_prove(args):
-    from .calculus import Proved, Refuted, prove, tree_to_dot, tree_to_json
+    from .calculus import (
+        Inconclusive,
+        Proved,
+        Refuted,
+        prove,
+        tree_to_dot,
+        tree_to_json,
+    )
 
     calc, _ = _get_calculus(args.calculus)
     premises = parse_formula_set(args.premises)
@@ -106,6 +115,9 @@ def cmd_prove(args):
             "Refuted. Saturated set:\n  " + "\n  ".join(omega),
         )
         return EXIT_NEGATIVE
+    if isinstance(res, Inconclusive):
+        _print(args, {"result": "inconclusive"}, "Inconclusive.")
+        return EXIT_INCONCLUSIVE
     _print(args, {"result": "out-of-budget"}, "Out of budget.")
     return EXIT_BUDGET
 

@@ -333,11 +333,12 @@ def _needs_parens(child, parent_prec, left_side, assoc_right):
 # --- structural operations -----------------------------------------------
 
 def substitute(f, mapping):
-    if f.is_var:
+    args = f.args
+    if args is None:
         return mapping.get(f.head, f)
-    if not f.args:
+    if not args:
         return f
-    return Formula(f.head, tuple(substitute(a, mapping) for a in f.args))
+    return Formula(f.head, tuple([substitute(a, mapping) for a in args]))
 
 
 def subformulas(fs):

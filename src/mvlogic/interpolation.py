@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import kernel
+from . import kernel, semantics
 from .errors import NoSharedVariables, PremiseNotEntailed
 from .formula import (
     app,
@@ -20,12 +20,7 @@ from .formula import (
     var,
     variables,
 )
-from .semantics import (
-    ConsequenceProblem,
-    Holds,
-    SET_FMLA,
-    check_consequence,
-)
+from .semantics import ConsequenceProblem, Holds, SET_FMLA
 
 ORDER_PRESERVING = "order"
 ASSERTIONAL = "assertional"
@@ -52,7 +47,7 @@ def _models(logic):
 
 
 def entails(logic, premises, conclusion):
-    res = check_consequence(
+    res = semantics.check_consequence(
         ConsequenceProblem(
             _models(logic), frozenset(premises), frozenset({conclusion}), SET_FMLA
         )

@@ -6,6 +6,7 @@ import pytest
 from conftest import copy_tree
 from mvlogic.calculus import (
     Calculus,
+    Inconclusive,
     OutOfBudget,
     Proved,
     Refuted,
@@ -147,9 +148,26 @@ def test_tree_nodes_store_only_what_they_add():
             assert len(node.adds) == 1
         total += len(node.adds)
         stack.extend(node.children)
-    assert nodes > 30_000
+    # the exact count pins every branching choice of the steered search
+    assert nodes == 39_475
     assert total == nodes - stars
     assert validate_tree(R_LEQ, tree, premises, goal) is None
+
+
+def test_steered_ladder_node_count():
+    # r-up has four models, so the truth rows of the steering span them
+    # all; a changed tie-break or weight changes the tree's size
+    calc = lookup(KIND_CALCULUS, "r-up").payload
+    premises = parse_formula_set("~(p1 & p2)")
+    goal = parse_formula_set("~p1 | ~p2")
+    tree = prove(calc, premises, goal).tree
+    nodes, stack = 0, [tree]
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        stack.extend(node.children)
+    assert nodes == 42_595
+    assert validate_tree(calc, tree, premises, goal) is None
 
 
 def test_refutation_needs_interpreted_connectives():
@@ -273,6 +291,21 @@ def test_transformed_non_analytic_calculus_searches_directly():
         res = prove(rv, premises, goal, budget_nodes=10_000)
         assert isinstance(res, Proved)
         assert validate_tree(rv, res.tree, premises, goal) is None
+
+
+def test_saturated_search_without_analyticity_is_inconclusive():
+    source = lookup(KIND_CALCULUS, "pp-top-rules").payload
+    premises, goal = parse_formula_set("p"), parse_formula_set("q")
+    # the search saturates in a few steps, far inside the budget
+    assert isinstance(prove(source, premises, goal), Inconclusive)
+    assert isinstance(prove(source, premises, goal, budget_nodes=10),
+                      Inconclusive)
+    assert isinstance(prove(source, premises, goal, budget_nodes=1),
+                      OutOfBudget)
+    # neither the transformed rules nor the replay prove it
+    rv = to_set_fmla_calculus(source)
+    assert isinstance(prove(rv, premises, goal), Inconclusive)
+    assert isinstance(prove(rv, premises, goal, budget_nodes=1), OutOfBudget)
 
 
 def test_prove_out_of_budget():

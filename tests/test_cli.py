@@ -4,6 +4,7 @@ import json
 
 from mvlogic.cli import (
     EXIT_BUDGET,
+    EXIT_INCONCLUSIVE,
     EXIT_INTERNAL,
     EXIT_NEGATIVE,
     EXIT_POSITIVE,
@@ -44,6 +45,17 @@ def test_prove_refutation_without_countermodel(capsys):
     code = run(["prove", "--calculus", "r-b", "--goal", "@q"])
     assert code == EXIT_BUDGET
     assert "Refuted" not in capsys.readouterr().out
+
+
+def test_prove_inconclusive(capsys):
+    # pp-top-rules has no analyticity set: its search saturates after three
+    # steps, which refutes nothing and is no budget exhausted
+    argv = ["prove", "--calculus", "pp-top-rules", "--premises", "p",
+            "--goal", "q"]
+    assert run(argv) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().out.strip() == "Inconclusive."
+    assert run(argv + ["--json"]) == EXIT_INCONCLUSIVE
+    assert json.loads(capsys.readouterr().out) == {"result": "inconclusive"}
 
 
 def test_crash_is_not_an_answer(capsys):

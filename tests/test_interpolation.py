@@ -9,6 +9,7 @@ from mvlogic.interpolation import (
     InterpolationInstance,
     ORDER_PRESERVING,
     check_ddt_instance,
+    cip_failure_certificate,
     cip_witness,
     eip_interpolant,
     entails,
@@ -112,6 +113,25 @@ def test_maehara_needs_shared_variables():
 def test_cip_witness_entailment():
     phi, goal = cip_witness()
     assert entails(ORDER_PRESERVING, {phi}, goal)
+
+
+def test_cip_certificate_checks_through_the_semantics_module(monkeypatch):
+    # a wrapper installed on mvlogic.semantics (as a tracer does) must see
+    # the certificate's entailment checks
+    import mvlogic.semantics
+
+    class Seen(Exception):
+        pass
+
+    def check(problem):
+        raise Seen(problem)
+
+    monkeypatch.setattr(mvlogic.semantics, "check_consequence", check)
+    with pytest.raises(Seen) as seen:
+        cip_failure_certificate()
+    phi, goal = cip_witness()
+    problem = seen.value.args[0]
+    assert (problem.premises, problem.conclusions) == ({phi}, {goal})
 
 
 def test_heyting_implication_not_classic_like():

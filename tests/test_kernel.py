@@ -1,6 +1,7 @@
 """The bitset and mask kernel against the reference evaluators it replaced:
 solve_valuations for consequence, set-valued recursion for unary profiles,
-and FiniteAlgebra.eval_formula for assignments."""
+and FiniteAlgebra.eval_formula for assignments; and the prover's rule
+grounding against the plain product-and-filter grounding."""
 
 from itertools import product
 
@@ -10,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 from mvlogic import kernel
 from mvlogic.algebra import FiniteAlgebra, check_identity
 from mvlogic.axiomatizer import _enumerate_unary, unary_profile
-from mvlogic.calculus import _model_truths
+from mvlogic.calculus import Calculus, Rule, _build_instances, _model_truths
 from mvlogic.formula import (
     app,
+    canon_key,
     generalized_subformulas,
     parse_formula_set,
     subformulas,
+    substitute,
     var,
     variables,
 )
@@ -180,21 +183,106 @@ def test_model_truths_match_eval_formula(case):
     universe = frozenset(generalized_subformulas(base, calc.xi))
     got = _model_truths(calc, base, universe)
     vs = sorted(variables(base))
-    want = []
+    # one row per (model, assignment), concatenated model by model
+    rows = []
     for m in calc.models:
         sig = m.algebra.connectives
         if not m.algebra.is_deterministic() or any(
             not f.is_var and sig.get(f.head) != len(f.args) for f in universe
         ):
-            want = None
+            rows = None
             break
         alg = FiniteAlgebra(m.algebra)
         for combo in product(alg.carrier, repeat=len(vs)):
             env = dict(zip(vs, combo))
-            want.append(frozenset(
+            rows.append(frozenset(
                 f for f in universe if alg.eval_formula(f, env) in m.designated
             ))
+    want = None
+    if rows is not None:
+        want = {
+            f: sum(1 << r for r, row in enumerate(rows) if f in row)
+            for f in universe
+        }
     assert got == want
+
+
+def reference_instances(calc, targets, universe):
+    """Every assignment of targets to a rule's variables, in product order,
+    kept when its formulas lie in universe (if given), the antecedent and
+    succedent are disjoint and the pair is new."""
+    instances, seen = [], set()
+    for rule in calc.rules:
+        vs = sorted(variables(rule.antecedent | rule.succedent))
+        for combo in product(targets, repeat=len(vs)):
+            mapping = dict(zip(vs, combo))
+            ant = frozenset(substitute(f, mapping) for f in rule.antecedent)
+            succ = frozenset(substitute(f, mapping) for f in rule.succedent)
+            if universe is not None and not (ant | succ) <= universe:
+                continue
+            if ant & succ or (ant, succ) in seen:
+                continue
+            seen.add((ant, succ))
+            instances.append((rule.name, mapping, ant, succ))
+    return instances
+
+
+def _edge_calculus():
+    """Variable-free formulas, an instance always meeting its own
+    succedent, duplicates within a rule and across rules, and a formula
+    whose variables are not a prefix of the rule's."""
+    p, q, top = var("p"), var("q"), app("top")
+    return Calculus("edge", [
+        Rule("top_i", frozenset(), frozenset({top})),
+        Rule("refl", frozenset({p}), frozenset({p})),
+        Rule("pair", frozenset({p, q}), frozenset()),
+        Rule("pair_again", frozenset({q, p}), frozenset()),
+        Rule("mixed", frozenset({app("neg", q)}),
+             frozenset({app("and", p, q), top})),
+    ], (app("neg", p), app("and", p, q)))
+
+
+GROUNDED = [lookup("calculus", c).payload for c in names("calculus")]
+GROUNDED.append(_edge_calculus())
+
+
+def rule_connectives(calc):
+    return {
+        f.head: len(f.args)
+        for r in calc.rules
+        for f in subformulas(r.antecedent | r.succedent)
+        if not f.is_var
+    }
+
+
+@pytest.mark.parametrize("calc", GROUNDED, ids=lambda calc: calc.name)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_grounding_matches_product_and_filter(calc, data):
+    n = data.draw(st.integers(1, 3))
+    base = data.draw(st.frozensets(
+        formulas(rule_connectives(calc), ["p", "q", "r"][:n], 3),
+        min_size=1, max_size=3,
+    ))
+    targets = sorted(subformulas(base), key=canon_key)
+    universes = [None]
+    if calc.xi is not None:
+        universes.append(frozenset(generalized_subformulas(base, calc.xi)))
+    for universe in universes:
+        got = _build_instances(calc, targets, universe)
+        assert got == reference_instances(calc, targets, universe)
+
+
+def test_grounding_edge_cases():
+    calc = _edge_calculus()
+    targets = sorted(subformulas(parse_formula_set("p, ~q")), key=canon_key)
+    got = _build_instances(calc, targets, None)
+    assert got == reference_instances(calc, targets, None)
+    names_ = [name for name, _, _, _ in got]
+    assert names_.count("top_i") == 1
+    assert "refl" not in names_ and "pair_again" not in names_
+    # one instance per set of at most two targets, not per ordered pair
+    assert names_.count("pair") == len(targets) * (len(targets) + 1) // 2
 
 
 PP6H = FiniteAlgebra(lookup("algebra", "pp6h").payload)
