@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 from . import kernel
 from .errors import CarrierTooLarge, MissingConnective, TooManyVariables
-from .formula import app, canon_key, parse_formula, subformulas, var, variables
+from .formula import app, parse_formula, subformulas, var, variables
 from .semantics import MultiAlgebra, PNMatrix
 
 DEFAULT_CARRIER_BOUND = 12
@@ -449,49 +449,12 @@ def subalgebras(alg, carrier_bound=DEFAULT_CARRIER_BOUND):
 
 
 def unary_term_functions(alg, carrier_bound=DEFAULT_CARRIER_BOUND):
-    """The full unary clone as a map function-tuple -> witness formula."""
+    """The full unary clone as a map function-tuple -> witness formula, the
+    kernel enumeration's one formula per function, of least connective
+    depth.  Every profile mask holds one value: alg is deterministic."""
     if len(alg.carrier) > carrier_bound:
         raise CarrierTooLarge(str(len(alg.carrier)))
-    carrier = alg.carrier
-    p = var("p")
-    known = {}
-
-    def add(func, formula):
-        if func not in known:
-            known[func] = formula
-            return True
-        return False
-
-    add(tuple(carrier), p)
-    for conn in sorted(alg.ops):
-        if alg.arity(conn) == 0:
-            c = alg.op(conn)
-            add(tuple(c for _ in carrier), app(conn))
-    idx = range(len(carrier))
-    frontier = sorted(known.items(), key=lambda kv: canon_key(kv[1]))
-    while frontier:
-        existing = sorted(known.items(), key=lambda kv: canon_key(kv[1]))
-        fresh = []
-
-        def extend(nf, conn, *witnesses):
-            # the witness formula is built only for a new function
-            if nf not in known:
-                known[nf] = app(conn, *witnesses)
-                fresh.append((nf, known[nf]))
-
-        for conn in sorted(alg.ops):
-            k = alg.arity(conn)
-            table = alg.ops[conn]
-            if k == 1:
-                for func, formula in frontier:
-                    extend(tuple(table[(func[i],)] for i in idx), conn, formula)
-            elif k == 2:
-                # combine pairs touching the frontier on at least one side
-                for f1, w1 in existing:
-                    for f2, w2 in frontier:
-                        extend(tuple(table[(f1[i], f2[i])] for i in idx), conn, w1, w2)
-                for f1, w1 in frontier:
-                    for f2, w2 in existing:
-                        extend(tuple(table[(f1[i], f2[i])] for i in idx), conn, w1, w2)
-        frontier = fresh
-    return known
+    return {
+        tuple(alg.carrier[m.bit_length() - 1] for m in profile): f
+        for _, f, profile in kernel.enumerate_unary(alg.multi)
+    }

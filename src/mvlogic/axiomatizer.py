@@ -31,9 +31,6 @@ class NotMonadic:
     explored: int
 
 
-_P = var("p")
-
-
 def unary_profile(m, formula):
     """For each carrier value a, the set of values the formula can take when
     its variables take a, evaluating connectives as set-valued
@@ -46,47 +43,6 @@ def unary_profile(m, formula):
         else:
             rows[g] = k.combine(g.head, [rows[a] for a in g.args])
     return tuple(k.values(mask) for mask in rows[formula])
-
-
-def _enumerate_unary(m, max_depth):
-    """Unary formulas by increasing connective depth, de-duplicated by their
-    induced profile on the matrix.  Yields (depth, formula, profile), the
-    profile one mask of values per carrier value.  A formula is built only
-    for a profile not seen before."""
-    alg = m.algebra
-    k = kernel.compiled(alg)
-    conns = sorted(alg.interp, key=lambda c: (alg.arity(c), c))
-    pool = [(_P, k.identity)]
-    seen = {k.identity}
-    yield 0, _P, k.identity
-    for conn in conns:
-        if alg.arity(conn) == 0:
-            p = k.combine(conn, ())
-            if p not in seen:
-                seen.add(p)
-                pool.append((app(conn), p))
-                yield 0, pool[-1][0], p
-    # the formulas of the previous depth are the pool's suffix from `start`
-    start = 0
-    for depth in range(1, max_depth + 1):
-        size = len(pool)
-        for conn in conns:
-            arity = alg.arity(conn)
-            if arity == 0:
-                continue
-            for args in product(range(size), repeat=arity):
-                if max(args) < start:
-                    continue
-                p = k.combine(conn, [pool[i][1] for i in args])
-                if p in seen:
-                    continue
-                seen.add(p)
-                f = app(conn, *(pool[i][0] for i in args))
-                pool.append((f, p))
-                yield depth, f, p
-        if len(pool) == size:
-            return
-        start = size
 
 
 def _separates(profile, i, j, des):
@@ -110,9 +66,8 @@ def find_discriminator(m, max_depth):
     pending = {(i, j) for i in range(n) for j in range(i + 1, n)}
     explored = 0
     saturated = True
-    gen = _enumerate_unary(m, max_depth)
     last_depth = -1
-    for depth, f, profile in gen:
+    for depth, f, profile in kernel.enumerate_unary(m.algebra, max_depth):
         explored += 1
         last_depth = depth
         hits = []

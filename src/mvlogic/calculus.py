@@ -86,8 +86,9 @@ class OutOfBudget:
 
 @dataclass
 class Inconclusive:
-    """A search without an analyticity set tried every choice and found no
-    proof; without analyticity that refutes nothing."""
+    """A search tried every choice and found no proof, but that refutes
+    nothing: the calculus has no analyticity set, or its models do not
+    interpret every connective of the sequent, so no countermodel exists."""
 
 
 class _Budget(Exception):
@@ -430,10 +431,10 @@ class _Searcher:
 def prove(calc, premises, goal, budget_nodes=1_000_000):
     """Proved with a derivation tree, Refuted with a saturated partition
     (which needs an analyticity set and models that interpret every
-    connective of the sequent), Inconclusive when a calculus without an
-    analyticity set saturates every choice and no replay proves the goal,
-    or OutOfBudget.  A calculus made by to_set_fmla_calculus from an
-    analytic source is never searched itself: the source's Set-Set proof of
+    connective of the sequent), Inconclusive when the search saturates
+    without those two (and, without an analyticity set, no replay proves
+    the goal), or OutOfBudget.  A calculus made by to_set_fmla_calculus from
+    an analytic source is never searched itself: the source's Set-Set proof of
     the goal is replayed with the disjunction rules, and the source's
     refutation is passed on.  With a non-analytic source the replay is only
     tried after a direct search, since the source may be unable to break up
@@ -465,7 +466,7 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
             for m in calc.models or ():
                 kernel.check_signature(m.algebra, subformulas(base))
         except SignatureMismatch:
-            return OutOfBudget()
+            return Inconclusive()
         return Refuted(
             SaturatedPartition(
                 omega=frozenset(outcome),

@@ -3,7 +3,8 @@
 Exit codes: 0 positive answer (Proved/Holds/Sound/Valid), 1 negative with a
 certificate printed, 2 usage or input error, 3 budget exhausted, 4 internal
 error (an unexpected exception, never an answer), 5 inconclusive (a search
-without an analyticity set ended with neither a proof nor a refutation).
+tried every choice and found no proof, but the calculus has no analyticity
+set or its models do not interpret the sequent, so nothing is refuted).
 """
 
 from __future__ import annotations
@@ -206,6 +207,15 @@ def cmd_axiomatize(args):
     base = _get_matrix(args.base)
     refined = _get_matrix(args.refined)
     d = find_discriminator(base, args.max_depth)
+    if isinstance(d, NotMonadic) and not d.saturated:
+        _print(
+            args,
+            {"result": "out-of-budget", "unseparated": list(d.witness),
+             "explored": d.explored},
+            "Out of budget: no separator found up to depth %d; "
+            "unseparated pair: %s, %s" % ((args.max_depth,) + d.witness),
+        )
+        return EXIT_BUDGET
     if isinstance(d, NotMonadic):
         _print(
             args,
@@ -336,6 +346,14 @@ def cmd_list(args):
     return EXIT_POSITIVE
 
 
+def nonnegative(text):
+    """A non-negative int option value."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be non-negative: %s" % text)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mvl", description="Finite many-valued logic workbench"
@@ -349,7 +367,7 @@ def build_parser():
     p.add_argument("--calculus", required=True)
     p.add_argument("--premises", default="")
     p.add_argument("--goal", "--conclusions", dest="goal", required=True)
-    p.add_argument("--budget-nodes", type=int, default=1_000_000)
+    p.add_argument("--budget-nodes", type=nonnegative, default=1_000_000)
     p.add_argument("--dot")
     common(p)
     p.set_defaults(func=cmd_prove)
@@ -377,7 +395,7 @@ def build_parser():
     p = sub.add_parser("axiomatize", help="generate refinement rules")
     p.add_argument("--base", required=True)
     p.add_argument("--refined", required=True)
-    p.add_argument("--max-depth", type=int, default=1)
+    p.add_argument("--max-depth", type=nonnegative, default=1)
     p.add_argument("--simplify", action="store_true")
     common(p)
     p.set_defaults(func=cmd_axiomatize)

@@ -14,16 +14,19 @@ table is keyed by index tuples.  Two evaluators share that form.
   ``&`` and one ``|`` per table entry.
 * :meth:`Compiled.combine` applies a connective to set-valued arguments,
   one mask per carrier position, through memoised mask multioperations.
-  This is the evaluation of unary profiles.
+  This is the evaluation of unary profiles, and :func:`enumerate_unary`
+  walks the unary clone with it.
+
+:meth:`Compiled.components` gives the maximal total components as masks.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 from .errors import SignatureMismatch
-from .formula import render_formula, subformulas
+from .formula import app, render_formula, var
 
 # Most assignments one bitset covers.  Larger inputs enumerate the leading
 # variables' digits outside the bitset, in lexicographic order.  Big-int
@@ -71,6 +74,7 @@ class Compiled:
         self.identity = tuple(1 << i for i in range(self.n))
         self._ops = {}
         self._restricted = {}
+        self._components = None
 
     @staticmethod
     def mask(indices):
@@ -88,15 +92,39 @@ class Compiled:
     def values(self, mask):
         return frozenset(self.carrier[i] for i in self.members(mask))
 
-    def combine(self, conn, profiles):
-        """Set-valued application of conn, position by position, to argument
-        profiles (one mask per carrier value each)."""
+    def op(self, conn):
+        """The memoised mask multioperation of conn."""
         op = self._ops.get(conn)
         if op is None:
             op = self._ops[conn] = _MaskOp(self.tables[conn], self.members)
+        return op
+
+    def combine(self, conn, profiles):
+        """Set-valued application of conn, position by position, to argument
+        profiles (one mask per carrier value each)."""
+        op = self.op(conn)
         if not profiles:
             return (op[()],) * self.n
         return tuple(map(op.__getitem__, zip(*profiles)))
+
+    def components(self):
+        """Maximal masks on which every table entry over their members keeps
+        a value, sorted by their members."""
+        if self._components is None:
+            found = []
+            for size in range(self.n, 0, -1):
+                for inside in combinations(range(self.n), size):
+                    comp = self.mask(inside)
+                    if any(comp & t == comp for t in found):
+                        continue
+                    if all(
+                        table[key] & comp
+                        for conn, table in self.tables.items()
+                        for key in product(inside, repeat=self.arity[conn])
+                    ):
+                        found.append(comp)
+            self._components = sorted(found, key=self.members)
+        return self._components
 
     def single_valued(self, comp):
         """The tables restricted to the values in the mask comp, as index
@@ -125,6 +153,56 @@ def compiled(alg):
     if got is None:
         got = alg._kernel = Compiled(alg)
     return got
+
+
+def enumerate_unary(alg, max_depth=None):
+    """Formulas in the variable p by increasing connective depth, one per
+    profile on alg: yields (depth, formula, profile), the profile one mask
+    of values per carrier value.  Depth 0 is p and the constants; depth d
+    applies each connective, in (arity, name) order, to argument tuples in
+    product order over the earlier formulas that contain one of depth d-1.
+    A formula is built only for a profile not seen before.  Stops after
+    max_depth or, when that is None, at the first depth that adds nothing,
+    where the clone is saturated."""
+    k = compiled(alg)
+    conns = sorted(k.arity, key=lambda c: (k.arity[c], c))
+    p = var("p")
+    formulas, profiles = [p], [k.identity]
+    seen = {k.identity}
+    yield 0, p, k.identity
+    for conn in conns:
+        if k.arity[conn] == 0:
+            profile = k.combine(conn, ())
+            if profile not in seen:
+                seen.add(profile)
+                formulas.append(app(conn))
+                profiles.append(profile)
+                yield 0, formulas[-1], profile
+    # the formulas of the previous depth are the lists' suffix from `start`
+    start = depth = 0
+    while max_depth is None or depth < max_depth:
+        depth += 1
+        size = len(profiles)
+        for conn in conns:
+            arity = k.arity[conn]
+            if arity == 0:
+                continue
+            get = k.op(conn).__getitem__
+            for head in product(range(size), repeat=arity - 1):
+                first = [profiles[i] for i in head]
+                low = 0 if head and max(head) >= start else start
+                for last in range(low, size):
+                    profile = tuple(map(get, zip(*first, profiles[last])))
+                    if profile in seen:
+                        continue
+                    seen.add(profile)
+                    f = app(conn, *(formulas[i] for i in head), formulas[last])
+                    formulas.append(f)
+                    profiles.append(profile)
+                    yield depth, f, profile
+        if len(profiles) == size:
+            return
+        start = size
 
 
 def check_signature(alg, formulas):
@@ -173,7 +251,17 @@ class Bitsets:
         rows = self.rows
         if f in rows:
             return rows[f]
-        for g in sorted(subformulas(f).difference(rows), key=lambda g: g.size):
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            if g in rows:
+                continue
+            missing = [a for a in g.args if a not in rows]
+            if missing:
+                # g comes back once its arguments have rows
+                stack.append(g)
+                stack.extend(missing)
+                continue
             args = [rows[a] for a in g.args]
             row = [0] * self.n
             for key, v in self.tables[g.head].items():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from math import prod
 
 from . import kernel
@@ -68,7 +67,6 @@ class PNMatrix:
         self.designated = frozenset(designated)
         if not self.designated <= set(algebra.carrier):
             raise ValueAbsent("designated values outside the carrier")
-        self._components = None
 
     @property
     def carrier(self):
@@ -165,39 +163,10 @@ def solve_valuations(m, domain, constraints, limit=None):
 
 
 def total_components(m):
-    """Maximal carrier subsets on which every restricted entry is non-empty."""
-    if m._components is not None:
-        return m._components
-    alg = m.algebra
-    carrier = alg.carrier
-    n = len(carrier)
-
-    def is_total(subset):
-        sset = frozenset(subset)
-        for conn, table in alg.interp.items():
-            k = alg.arity(conn)
-            for key in product(subset, repeat=k):
-                if not (table[key] & sset):
-                    return False
-        return True
-
-    totals = []
-    # check subsets by decreasing size, keeping only maximal ones
-    for size in range(n, 0, -1):
-        from itertools import combinations
-
-        for subset in combinations(carrier, size):
-            sset = frozenset(subset)
-            if any(sset <= t for t in totals):
-                continue
-            if is_total(subset):
-                totals.append(sset)
-    out = sorted(
-        (tuple(alg.sort_values(t)) for t in totals),
-        key=lambda t: tuple(alg._index[v] for v in t),
-    )
-    m._components = out
-    return out
+    """Maximal carrier subsets on which every restricted entry is non-empty,
+    each in carrier order, sorted by their members' carrier positions."""
+    k = kernel.compiled(m.algebra)
+    return [tuple(k.carrier[i] for i in k.members(c)) for c in k.components()]
 
 
 def _restrict_constraints(m, domain, base_constraints, component):
@@ -210,14 +179,13 @@ def _restrict_constraints(m, domain, base_constraints, component):
 
 
 def _first_valuation(m, order, variables, base, comp, tables):
-    """solve_valuations(..., limit=1) on a component where every table
-    restricts to single values: the lowest-ranked variable assignment
+    """solve_valuations(..., limit=1) on a component (a mask) where every
+    table restricts to single values: the lowest-ranked variable assignment
     meeting the constraints, found with bitsets, and the assignments
     decided."""
     k = kernel.compiled(m.algebra)
-    comp_mask = k.mask_of(comp)
     digits = [
-        tuple(k.members(comp_mask & k.mask_of(base.get(x, comp))))
+        tuple(k.members(comp & k.mask_of(base.get(x, k.carrier))))
         for x in variables
     ]
     wanted = [
@@ -282,12 +250,12 @@ def check_consequence(problem):
         if any(not c for c in base.values()):
             continue
         k = kernel.compiled(m.algebra)
-        for comp in total_components(m):
+        for comp in k.components():
             visited += 1
-            tables = k.single_valued(k.mask_of(comp))
+            tables = k.single_valued(comp)
             if tables is None:
                 path = "backtrack"
-                witness, n = _backtrack(m, domain, variables, base, comp)
+                witness, n = _backtrack(m, domain, variables, base, k.values(comp))
             else:
                 witness, n = _first_valuation(m, order, variables, base, comp, tables)
             covered += n

@@ -6,6 +6,8 @@ transcribed tables and brute-force semantic oracles.
 
 from itertools import product
 
+import pytest
+
 from conftest import make_rng, random_formula, random_sequent
 
 from mvlogic.algebra import (
@@ -51,6 +53,7 @@ from mvlogic.interpolation import (
     maehara_interpolant,
 )
 from mvlogic.registry import (
+    ALG_DM4,
     ALG_PP2H,
     ALG_PP3H,
     ALG_PP4H,
@@ -341,7 +344,7 @@ def test_07_ten_valued_matrices_not_monadic():
         assert isinstance(res, NotMonadic)
         assert res.witness == ("nm", "bm")
         assert res.saturated
-        assert res.explored > 0
+        assert res.explored == 432
 
 
 def test_08_generated_calculus_for_classic_implication():
@@ -504,43 +507,52 @@ def test_13_maehara_interpolation():
     assert done == 50, attempts
 
 
-def _clone_size_oracle():
-    """Pointwise closure of the unary functions on the six-valued carrier
-    under the algebra's operations, starting from the identity."""
+def _clone_oracle(alg):
+    """Pointwise closure of the unary functions on alg's carrier under its
+    operations, starting from the identity and the constants: each function
+    maps to the round in which the closure first reaches it."""
     det = {
         conn: {key: next(iter(out)) for key, out in table.items()}
-        for conn, table in ALG_PP6H.interp.items()
+        for conn, table in alg.interp.items()
     }
-    funcs = {tuple(V6)}
+    funcs = {tuple(alg.carrier): 0}
     for conn, table in det.items():
-        if ALG_PP6H.arity(conn) == 0:
-            funcs.add(tuple(table[()] for _ in V6))
-    changed = True
-    while changed:
-        changed = False
+        if alg.arity(conn) == 0:
+            funcs.setdefault(tuple(table[()] for _ in alg.carrier), 0)
+    rounds = 0
+    while True:
+        rounds += 1
         snapshot = list(funcs)
         for conn, table in det.items():
-            k = ALG_PP6H.arity(conn)
-            if k == 1:
-                for f in snapshot:
-                    g = tuple(table[(x,)] for x in f)
-                    if g not in funcs:
-                        funcs.add(g)
-                        changed = True
-            elif k == 2:
-                for f in snapshot:
-                    for h in snapshot:
-                        g = tuple(table[(x, y)] for x, y in zip(f, h))
-                        if g not in funcs:
-                            funcs.add(g)
-                            changed = True
-    return len(funcs)
+            k = alg.arity(conn)
+            if k == 0:
+                continue
+            for args in product(snapshot, repeat=k):
+                funcs.setdefault(tuple(table[xs] for xs in zip(*args)), rounds)
+        if len(funcs) == len(snapshot):
+            return funcs
+
+
+def _connective_depth(f):
+    return max((1 + _connective_depth(a) for a in f.args or ()), default=0)
+
+
+@pytest.mark.parametrize(
+    "alg", [ALG_DM4, ALG_PP2H, ALG_PP3H, ALG_PP4H, ALG_PP6, ALG_PP6H],
+    ids=lambda alg: alg.name,
+)
+def test_13_unary_clone_matches_closure(alg):
+    closure = _clone_oracle(alg)
+    clone = unary_term_functions(FiniteAlgebra(alg))
+    assert clone.keys() == closure.keys()
+    for func, witness in clone.items():
+        assert _connective_depth(witness) == closure[func], func
 
 
 def test_13_no_single_variable_interpolant():
     report = cip_failure_certificate()
     assert report.entailment_confirmed
-    assert report.clone_size == _clone_size_oracle()
+    assert report.clone_size == len(_clone_oracle(ALG_PP6H))
     assert report.clone_size == len(unary_term_functions(FiniteAlgebra(ALG_PP6H)))
     assert report.passing == []
     assert len(report.verdicts) == report.clone_size

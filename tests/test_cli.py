@@ -41,10 +41,17 @@ def test_prove_budget(capsys):
 
 
 def test_prove_refutation_without_countermodel(capsys):
-    # dm4-bt, r-b's only model, has no @: no countermodel can exist
+    # dm4-bt, r-b's only model, has no @: the search saturates after one
+    # step, but no countermodel can exist and no larger budget changes that
     code = run(["prove", "--calculus", "r-b", "--goal", "@q"])
-    assert code == EXIT_BUDGET
-    assert "Refuted" not in capsys.readouterr().out
+    assert code == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().out.strip() == "Inconclusive."
+
+
+def test_prove_negative_budget_is_usage_error(capsys):
+    argv = ["prove", "--calculus", "r-b", "--goal", "q", "--budget-nodes", "-5"]
+    assert run(argv) == EXIT_USAGE
+    assert "non-negative" in capsys.readouterr().err
 
 
 def test_prove_inconclusive(capsys):
@@ -210,3 +217,36 @@ def test_prove_dot_export(tmp_path, capsys):
     ])
     assert code == EXIT_POSITIVE
     assert out.read_text().startswith("digraph proof {")
+
+
+def test_axiomatize_unseparated_within_depth_is_out_of_budget(capsys):
+    # pp6a1-ub is separated at depth 1: depth 0 shows no separator yet,
+    # which is not a proof that the matrix is not monadic
+    argv = ["axiomatize", "--base", "pp6a1-ub", "--refined", "letk-ub",
+            "--max-depth", "0"]
+    assert run(argv) == EXIT_BUDGET
+    out = capsys.readouterr().out
+    assert "Not monadic" not in out
+    assert "up to depth 0" in out
+    assert run(argv + ["--json"]) == EXIT_BUDGET
+    assert json.loads(capsys.readouterr().out) == {
+        "result": "out-of-budget", "unseparated": ["hf", "f"], "explored": 3,
+    }
+
+
+def test_axiomatize_saturated_clone_is_not_monadic(capsys):
+    # the unary clone of pp6h-ut saturates at 192 functions without
+    # separating n from b
+    argv = ["axiomatize", "--base", "pp6h-ut", "--refined", "pp6h-ut",
+            "--max-depth", "99", "--json"]
+    assert run(argv) == EXIT_NEGATIVE
+    assert json.loads(capsys.readouterr().out) == {
+        "result": "not-monadic", "witness": ["n", "b"],
+    }
+
+
+def test_axiomatize_negative_depth_is_usage_error(capsys):
+    argv = ["axiomatize", "--base", "pp6a1-ub", "--refined", "letk-ub",
+            "--max-depth", "-1"]
+    assert run(argv) == EXIT_USAGE
+    assert "non-negative" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from mvlogic import kernel
 from mvlogic.algebra import FiniteAlgebra, check_identity
-from mvlogic.axiomatizer import _enumerate_unary, unary_profile
+from mvlogic.axiomatizer import unary_profile
 from mvlogic.calculus import Calculus, Rule, _build_instances, _model_truths
 from mvlogic.formula import (
     app,
@@ -156,7 +156,7 @@ def test_unary_profile_matches_set_valued_evaluation(case):
 def test_enumerated_profiles_match_set_valued_evaluation(name):
     m = lookup("matrix", name).payload
     k = kernel.compiled(m.algebra)
-    for n, (_, f, profile) in enumerate(_enumerate_unary(m, 2)):
+    for n, (_, f, profile) in enumerate(kernel.enumerate_unary(m.algebra, 2)):
         assert tuple(map(k.values, profile)) == set_valued_profile(m, f)
         if n == 150:
             break
