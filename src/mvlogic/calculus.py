@@ -4,11 +4,11 @@ from saturated partitions, and the Set-Fmla disjunction transform."""
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 
-from . import kernel
+from . import kernel, sat
 from .errors import (
     ClassificationError,
     FrameworkMismatch,
@@ -61,9 +61,31 @@ class TreeNode:
     closed: bool = False
 
 
+@dataclass(frozen=True)
+class ProveStats:
+    """The work behind a prove answer.  route is "cdcl" when the clause set
+    of an analytic calculus was solved (and a proof tree searched over its
+    unsatisfiable core), "search" when a calculus without an analyticity
+    set was searched, and "replay" when a Set-Fmla answer came from the
+    source calculus.  universe is None without an analyticity set; core
+    counts the instances in the unsatisfiable core, steps the tree search's
+    steps and nodes the proof tree's nodes.  assignments plus steps count
+    against budget_nodes."""
+
+    route: str
+    universe: int
+    instances: int
+    assignments: int = 0
+    conflicts: int = 0
+    core: int = 0
+    steps: int = 0
+    nodes: int = 0
+
+
 @dataclass
 class Proved:
     tree: TreeNode
+    stats: ProveStats = field(default=None, compare=False)
 
 
 @dataclass
@@ -77,27 +99,30 @@ class SaturatedPartition:
 @dataclass
 class Refuted:
     partition: SaturatedPartition
+    stats: ProveStats = field(default=None, compare=False)
 
 
 @dataclass
 class OutOfBudget:
-    pass
+    stats: ProveStats = field(default=None, compare=False)
 
 
 @dataclass
 class Inconclusive:
-    """A search tried every choice and found no proof, but that refutes
-    nothing: the calculus has no analyticity set, or its models do not
-    interpret every connective of the sequent, so no countermodel exists."""
+    """No proof and no refutation, which no budget changes: the models do
+    not interpret every connective of a sequent the calculus does not
+    derive, or the calculus has no analyticity set and its search tried
+    every choice."""
+
+    stats: ProveStats = field(default=None, compare=False)
 
 
 class _Budget(Exception):
     pass
 
 
-class _RefutedSignal(Exception):
-    def __init__(self, label):
-        self.label = label
+class _Saturated(Exception):
+    pass
 
 
 @lru_cache(maxsize=1024)
@@ -219,12 +244,16 @@ def _model_truths(calc, base, universe):
 
 
 class _Searcher:
-    def __init__(self, instances, goal, budget, truths=None, complete=True):
+    """Depth-first search for a proof tree from ground instances.  A branch
+    that saturates (no instance left to apply) only fails the choice that
+    led to it; saturated is set when every choice at the root failed."""
+
+    def __init__(self, instances, goal, budget, truths=None):
         self.goal = goal
         self.budget = budget
         self.truths = truths
-        self.complete = complete
         self.steps = 0
+        self.saturated = False
         self.names = [i[0] for i in instances]
         self.substs = [i[1] for i in instances]
         self.ants = [i[2] for i in instances]
@@ -239,6 +268,8 @@ class _Searcher:
         self.succ_sorted = [sorted(s, key=canon_key) for s in self.succs]
 
     def run(self, premises):
+        """The proof tree, or None when the budget ran out or every choice
+        saturated."""
         label = set(premises)
         missing = [len(a) for a in self.ants]
         satisfied = bytearray(len(self.ants))
@@ -254,8 +285,9 @@ class _Searcher:
             return TreeNode(frozenset(premises), closed=True)
         try:
             root = self._search(label, missing, satisfied, queue, [])
-        except _RefutedSignal as sig:
-            return frozenset(sig.label)
+        except _Saturated:
+            self.saturated = True
+            return None
         except _Budget:
             return None
         root.adds = frozenset(premises)
@@ -305,7 +337,7 @@ class _Searcher:
             i for i in pending if missing[i] == 0 and not satisfied[i]
         ]
         if not candidates:
-            raise _RefutedSignal(set(label))
+            raise _Saturated()
         candidates.sort(key=lambda i: (len(self.succs[i]), i))
         # the truth rows designating every formula of the label; -1 has
         # every row's bit set, for an empty label
@@ -372,17 +404,13 @@ class _Searcher:
                         )
                     child.adds = frozenset({phi})
                     children.append(child)
-            except _RefutedSignal:
-                # with an analyticity set a saturated branch refutes the
-                # whole statement; without one it just fails this choice
-                if self.complete:
-                    raise
+            except _Saturated:
                 continue
             node = TreeNode(
                 rule=self.names[best], subst=self.substs[best], children=children
             )
             return self._wrap(steps_taken, node)
-        raise _RefutedSignal(set(label))
+        raise _Saturated()
 
     def _unit_closes(self, label, missing, satisfied, phi0):
         """Without copying the search state, test whether adding phi0 lets
@@ -429,16 +457,26 @@ class _Searcher:
 
 
 def prove(calc, premises, goal, budget_nodes=1_000_000):
-    """Proved with a derivation tree, Refuted with a saturated partition
-    (which needs an analyticity set and models that interpret every
-    connective of the sequent), Inconclusive when the search saturates
-    without those two (and, without an analyticity set, no replay proves
-    the goal), or OutOfBudget.  A calculus made by to_set_fmla_calculus from
-    an analytic source is never searched itself: the source's Set-Set proof of
-    the goal is replayed with the disjunction rules, and the source's
-    refutation is passed on.  With a non-analytic source the replay is only
-    tried after a direct search, since the source may be unable to break up
-    a premise that the disjunction rules can."""
+    """Proved with a derivation tree, Refuted with a saturated partition,
+    Inconclusive, or OutOfBudget; `stats` records the route and its work.
+
+    With an analyticity set the sequent is decided as a clause set over the
+    universe: each ground instance Γ ▷ Δ is the clause ¬Γ ∨ Δ, premises are
+    true and goal formulas false, so the models are exactly the saturated
+    partitions.  A model is the refutation (Ω its true formulas) when the
+    calculus's models interpret every connective of the sequent, and
+    Inconclusive otherwise, since no countermodel exists.  Unsatisfiable,
+    the proof tree is searched over the instances of the unsatisfiable core.
+    The solver's assignments and the search's steps share budget_nodes; a
+    decided sequent whose tree does not fit stays OutOfBudget.
+
+    Without an analyticity set all instances are searched; a search that
+    saturates every choice is Inconclusive.  A calculus made by
+    to_set_fmla_calculus from an analytic source is never searched itself:
+    the source's Set-Set proof of the goal is replayed with the disjunction
+    rules, and the source's refutation is passed on.  With a non-analytic
+    source the replay is only tried after a direct search, since the source
+    may be unable to break up a premise that the disjunction rules can."""
     premises = frozenset(premises)
     goal = frozenset(goal)
     if calc.framework == SET_FMLA and len(goal) != 1:
@@ -449,41 +487,76 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     targets = sorted(subformulas(base), key=canon_key)
     if calc.xi is not None:
         universe = frozenset(generalized_subformulas(base, calc.xi))
-    else:
-        universe = None
-    instances = _build_instances(calc, targets, universe)
-    truths = _model_truths(calc, base, universe)
-    searcher = _Searcher(
-        instances, goal, budget_nodes, truths, complete=universe is not None
+        instances = _build_instances(calc, targets, universe)
+        return _decide(calc, premises, goal, universe, instances, budget_nodes)
+    instances = _build_instances(calc, targets, None)
+    searcher = _Searcher(instances, goal, budget_nodes)
+    tree = searcher.run(premises)
+    stats = ProveStats(
+        "search", None, len(instances),
+        steps=searcher.steps, nodes=_count_nodes(tree),
     )
-    outcome = searcher.run(premises)
-    if isinstance(outcome, TreeNode):
-        return Proved(outcome)
-    if isinstance(outcome, frozenset) and universe is not None:
-        # a refutation is certified only if the models interpret every
-        # connective of the sequent; otherwise no countermodel exists
-        try:
-            for m in calc.models or ():
-                kernel.check_signature(m.algebra, subformulas(base))
-        except SignatureMismatch:
-            return Inconclusive()
-        return Refuted(
-            SaturatedPartition(
-                omega=frozenset(outcome),
-                omega_bar=universe - outcome,
-                base=base,
-                universe=universe,
-            )
-        )
-    # without an analyticity set, a search that saturates every choice
-    # ends without an answer that a larger budget could change
-    saturated = isinstance(outcome, frozenset)
+    if tree is not None:
+        return Proved(tree, stats)
+    # a search that saturates every choice ends without an answer that a
+    # larger budget could change
+    saturated = searcher.saturated
     if calc.source is not None:
         res = _prove_by_simulation(calc, premises, goal, budget_nodes)
         if isinstance(res, Proved):
             return res
         saturated = saturated and isinstance(res, Inconclusive)
-    return Inconclusive() if saturated else OutOfBudget()
+    return Inconclusive(stats) if saturated else OutOfBudget(stats)
+
+
+def _decide(calc, premises, goal, universe, instances, budget_nodes):
+    """Solve the clause set of an analytic sequent; search for the proof
+    tree over the unsatisfiable core.  Variables are numbered in canon_key
+    order, and clauses keep the instances' order, so runs repeat."""
+    order = sorted(universe, key=canon_key)
+    index = {f: i for i, f in enumerate(order)}
+    clauses = [
+        sorted([2 * index[f] + 1 for f in ant] + [2 * index[f] for f in succ])
+        for _, _, ant, succ in instances
+    ]
+    clauses += [[2 * i] for i, f in enumerate(order) if f in premises]
+    clauses += [[2 * i + 1] for i, f in enumerate(order) if f in goal]
+    out = sat.solve(len(order), clauses, budget_nodes)
+    stats = ProveStats(
+        "cdcl", len(universe), len(instances), out.assignments, out.conflicts
+    )
+    base = premises | goal
+    if out.model is not None:
+        try:
+            for m in calc.models or ():
+                kernel.check_signature(m.algebra, subformulas(base))
+        except SignatureMismatch:
+            return Inconclusive(stats)
+        omega = frozenset(f for f, true in zip(order, out.model) if true)
+        return Refuted(
+            SaturatedPartition(omega, universe - omega, base, universe), stats
+        )
+    if out.core is None:
+        return OutOfBudget(stats)
+    core = [instances[i] for i in out.core if i < len(instances)]
+    truths = _model_truths(calc, base, universe)
+    searcher = _Searcher(core, goal, budget_nodes - out.assignments, truths)
+    tree = searcher.run(premises)
+    # a label closed under the core's instances would satisfy the core
+    assert not searcher.saturated
+    stats = replace(
+        stats, core=len(core), steps=searcher.steps, nodes=_count_nodes(tree)
+    )
+    return OutOfBudget(stats) if tree is None else Proved(tree, stats)
+
+
+def _count_nodes(tree):
+    nodes, stack = 0, [tree] if tree is not None else []
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        stack.extend(node.children)
+    return nodes
 
 
 def _or_spine(f):
@@ -510,9 +583,10 @@ def _prove_by_simulation(calc, premises, goal, budget_nodes):
             spec, _ = _condense(calc.source, res.tree, psis)
             sim = _Simulation(calc, calc.source, psis)
             steps = sim.run(spec, premises)
-            return Proved(_chain_tree(premises, steps))
+            stats = replace(res.stats, route="replay", nodes=len(steps) + 1)
+            return Proved(_chain_tree(premises, steps), stats)
     # the last attempt had the goal {g}: the source refuting it refutes g
-    return res
+    return replace(res, stats=replace(res.stats, route="replay"))
 
 
 def _condense(calc, tree, goal):

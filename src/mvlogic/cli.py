@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .errors import MvlError
 from .formula import parse_formula, parse_formula_set, render_formula
@@ -61,8 +62,15 @@ def _get_algebra(name):
     from .algebra import FiniteAlgebra
 
     if name.startswith("@"):
-        return FiniteAlgebra(registry.matrix_from_json(_load_json(name[1:])).algebra)
-    return FiniteAlgebra(registry.lookup(registry.KIND_ALGEBRA, name).payload)
+        multi = registry.matrix_from_json(_load_json(name[1:])).algebra
+    else:
+        multi = registry.lookup(registry.KIND_ALGEBRA, name).payload
+    if not (multi.is_deterministic() and multi.is_total()):
+        raise UsageError(
+            "algebra %s is not deterministic and total, which the algebra "
+            "toolbox needs" % multi.name
+        )
+    return FiniteAlgebra(multi)
 
 
 def _models_from_args(args):
@@ -98,13 +106,14 @@ def cmd_prove(args):
     premises = parse_formula_set(args.premises)
     goal = parse_formula_set(args.goal)
     res = prove(calc, premises, goal, budget_nodes=args.budget_nodes)
+    stats = asdict(res.stats)
     if isinstance(res, Proved):
         if args.dot:
             with open(args.dot, "w") as fh:
                 fh.write(tree_to_dot(res.tree))
         _print(
             args,
-            {"result": "proved", "tree": tree_to_json(res.tree)},
+            {"result": "proved", "tree": tree_to_json(res.tree), "stats": stats},
             "Proved.",
         )
         return EXIT_POSITIVE
@@ -112,14 +121,14 @@ def cmd_prove(args):
         omega = sorted(render_formula(f) for f in res.partition.omega)
         _print(
             args,
-            {"result": "refuted", "omega": omega},
+            {"result": "refuted", "omega": omega, "stats": stats},
             "Refuted. Saturated set:\n  " + "\n  ".join(omega),
         )
         return EXIT_NEGATIVE
     if isinstance(res, Inconclusive):
-        _print(args, {"result": "inconclusive"}, "Inconclusive.")
+        _print(args, {"result": "inconclusive", "stats": stats}, "Inconclusive.")
         return EXIT_INCONCLUSIVE
-    _print(args, {"result": "out-of-budget"}, "Out of budget.")
+    _print(args, {"result": "out-of-budget", "stats": stats}, "Out of budget.")
     return EXIT_BUDGET
 
 

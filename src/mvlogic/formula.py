@@ -8,6 +8,7 @@ operations.  All construction goes through ``var`` and ``app``.
 from __future__ import annotations
 
 import re
+import zlib
 from itertools import product
 
 from .errors import ArityError, FormulaSyntaxError, UnknownConnective
@@ -50,7 +51,10 @@ class Formula:
         self.head = head
         self.args = args
         self.size = 1 if args is None else 1 + sum(a.size for a in args)
-        self._hash = hash(key)
+        # the same in every process: a str hash depends on PYTHONHASHSEED,
+        # and hash(None) on an address before CPython 3.12
+        name = zlib.crc32(head.encode())
+        self._hash = name if args is None else hash((name, args))
         cls._table[key] = self
         return self
 

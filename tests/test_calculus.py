@@ -12,7 +12,9 @@ from mvlogic.calculus import (
     Refuted,
     Rule,
     SET_SET,
+    _Searcher,
     _build_instances,
+    _model_truths,
     countermodel_from_partition,
     prove,
     to_set_fmla_calculus,
@@ -127,31 +129,53 @@ def test_validate_tree_rejects_tampering():
     assert validate_tree(R_B, pruned, premises, goal) is not None
 
 
+def _full_search(calc, premises, goal):
+    """The tree search over every ground instance, the route of a calculus
+    without an analyticity set, run here on an analytic one."""
+    base = premises | goal
+    targets = sorted(subformulas(base), key=canon_key)
+    universe = frozenset(generalized_subformulas(base, calc.xi))
+    instances = _build_instances(calc, targets, universe)
+    truths = _model_truths(calc, base, universe)
+    return _Searcher(instances, goal, 1_000_000, truths).run(premises)
+
+
+def _count(tree):
+    nodes, stack = 0, [tree]
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        stack.extend(node.children)
+    return nodes
+
+
 def test_tree_nodes_store_only_what_they_add():
     import mvlogic.calculus
 
     assert not hasattr(mvlogic.calculus, "_ChainLabel")
-    # the k=2 De Morgan ladder on r-leq needs about 40,000 nodes
+    # the full search needs about 40,000 nodes on the k=2 De Morgan ladder
+    # on r-leq, the search over the unsatisfiable core under 1,500
     premises = parse_formula_set("~(p1 & p2)")
     goal = parse_formula_set("~p1 | ~p2")
-    tree = prove(R_LEQ, premises, goal).tree
-    assert tree.adds == premises
-    nodes = stars = total = 0
-    stack = list(tree.children)
-    while stack:
-        node = stack.pop()
-        nodes += 1
-        if node.star:
-            stars += 1
-            assert not node.adds
-        else:
-            assert len(node.adds) == 1
-        total += len(node.adds)
-        stack.extend(node.children)
-    # the exact count pins every branching choice of the steered search
-    assert nodes == 39_475
-    assert total == nodes - stars
-    assert validate_tree(R_LEQ, tree, premises, goal) is None
+    for tree, want in ((_full_search(R_LEQ, premises, goal), 39_475),
+                       (prove(R_LEQ, premises, goal).tree, 1_434)):
+        assert tree.adds == premises
+        nodes = stars = total = 0
+        stack = list(tree.children)
+        while stack:
+            node = stack.pop()
+            nodes += 1
+            if node.star:
+                stars += 1
+                assert not node.adds
+            else:
+                assert len(node.adds) == 1
+            total += len(node.adds)
+            stack.extend(node.children)
+        # the exact count pins every branching choice of the steered search
+        assert nodes == want
+        assert total == nodes - stars
+        assert validate_tree(R_LEQ, tree, premises, goal) is None
 
 
 def test_steered_ladder_node_count():
@@ -160,14 +184,15 @@ def test_steered_ladder_node_count():
     calc = lookup(KIND_CALCULUS, "r-up").payload
     premises = parse_formula_set("~(p1 & p2)")
     goal = parse_formula_set("~p1 | ~p2")
-    tree = prove(calc, premises, goal).tree
-    nodes, stack = 0, [tree]
-    while stack:
-        node = stack.pop()
-        nodes += 1
-        stack.extend(node.children)
-    assert nodes == 42_595
+    tree = _full_search(calc, premises, goal)
+    assert _count(tree) == 42_595
     assert validate_tree(calc, tree, premises, goal) is None
+    # the core's instances, and so the tree, also depend on the solver's
+    # choices and the core it extracts
+    res = prove(calc, premises, goal)
+    assert _count(res.tree) == res.stats.nodes == 1_842
+    assert (res.stats.route, res.stats.core) == ("cdcl", 66)
+    assert validate_tree(calc, res.tree, premises, goal) is None
 
 
 def test_refutation_needs_interpreted_connectives():
@@ -339,3 +364,39 @@ def test_empty_succedent_star_child():
     assert len(node.children) == 1 and node.children[0].star
     assert validate_tree(calc, res.tree, parse_formula_set("p"),
                          parse_formula_set("q")) is None
+
+
+_REPEAT_SCRIPT = """
+import json
+from mvlogic.calculus import prove, tree_to_json
+from mvlogic.formula import generalized_subformulas, parse_formula_set, render_formula
+from mvlogic.registry import lookup
+calc = lookup("calculus", "r-up").payload
+premises = parse_formula_set("~(p1 & p2)")
+goal = parse_formula_set("~p1 | ~p2")
+res = prove(calc, premises, goal)
+print(json.dumps(tree_to_json(res.tree), sort_keys=True))
+print(res.stats)
+# set order follows the formulas' hashes
+print([render_formula(f) for f in generalized_subformulas(premises | goal, calc.xi)])
+"""
+
+
+def test_prove_repeats_across_hash_seeds():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mvlogic
+
+    src = str(Path(mvlogic.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outs.append(subprocess.run(
+            [sys.executable, "-c", _REPEAT_SCRIPT], env=env,
+            capture_output=True, check=True,
+        ).stdout)
+    assert outs[0] == outs[1]
+    assert b"route='cdcl'" in outs[0]

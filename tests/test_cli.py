@@ -40,9 +40,27 @@ def test_prove_budget(capsys):
     assert code == EXIT_BUDGET
 
 
+def test_prove_json_stats(capsys):
+    argv = ["prove", "--calculus", "r-b", "--premises", "~(p & q)",
+            "--goal", "~p | ~q", "--json"]
+    assert run(argv) == EXIT_POSITIVE
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert stats == {
+        "route": "cdcl", "universe": 18, "instances": 18, "assignments": 4,
+        "conflicts": 1, "core": 3, "steps": 5, "nodes": 5,
+    }
+    argv = ["prove", "--calculus", "r-leq", "--goal", "(p | q) => p, q",
+            "--json"]
+    assert run(argv) == EXIT_NEGATIVE
+    data = json.loads(capsys.readouterr().out)
+    assert data["result"] == "refuted"
+    assert data["stats"]["route"] == "cdcl"
+    assert data["stats"]["assignments"] == data["stats"]["universe"] == 31
+
+
 def test_prove_refutation_without_countermodel(capsys):
-    # dm4-bt, r-b's only model, has no @: the search saturates after one
-    # step, but no countermodel can exist and no larger budget changes that
+    # dm4-bt, r-b's only model, has no @: the clause set has a model, but no
+    # countermodel can exist and no larger budget changes that
     code = run(["prove", "--calculus", "r-b", "--goal", "@q"])
     assert code == EXIT_INCONCLUSIVE
     assert capsys.readouterr().out.strip() == "Inconclusive."
@@ -62,7 +80,14 @@ def test_prove_inconclusive(capsys):
     assert run(argv) == EXIT_INCONCLUSIVE
     assert capsys.readouterr().out.strip() == "Inconclusive."
     assert run(argv + ["--json"]) == EXIT_INCONCLUSIVE
-    assert json.loads(capsys.readouterr().out) == {"result": "inconclusive"}
+    assert json.loads(capsys.readouterr().out) == {
+        "result": "inconclusive",
+        "stats": {
+            "route": "search", "universe": None, "instances": 6,
+            "assignments": 0, "conflicts": 0, "core": 0, "steps": 3,
+            "nodes": 0,
+        },
+    }
 
 
 def test_crash_is_not_an_answer(capsys):
@@ -167,6 +192,14 @@ def test_algebra_check(capsys):
         "--identity", "no separator",
     ])
     assert code == EXIT_USAGE
+
+
+def test_algebra_not_deterministic_is_usage_error(capsys):
+    # pp6a1 is registered, but the algebra toolbox takes only deterministic
+    # total algebras
+    code = run(["algebra", "congruences", "--algebra", "pp6a1"])
+    assert code == EXIT_USAGE
+    assert "not deterministic" in capsys.readouterr().err
 
 
 def test_algebra_check_connective_outside_the_algebra(capsys):
