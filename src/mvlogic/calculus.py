@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 
-from . import kernel, sat
+from . import kernel
 from .errors import (
     ClassificationError,
     FrameworkMismatch,
@@ -513,6 +513,8 @@ def _decide(calc, premises, goal, universe, instances, budget_nodes):
     """Solve the clause set of an analytic sequent; search for the proof
     tree over the unsatisfiable core.  Variables are numbered in canon_key
     order, and clauses keep the instances' order, so runs repeat."""
+    from . import sat
+
     order = sorted(universe, key=canon_key)
     index = {f: i for i, f in enumerate(order)}
     clauses = [

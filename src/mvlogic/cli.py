@@ -2,9 +2,10 @@
 
 Exit codes: 0 positive answer (Proved/Holds/Sound/Valid), 1 negative with a
 certificate printed, 2 usage or input error, 3 budget exhausted, 4 internal
-error (an unexpected exception, never an answer), 5 inconclusive (a search
-tried every choice and found no proof, but the calculus has no analyticity
-set or its models do not interpret the sequent, so nothing is refuted).
+error (an unexpected exception, never an answer), 5 inconclusive (no proof
+and no refutation, which no budget changes: the calculus does not derive
+the sequent but its models do not interpret it, or the calculus has no
+analyticity set and its search tried every choice).
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
-"""Shared helpers: seeded random formula and sequent generators, and a
-proof-tree copier for tamper tests."""
+"""Shared helpers: seeded random formula and sequent generators, a
+hypothesis formula strategy, and a proof-tree copier for tamper tests."""
 
 import random
+
+from hypothesis import strategies as st
 
 from mvlogic.calculus import TreeNode
 from mvlogic.formula import app, var
@@ -31,6 +33,25 @@ def random_sequent(rng, conns, names, depth=2, max_side=2):
         random_formula(rng, conns, names, depth) for _ in range(n_conc)
     )
     return premises, conclusions
+
+
+def formulas(sig, names_, max_leaves=5):
+    """Formulas over the connectives of sig (name -> arity)."""
+    leaves = st.sampled_from(names_).map(var)
+    consts = [c for c, k in sig.items() if k == 0]
+    if consts:
+        leaves = leaves | st.sampled_from(sorted(consts)).map(app)
+
+    def extend(children):
+        return st.one_of(
+            *(
+                st.tuples(*([children] * k)).map(lambda args, c=c: app(c, *args))
+                for c, k in sorted(sig.items())
+                if k > 0
+            )
+        )
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
 
 
 def make_rng(seed):

@@ -2,8 +2,9 @@
 transform."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import copy_tree
+from conftest import copy_tree, formulas
 from mvlogic.calculus import (
     Calculus,
     Inconclusive,
@@ -38,6 +39,7 @@ from mvlogic.semantics import (
     SET_FMLA,
     ConsequenceProblem,
     Fails,
+    Holds,
     check_consequence,
     solve_valuations,
 )
@@ -364,6 +366,47 @@ def test_empty_succedent_star_child():
     assert len(node.children) == 1 and node.children[0].star
     assert validate_tree(calc, res.tree, parse_formula_set("p"),
                          parse_formula_set("q")) is None
+
+
+VARIANT = {"r-up": "up", "r-leq": "leq"}
+
+
+@pytest.mark.parametrize(
+    "name", ["r-b", "r-pp-leq", "r-m-a1", "r-leq", "r-up"]
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_answer_is_certified(name, data):
+    calc = lookup(KIND_CALCULUS, name).payload
+    sig = dict(calc.models[0].algebra.connectives)
+    vs = ["p", "q", "r"][: data.draw(st.integers(2, 3))]
+    side = st.frozensets(formulas(sig, vs, 4), max_size=2)
+    premises, goal = data.draw(side), data.draw(side)
+    res = prove(calc, premises, goal, budget_nodes=10_000)
+    if isinstance(res, OutOfBudget):
+        return
+    sem = check_consequence(ConsequenceProblem(calc.models, premises, goal))
+    if isinstance(res, Proved):
+        assert isinstance(sem, Holds)
+        assert validate_tree(calc, res.tree, premises, goal) is None
+        return
+    assert isinstance(res, Refuted) and isinstance(sem, Fails)
+    part = res.partition
+    omega = part.omega
+    assert premises <= omega and not omega & goal
+    # saturated: every instance whose antecedent holds has a succedent
+    # formula in omega
+    targets = sorted(subformulas(part.base), key=canon_key)
+    for _, _, ant, succ in _build_instances(calc, targets, part.universe):
+        assert not ant <= omega or succ & omega
+    if name in VARIANT:
+        valuation, a = countermodel_from_partition(part, VARIANT[name])
+        assert name != "r-leq" or a != "t"
+        matrix = MAT_PP6H[a]
+        assert all(valuation[f] in matrix.designated for f in premises)
+        assert all(valuation[f] not in matrix.designated for f in goal)
+        cons = {f: frozenset({v}) for f, v in valuation.items()}
+        assert solve_valuations(matrix, set(valuation), cons, limit=1)
 
 
 _REPEAT_SCRIPT = """

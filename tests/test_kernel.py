@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import formulas
 from mvlogic import kernel
 from mvlogic.algebra import FiniteAlgebra, check_identity
 from mvlogic.axiomatizer import unary_profile
@@ -35,25 +36,6 @@ from mvlogic.semantics import (
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 MODEL_NAMES = names("matrix") + names("matrix-class")
-
-
-def formulas(sig, names_, max_leaves=5):
-    """Formulas over the connectives of sig (name -> arity)."""
-    leaves = st.sampled_from(names_).map(var)
-    consts = [c for c, k in sig.items() if k == 0]
-    if consts:
-        leaves = leaves | st.sampled_from(sorted(consts)).map(app)
-
-    def extend(children):
-        return st.one_of(
-            *(
-                st.tuples(*([children] * k)).map(lambda args, c=c: app(c, *args))
-                for c, k in sorted(sig.items())
-                if k > 0
-            )
-        )
-
-    return st.recursive(leaves, extend, max_leaves=max_leaves)
 
 
 @st.composite
