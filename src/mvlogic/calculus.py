@@ -540,9 +540,20 @@ def _decide(calc, premises, goal, universe, instances, budget_nodes):
         )
     if out.core is None:
         return OutOfBudget(stats)
-    core = [instances[i] for i in out.core if i < len(instances)]
+    # a smaller core leaves the search fewer instances to branch on
+    least = sat.minimize(
+        clauses, out.core, len(instances), budget_nodes - out.assignments
+    )
+    stats = replace(
+        stats,
+        assignments=out.assignments + least.assignments,
+        conflicts=out.conflicts + least.conflicts,
+    )
+    if least.core is None:
+        return OutOfBudget(stats)
+    core = [instances[i] for i in least.core if i < len(instances)]
     truths = _model_truths(calc, base, universe)
-    searcher = _Searcher(core, goal, budget_nodes - out.assignments, truths)
+    searcher = _Searcher(core, goal, budget_nodes - stats.assignments, truths)
     tree = searcher.run(premises)
     # a label closed under the core's instances would satisfy the core
     assert not searcher.saturated

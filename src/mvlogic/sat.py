@@ -46,6 +46,36 @@ def solve(nvars, clauses, budget):
     return Outcome(model, core, solver.assignments, solver.conflicts)
 
 
+def minimize(clauses, core, droppable, budget):
+    """Shrink an unsatisfiable core (sorted indices into ``clauses``) until
+    leaving out any of its clauses below index ``droppable`` makes it
+    satisfiable.  Each such clause in turn is left out, and an
+    unsatisfiable rest is cut to its own core.  The Outcome's core is None
+    past the budget; its counts add up every solve."""
+    i = used = conflicts = 0
+    while i < len(core):
+        if core[i] >= droppable:
+            break
+        trial = core[:i] + core[i + 1:]
+        # number the trial's variables afresh, in the same order
+        names = sorted({q >> 1 for ci in trial for q in clauses[ci]})
+        new = {v: k for k, v in enumerate(names)}
+        out = solve(
+            len(names),
+            [[2 * new[q >> 1] | q & 1 for q in clauses[ci]] for ci in trial],
+            budget - used,
+        )
+        used += out.assignments
+        conflicts += out.conflicts
+        if out.core is not None:
+            core = [trial[k] for k in out.core]
+        elif out.model is not None:
+            i += 1
+        else:
+            return Outcome(None, None, used, conflicts)
+    return Outcome(None, core, used, conflicts)
+
+
 class _Solver:
     def __init__(self, nvars, clauses):
         self.clauses = [list(c) for c in clauses]

@@ -156,11 +156,11 @@ def test_tree_nodes_store_only_what_they_add():
 
     assert not hasattr(mvlogic.calculus, "_ChainLabel")
     # the full search needs about 40,000 nodes on the k=2 De Morgan ladder
-    # on r-leq, the search over the unsatisfiable core under 1,500
+    # on r-leq, the search over the minimal unsatisfiable core about 1,200
     premises = parse_formula_set("~(p1 & p2)")
     goal = parse_formula_set("~p1 | ~p2")
     for tree, want in ((_full_search(R_LEQ, premises, goal), 39_475),
-                       (prove(R_LEQ, premises, goal).tree, 1_434)):
+                       (prove(R_LEQ, premises, goal).tree, 1_211)):
         assert tree.adds == premises
         nodes = stars = total = 0
         stack = list(tree.children)
@@ -192,9 +192,25 @@ def test_steered_ladder_node_count():
     # the core's instances, and so the tree, also depend on the solver's
     # choices and the core it extracts
     res = prove(calc, premises, goal)
-    assert _count(res.tree) == res.stats.nodes == 1_842
-    assert (res.stats.route, res.stats.core) == ("cdcl", 66)
+    assert _count(res.tree) == res.stats.nodes == 1_286
+    assert (res.stats.route, res.stats.core) == ("cdcl", 51)
     assert validate_tree(calc, res.tree, premises, goal) is None
+
+
+def test_wider_ladder_within_the_benchmark_budget():
+    # the k=3 ladder: the solver's assignments and the steps of the search
+    # over the minimal core share the 50,000-node budget
+    premises = parse_formula_set("~(p1 & p2 & p3)")
+    goal = parse_formula_set("~p1 | ~p2 | ~p3")
+    res = prove(R_LEQ, premises, goal, budget_nodes=50_000)
+    assert isinstance(res, Proved)
+    stats = res.stats
+    assert (stats.core, stats.nodes) == (73, 19_543)
+    assert stats.assignments + stats.steps <= 50_000
+    assert validate_tree(R_LEQ, res.tree, premises, goal) is None
+    # short of the budget the decided sequent still has no certificate
+    res = prove(R_LEQ, premises, goal, budget_nodes=20_000)
+    assert isinstance(res, OutOfBudget)
 
 
 def test_refutation_needs_interpreted_connectives():

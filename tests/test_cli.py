@@ -46,7 +46,7 @@ def test_prove_json_stats(capsys):
     assert run(argv) == EXIT_POSITIVE
     stats = json.loads(capsys.readouterr().out)["stats"]
     assert stats == {
-        "route": "cdcl", "universe": 18, "instances": 18, "assignments": 4,
+        "route": "cdcl", "universe": 18, "instances": 18, "assignments": 16,
         "conflicts": 1, "core": 3, "steps": 5, "nodes": 5,
     }
     argv = ["prove", "--calculus", "r-leq", "--goal", "(p | q) => p, q",
