@@ -1,5 +1,6 @@
-"""Set-Set Hilbert calculi, analytic proof search, countermodel extraction
-from saturated partitions, and the Set-Fmla disjunction transform."""
+"""Set-Set Hilbert calculi, analytic proving by clause learning and proof
+search, countermodel extraction from saturated partitions, and the Set-Fmla
+disjunction transform."""
 
 from __future__ import annotations
 
@@ -68,9 +69,10 @@ class ProveStats:
     unsatisfiable core), "search" when a calculus without an analyticity
     set was searched, and "replay" when a Set-Fmla answer came from the
     source calculus.  universe is None without an analyticity set; core
-    counts the instances in the unsatisfiable core, steps the tree search's
-    steps and nodes the proof tree's nodes.  assignments plus steps count
-    against budget_nodes."""
+    counts the instances in the minimal unsatisfiable core, steps the tree
+    search's steps and nodes the proof tree's nodes.  assignments (those of
+    the core's minimization included) plus steps count against
+    budget_nodes."""
 
     route: str
     universe: int
@@ -466,7 +468,8 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     partitions.  A model is the refutation (Ω its true formulas) when the
     calculus's models interpret every connective of the sequent, and
     Inconclusive otherwise, since no countermodel exists.  Unsatisfiable,
-    the proof tree is searched over the instances of the unsatisfiable core.
+    the core the solver used is shrunk until every instance in it is
+    needed, and the proof tree is searched over those instances only.
     The solver's assignments and the search's steps share budget_nodes; a
     decided sequent whose tree does not fit stays OutOfBudget.
 
@@ -511,7 +514,7 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
 
 def _decide(calc, premises, goal, universe, instances, budget_nodes):
     """Solve the clause set of an analytic sequent; search for the proof
-    tree over the unsatisfiable core.  Variables are numbered in canon_key
+    tree over a minimal unsatisfiable core.  Variables are numbered in canon_key
     order, and clauses keep the instances' order, so runs repeat."""
     from . import sat
 
