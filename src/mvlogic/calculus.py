@@ -217,7 +217,7 @@ def _model_truths(calc, base, universe):
     each model's rows follow the previous models' rows.  Used to steer
     branch selection."""
     models = getattr(calc, "models", None)
-    if not models or universe is None:
+    if not models:
         return None
     vs = sorted(variables(base))
     if len(vs) > 4:
