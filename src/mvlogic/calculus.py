@@ -211,12 +211,14 @@ def _build_instances(calc, targets, universe):
     return instances
 
 
-def _model_truths(calc, base, universe):
-    """Per universe formula, the truth rows where it is designated, as a
-    bitmask: a row is a (deterministic model, variable assignment) pair, and
-    each model's rows follow the previous models' rows.  Used to steer
-    branch selection."""
-    models = getattr(calc, "models", None)
+def _model_truths(calc, base, formulas):
+    """Per formula, the truth rows where it is designated, as a bitmask: a
+    row is a (deterministic model, assignment to the variables of base)
+    pair, and each model's rows follow the previous models' rows.  Used to
+    steer branch selection; None without models, when a model is not
+    single-valued or does not interpret every formula, or when there are
+    too many rows."""
+    models = calc.models
     if not models:
         return None
     vs = sorted(variables(base))
@@ -224,7 +226,7 @@ def _model_truths(calc, base, universe):
         return None
     if sum(len(m.carrier) ** len(vs) for m in models) > 20000:
         return None
-    masks = dict.fromkeys(universe, 0)
+    masks = dict.fromkeys(formulas, 0)
     shift = 0
     for m in models:
         k = kernel.compiled(m.algebra)
@@ -232,23 +234,26 @@ def _model_truths(calc, base, universe):
         if tables is None:
             return None
         try:
-            kernel.check_signature(m.algebra, universe)
+            kernel.check_signature(m.algebra, formulas)
         except SignatureMismatch:
             return None
         # at most 20000 assignments: one bitset covers them all
         digits = [tuple(range(k.n))] * len(vs)
         bitsets = kernel.Bitsets(tables, k.n, [var(v) for v in vs], digits)
         des = k.mask_of(m.designated)
-        for f in universe:
+        for f in formulas:
             masks[f] |= bitsets.where(f, des) << shift
         shift += bitsets.size
     return masks
 
 
 class _Searcher:
-    """Depth-first search for a proof tree from ground instances.  A branch
-    that saturates (no instance left to apply) only fails the choice that
-    led to it; saturated is set when every choice at the root failed."""
+    """Depth-first search for a proof tree from ground instances.  Each
+    step applies the applicable instances with at most one succedent
+    formula, then branches, trying the candidates in the one order that
+    phase 2 describes.  A branch that saturates (no instance left to apply)
+    only fails the choice that led to it; saturated is set when every
+    choice at the root failed."""
 
     def __init__(self, instances, goal, budget, truths=None):
         self.goal = goal
@@ -333,14 +338,16 @@ class _Searcher:
                     return self._wrap(steps_taken, TreeNode(closed=True))
             else:
                 pending.append(i)
-        # phase 2: pick a branching instance adding the fewest formulas,
-        # preferring one whose other branches close by unit propagation
+        # phase 2: try the branching instances in order of their children
+        # that some truth row of the label still designates (a child no row
+        # designates should close), those children's row weight, the
+        # formulas they add, and their index; without truth rows, or with
+        # no row left, the first two are 0
         candidates = [
             i for i in pending if missing[i] == 0 and not satisfied[i]
         ]
         if not candidates:
             raise _Saturated()
-        candidates.sort(key=lambda i: (len(self.succs[i]), i))
         # the truth rows designating every formula of the label; -1 has
         # every row's bit set, for an empty label
         alive = 0
@@ -348,43 +355,23 @@ class _Searcher:
             alive = -1
             for phi in label:
                 alive &= self.truths[phi]
-        if alive:
-            weight = {}
+        weight = {}
 
-            def w(phi):
-                got = weight.get(phi)
-                if got is None:
-                    got = (alive & self.truths[phi]).bit_count()
-                    weight[phi] = got
-                return got
+        def w(phi):
+            got = weight.get(phi)
+            if got is None:
+                got = (alive & self.truths[phi]).bit_count() if alive else 0
+                weight[phi] = got
+            return got
 
-            def score(i):
-                alive = [
-                    w(phi)
-                    for phi in self.succ_sorted[i]
-                    if phi not in self.goal and w(phi)
-                ]
-                return (len(alive), sum(alive), len(self.succs[i]), i)
+        def score(i):
+            weights = [
+                w(phi) for phi in self.succ_sorted[i]
+                if phi not in self.goal and w(phi)
+            ]
+            return (len(weights), sum(weights), len(self.succs[i]), i)
 
-            order = sorted(candidates, key=score)
-        else:
-            order = candidates
-            best = candidates[0]
-            best_open = len(self.succs[best])
-            for i in candidates[:64]:
-                open_children = sum(
-                    1
-                    for phi in self.succ_sorted[i]
-                    if phi not in self.goal
-                    and not self._unit_closes(label, missing, satisfied, phi)
-                )
-                if open_children < best_open:
-                    best, best_open = i, open_children
-                    if best_open <= 1:
-                        break
-            if best != candidates[0]:
-                order = [best] + [i for i in candidates if i != best]
-        for best in order:
+        for best in sorted(candidates, key=score):
             try:
                 children = []
                 for phi in self.succ_sorted[best]:
@@ -413,39 +400,6 @@ class _Searcher:
             )
             return self._wrap(steps_taken, node)
         raise _Saturated()
-
-    def _unit_closes(self, label, missing, satisfied, phi0):
-        """Without copying the search state, test whether adding phi0 lets
-        unit propagation reach the goal or fire an empty-succedent rule."""
-        dec = {}
-        sat = set()
-        added = set()
-        stack = [phi0]
-        while stack:
-            phi = stack.pop()
-            if phi in label or phi in added:
-                continue
-            added.add(phi)
-            if phi in self.goal:
-                return True
-            for i in self.by_succ.get(phi, ()):
-                sat.add(i)
-            for i in self.by_ant.get(phi, ()):
-                m = dec.get(i)
-                if m is None:
-                    m = missing[i]
-                m -= 1
-                dec[i] = m
-                if m == 0 and not satisfied[i] and i not in sat:
-                    succ = self.succ_sorted[i]
-                    if any(f in label or f in added for f in succ):
-                        sat.add(i)
-                        continue
-                    if not succ:
-                        return True
-                    if len(succ) == 1:
-                        stack.append(succ[0])
-        return False
 
     def _wrap(self, steps_taken, node):
         """Re-chain the unit steps of phase 1 into unary tree nodes; the
@@ -555,7 +509,12 @@ def _decide(calc, premises, goal, universe, instances, budget_nodes):
     if least.core is None:
         return OutOfBudget(stats)
     core = [instances[i] for i in least.core if i < len(instances)]
-    truths = _model_truths(calc, base, universe)
+    # rows only for what the search can look up: the premises and the
+    # formulas of the core's instances
+    read = set(premises)
+    for _, _, ant, succ in core:
+        read |= ant | succ
+    truths = _model_truths(calc, base, read)
     searcher = _Searcher(core, goal, budget_nodes - stats.assignments, truths)
     tree = searcher.run(premises)
     # a label closed under the core's instances would satisfy the core

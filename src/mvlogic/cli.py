@@ -140,8 +140,9 @@ def cmd_check(args):
     premises = parse_formula_set(args.premises)
     conclusions = parse_formula_set(args.conclusions)
     res = check_consequence(ConsequenceProblem(models, premises, conclusions))
+    stats = asdict(res.stats)
     if isinstance(res, Holds):
-        _print(args, {"result": "holds"}, "Holds.")
+        _print(args, {"result": "holds", "stats": stats}, "Holds.")
         return EXIT_POSITIVE
     witness = _witness_json(res.witness)
     text = "Fails on %s:\n" % models[res.matrix_index].name + "\n".join(
@@ -153,6 +154,7 @@ def cmd_check(args):
             "result": "fails",
             "matrix": models[res.matrix_index].name,
             "witness": witness,
+            "stats": stats,
         },
         text,
     )

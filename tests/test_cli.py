@@ -106,9 +106,15 @@ def test_prove_unknown_calculus(capsys):
 def test_check_holds(capsys):
     code = run([
         "check", "--matrix", "pp6-ub",
-        "--premises", "p", "--conclusions", "p",
+        "--premises", "p", "--conclusions", "p", "--json",
     ])
     assert code == EXIT_POSITIVE
+    # p |- p: no matrix can designate p and not designate it, so no
+    # component is visited
+    assert json.loads(capsys.readouterr().out) == {
+        "result": "holds",
+        "stats": {"path": "bitset", "components": 0, "assignments": 0},
+    }
 
 
 def test_check_fails_with_witness(capsys):
@@ -119,6 +125,9 @@ def test_check_fails_with_witness(capsys):
     assert code == EXIT_NEGATIVE
     data = json.loads(capsys.readouterr().out)
     assert data["result"] == "fails"
+    assert data["stats"] == {
+        "path": "bitset", "components": 2, "assignments": 8,
+    }
     # the reported witness undesignates every conclusion on the named matrix
     from mvlogic.formula import parse_formula
     from mvlogic.registry import KIND_MATRIX, lookup
