@@ -17,10 +17,12 @@ from .errors import (
     SignatureMismatch,
 )
 from .formula import (
+    SIG_PP_IMP,
     app,
     big_or,
     canon_key,
     generalized_subformulas,
+    render_formula,
     subformulas,
     substitute,
     up_,
@@ -67,8 +69,10 @@ class ProveStats:
     """The work behind a prove answer.  route is "cdcl" when the clause set
     of an analytic calculus was solved (and a proof tree searched over its
     unsatisfiable core), "search" when a calculus without an analyticity
-    set was searched, and "replay" when a Set-Fmla answer came from the
-    source calculus.  universe is None without an analyticity set; core
+    set was searched, "replay" when a Set-Fmla answer came from the
+    source calculus, and "closed" when the premises meet the goal: the root
+    closes before any grounding, so every count is 0 but the one node.
+    universe is None without an analyticity set or work; core
     counts the instances in the minimal unsatisfiable core, steps the tree
     search's steps and nodes the proof tree's nodes.  assignments (those of
     the core's minimization included) plus steps count against
@@ -129,86 +133,121 @@ class _Saturated(Exception):
 
 @lru_cache(maxsize=1024)
 def _compiled_rule(rule):
-    """A rule's variables, sorted, and its formulas (antecedent first, each
-    side in canon_key order) filed by the position of their last variable:
-    level 0 holds the variable-free formulas, level j + 1 those whose last
-    variable is the j-th.  An entry is (formula, positions of its own
-    variables, whether it is in the antecedent)."""
-    vs = sorted(variables(rule.antecedent | rule.succedent))
+    """A rule's variables, sorted, and a program per level that fills an
+    env of ids.  Level 0 appends -1, the id of a missing argument, then
+    covers the variable-free subterms of the rule's formulas; level j + 1
+    appends the j-th variable's value, then covers the subterms whose last
+    variable it is, smaller first.  An op (head, env slots of its arguments,
+    whether it is a formula of the rule) appends its subterm's id.  Also
+    returns the variables' slots and the antecedent's and succedent's, in
+    canon_key order."""
+    sides = rule.antecedent | rule.succedent
+    vs = sorted(variables(sides))
     index = {v: i for i, v in enumerate(vs)}
+
+    def level(g):
+        return max(map(index.get, variables(g)), default=-1) + 1
+
+    slot = {}
     levels = [[] for _ in range(len(vs) + 1)]
-    for side, in_ant in ((rule.antecedent, True), (rule.succedent, False)):
-        for f in sorted(side, key=canon_key):
-            pos = tuple(index[v] for v in _own_variables(f))
-            levels[pos[-1] + 1 if pos else 0].append((f, pos, in_ant))
-    return tuple(vs), tuple(map(tuple, levels))
+    for g in sorted(subformulas(sides), key=lambda g: (level(g), g)):
+        slot[g] = len(slot) + 1
+        if g.args is not None:
+            a, b = [slot[x] for x in g.args] + [0] * (2 - len(g.args))
+            levels[level(g)].append((g.head, a, b, g in sides))
+    return (
+        tuple(vs), tuple(slot[var(v)] for v in vs), tuple(map(tuple, levels)),
+        tuple(slot[f] for f in sorted(rule.antecedent, key=canon_key)),
+        tuple(slot[f] for f in sorted(rule.succedent, key=canon_key)),
+    )
 
 
-@lru_cache(maxsize=4096)
-def _own_variables(f):
-    return tuple(sorted(variables(f)))
+class _Ground(list):
+    """Ground instances as (rule name, target positions of the rule's
+    sorted variables, antecedent ids, succedent ids).  formulas[i] is the
+    formula with id i; a universe's formulas come first, in canon_key
+    order, so an id below its size is the formula's SAT variable."""
 
-
-class _Instances(dict):
-    """(rule formula, values of its own variables, sorted by name) -> the
-    substitution instance, or None when it lies outside the universe."""
-
-    def __init__(self, universe):
+    def __init__(self, targets, formulas):
         super().__init__()
-        self.universe = universe
+        self.targets = targets
+        self.formulas = formulas
+        self.rule_variables = {}
 
-    def __missing__(self, key):
-        f, values = key
-        inst = substitute(f, dict(zip(_own_variables(f), values)))
-        if self.universe is not None and inst not in self.universe:
-            inst = None
-        self[key] = inst
-        return inst
+    def instance(self, k):
+        """Instance k as (rule name, substitution, antecedent, succedent)."""
+        name, values, ant, succ = self[k]
+        fs, targets = self.formulas, self.targets
+        vs = self.rule_variables[name]
+        subst = dict(zip(vs, [targets[t] for t in values]))
+        return name, subst, frozenset([fs[i] for i in ant]), frozenset(
+            [fs[i] for i in succ]
+        )
 
 
 def _build_instances(calc, targets, universe):
-    """Ground every rule by mapping its variables into `targets`; keep an
-    instance only if all of its formulas stay inside `universe` (when given).
-    The variables are bound in order and a formula is instantiated once its
-    last variable is bound, so a prefix that leaves the universe is dropped
-    with all its extensions; the assignments come out in product order."""
-    instances = []
+    """Ground every rule by mapping its variables into `targets` (a subset
+    of `universe`, when given); keep an instance only if all of its
+    formulas stay inside the universe, and return them as a _Ground.
+    Grounding runs on ids and interns no formula then: the universe, then
+    the rest of its subformula closure, is numbered, and a table gives the
+    id of (head, argument ids).  A subterm missing from the table lies
+    outside the universe, so its prefix is dropped with all its extensions;
+    without a universe it is built and numbered instead.  The variables are
+    bound in order and the assignments come out in product order."""
+    formulas = sorted(targets if universe is None else universe, key=canon_key)
+    ids = {f: i for i, f in enumerate(formulas)}
+    table = {}
+    for i, f in enumerate(formulas):  # also visits the closure appended
+        if f.args is not None:
+            key = [f.head]
+            for a in f.args:
+                if a not in ids:
+                    ids[a] = len(formulas)
+                    formulas.append(a)
+                key.append(ids[a])
+            table[tuple(key + [-1] * (3 - len(key)))] = i
+    size = float("inf") if universe is None else len(universe)
+    tids = [ids[t] for t in targets]
+    position = {t: k for k, t in enumerate(tids)}
+    out = _Ground(targets, formulas)
     seen = set()
-    inst_of = _Instances(universe)
     for rule in calc.rules:
-        vs, levels = _compiled_rule(rule)
-        # partial assignments with the instances of their formulas so far
-        rows = [((), (), ())]
-        for j, level in enumerate(levels):
-            # level 0 binds no variable, level j + 1 the j-th
-            choices = [(t,) for t in targets] if j else [()]
+        vs, var_slots, levels, ant_slots, succ_slots = _compiled_rule(rule)
+        out.rule_variables[rule.name] = vs
+        envs = [[]]
+        for j, ops in enumerate(levels):
             grown = []
-            for values, ant0, succ0 in rows:
-                for choice in choices:
-                    vals = values + choice
-                    ant, succ = ant0, succ0
-                    for f, pos, in_ant in level:
-                        inst = inst_of[f, tuple([vals[p] for p in pos])]
-                        if inst is None:
+            for env0 in envs:
+                for t in tids if j else (-1,):
+                    env = env0 + [t]
+                    for head, a, b, is_formula in ops:
+                        key = (head, env[a], env[b])
+                        g = table.get(key)
+                        if g is None:
+                            if universe is not None:
+                                break
+                            g = table[key] = len(formulas)
+                            args = [formulas[env[s]] for s in (a, b) if s]
+                            formulas.append(app(head, *args))
+                        elif is_formula and g >= size:
                             break
-                        if in_ant:
-                            ant += (inst,)
-                        else:
-                            succ += (inst,)
+                        env.append(g)
                     else:
-                        grown.append((vals, ant, succ))
-            rows = grown
-        for values, ant, succ in rows:
-            ant = frozenset(ant)
-            succ = frozenset(succ)
+                        grown.append(env)
+            envs = grown
+        for env in envs:
+            ant = frozenset([env[s] for s in ant_slots])
+            succ = frozenset([env[s] for s in succ_slots])
             if ant & succ:
                 continue
             key = (ant, succ)
             if key in seen:
                 continue
             seen.add(key)
-            instances.append((rule.name, dict(zip(vs, values)), ant, succ))
-    return instances
+            values = tuple([position[env[s]] for s in var_slots])
+            out.append((rule.name, values, ant, succ))
+    return out
 
 
 def _model_truths(calc, base, formulas):
@@ -275,8 +314,8 @@ class _Searcher:
         self.succ_sorted = [sorted(s, key=canon_key) for s in self.succs]
 
     def run(self, premises):
-        """The proof tree, or None when the budget ran out or every choice
-        saturated."""
+        """The proof tree of premises that do not meet the goal, or None
+        when the budget ran out or every choice saturated."""
         label = set(premises)
         missing = [len(a) for a in self.ants]
         satisfied = bytearray(len(self.ants))
@@ -288,8 +327,6 @@ class _Searcher:
             missing[i] = sum(1 for f in ant if f not in label)
             if missing[i] == 0 and not satisfied[i]:
                 queue.append(i)
-        if label & self.goal:
-            return TreeNode(frozenset(premises), closed=True)
         try:
             root = self._search(label, missing, satisfied, queue, [])
         except _Saturated:
@@ -415,6 +452,7 @@ class _Searcher:
 def prove(calc, premises, goal, budget_nodes=1_000_000):
     """Proved with a derivation tree, Refuted with a saturated partition,
     Inconclusive, or OutOfBudget; `stats` records the route and its work.
+    Premises that meet the goal close the root at once, on every route.
 
     With an analyticity set the sequent is decided as a clause set over the
     universe: each ground instance Γ ▷ Δ is the clause ¬Γ ∨ Δ, premises are
@@ -438,19 +476,24 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     goal = frozenset(goal)
     if calc.framework == SET_FMLA and len(goal) != 1:
         raise ValueError("Set-Fmla proving needs exactly one goal formula")
+    if premises & goal:
+        stats = ProveStats("closed", None, 0, nodes=1)
+        return Proved(TreeNode(premises, closed=True), stats)
     if calc.source is not None and calc.source.xi is not None:
         return _prove_by_simulation(calc, premises, goal, budget_nodes)
     base = premises | goal
     targets = sorted(subformulas(base), key=canon_key)
     if calc.xi is not None:
         universe = frozenset(generalized_subformulas(base, calc.xi))
-        instances = _build_instances(calc, targets, universe)
-        return _decide(calc, premises, goal, universe, instances, budget_nodes)
-    instances = _build_instances(calc, targets, None)
-    searcher = _Searcher(instances, goal, budget_nodes)
+        ground = _build_instances(calc, targets, universe)
+        return _decide(calc, premises, goal, universe, ground, budget_nodes)
+    ground = _build_instances(calc, targets, None)
+    searcher = _Searcher(
+        [ground.instance(k) for k in range(len(ground))], goal, budget_nodes
+    )
     tree = searcher.run(premises)
     stats = ProveStats(
-        "search", None, len(instances),
+        "search", None, len(ground),
         steps=searcher.steps, nodes=_count_nodes(tree),
     )
     if tree is not None:
@@ -466,23 +509,24 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     return Inconclusive(stats) if saturated else OutOfBudget(stats)
 
 
-def _decide(calc, premises, goal, universe, instances, budget_nodes):
+def _decide(calc, premises, goal, universe, ground, budget_nodes):
     """Solve the clause set of an analytic sequent; search for the proof
-    tree over a minimal unsatisfiable core.  Variables are numbered in canon_key
-    order, and clauses keep the instances' order, so runs repeat."""
+    tree over a minimal unsatisfiable core.  The clauses are built from the
+    ground ids, which are the SAT variables, and keep the instances' order,
+    so runs repeat; only the core's instances are turned back into
+    formulas."""
     from . import sat
 
-    order = sorted(universe, key=canon_key)
-    index = {f: i for i, f in enumerate(order)}
+    order = ground.formulas[:len(universe)]
     clauses = [
-        sorted([2 * index[f] + 1 for f in ant] + [2 * index[f] for f in succ])
-        for _, _, ant, succ in instances
+        sorted([2 * i + 1 for i in ant] + [2 * i for i in succ])
+        for _, _, ant, succ in ground
     ]
     clauses += [[2 * i] for i, f in enumerate(order) if f in premises]
     clauses += [[2 * i + 1] for i, f in enumerate(order) if f in goal]
     out = sat.solve(len(order), clauses, budget_nodes)
     stats = ProveStats(
-        "cdcl", len(universe), len(instances), out.assignments, out.conflicts
+        "cdcl", len(universe), len(ground), out.assignments, out.conflicts
     )
     base = premises | goal
     if out.model is not None:
@@ -499,7 +543,7 @@ def _decide(calc, premises, goal, universe, instances, budget_nodes):
         return OutOfBudget(stats)
     # a smaller core leaves the search fewer instances to branch on
     least = sat.minimize(
-        clauses, out.core, len(instances), budget_nodes - out.assignments
+        clauses, out.core, len(ground), budget_nodes - out.assignments
     )
     stats = replace(
         stats,
@@ -508,7 +552,7 @@ def _decide(calc, premises, goal, universe, instances, budget_nodes):
     )
     if least.core is None:
         return OutOfBudget(stats)
-    core = [instances[i] for i in least.core if i < len(instances)]
+    core = [ground.instance(i) for i in least.core if i < len(ground)]
     # rows only for what the search can look up: the premises and the
     # formulas of the core's instances
     read = set(premises)
@@ -980,8 +1024,6 @@ def _fresh_variable(calc):
 
 
 def to_set_fmla_calculus(calc, sig=None):
-    from .formula import SIG_PP_IMP
-
     sig = sig or SIG_PP_IMP
     if calc.framework != SET_SET:
         raise FrameworkMismatch("%s is not a Set-Set calculus" % calc.name)
@@ -1031,14 +1073,10 @@ def to_set_fmla_calculus(calc, sig=None):
 # --- proof-tree export ---------------------------------------------------
 
 def _label_text(label):
-    from .formula import render_formula
-
     return ", ".join(render_formula(f) for f in sorted(label, key=canon_key))
 
 
 def _subst_text(subst):
-    from .formula import render_formula
-
     if not subst:
         return ""
     return "; ".join(
@@ -1075,8 +1113,6 @@ def tree_to_dot(tree):
 
 
 def tree_to_json(tree):
-    from .formula import render_formula
-
     def visit(node, label):
         label = label | node.adds
         out = {"label": sorted(render_formula(f) for f in label)}

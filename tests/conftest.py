@@ -1,5 +1,6 @@
 """Shared helpers: seeded random formula and sequent generators, a
-hypothesis formula strategy, and a proof-tree copier for tamper tests."""
+hypothesis formula strategy, a proof-tree copier for tamper tests, and
+ground instances in formula form."""
 
 import random
 
@@ -69,3 +70,9 @@ def copy_tree(node):
         node.star,
         node.closed,
     )
+
+
+def materialized(ground):
+    """Every instance of a _build_instances result as (rule name,
+    substitution, antecedent, succedent) over formulas."""
+    return [ground.instance(k) for k in range(len(ground))]

@@ -4,17 +4,20 @@ transform."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import copy_tree, formulas
+from conftest import copy_tree, formulas, materialized
+from mvlogic import sat
 from mvlogic.calculus import (
     Calculus,
     Inconclusive,
     OutOfBudget,
+    ProveStats,
     Proved,
     Refuted,
     Rule,
     SET_SET,
     _Searcher,
     _build_instances,
+    _decide,
     _model_truths,
     countermodel_from_partition,
     prove,
@@ -25,6 +28,7 @@ from mvlogic.calculus import (
 )
 from mvlogic.errors import FrameworkMismatch, MissingDisjunction, MvlError
 from mvlogic.formula import (
+    Formula,
     Signature,
     app,
     canon_key,
@@ -34,7 +38,7 @@ from mvlogic.formula import (
     subformulas,
     var,
 )
-from mvlogic.registry import KIND_CALCULUS, MAT_PP6H, lookup
+from mvlogic.registry import KIND_CALCULUS, MAT_PP6H, lookup, names
 from mvlogic.semantics import (
     SET_FMLA,
     ConsequenceProblem,
@@ -80,6 +84,26 @@ def test_prove_trivial_closure():
     res = prove(R_B, premises, goal)
     assert isinstance(res, Proved)
     assert res.tree.closed and not res.tree.children
+
+
+def test_premises_meeting_the_goal_close_the_root_without_work(monkeypatch):
+    # the root closes before any grounding, on every route, at budget 0
+    def no_grounding(calc, targets, universe):
+        raise AssertionError("grounded %s" % calc.name)
+
+    monkeypatch.setattr("mvlogic.calculus._build_instances", no_grounding)
+    premises = parse_formula_set("p")
+    calcs = [lookup(KIND_CALCULUS, name).payload
+             for name in ("r-b", "r-leq", "pp-top-rules")]
+    for calc, goal_text in [(c, "p, q") for c in calcs] + [
+        (to_set_fmla_calculus(R_LEQ), "p")
+    ]:
+        goal = parse_formula_set(goal_text)
+        res = prove(calc, premises, goal, budget_nodes=0)
+        assert isinstance(res, Proved), calc.name
+        assert res.tree.closed and not res.tree.children
+        assert res.stats == ProveStats("closed", None, 0, nodes=1)
+        assert validate_tree(calc, res.tree, premises, goal) is None
 
 
 def test_refuted_partition_invariants():
@@ -137,7 +161,7 @@ def _full_search(calc, premises, goal):
     base = premises | goal
     targets = sorted(subformulas(base), key=canon_key)
     universe = frozenset(generalized_subformulas(base, calc.xi))
-    instances = _build_instances(calc, targets, universe)
+    instances = materialized(_build_instances(calc, targets, universe))
     truths = _model_truths(calc, base, universe)
     return _Searcher(instances, goal, 1_000_000, truths).run(premises)
 
@@ -384,6 +408,59 @@ def test_empty_succedent_star_child():
                          parse_formula_set("q")) is None
 
 
+ANALYTIC = [n for n in names(KIND_CALCULUS)
+            if lookup(KIND_CALCULUS, n).payload.xi is not None]
+
+
+@pytest.mark.parametrize("name", ANALYTIC)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_clauses_on_ids_match_clauses_on_formulas(name, data):
+    # the clauses _decide builds from ids equal those built by numbering the
+    # universe's formulas in canon_key order over the formula instances
+    calc = lookup(KIND_CALCULUS, name).payload
+    sig = dict(calc.models[0].algebra.connectives)
+    side = st.frozensets(formulas(sig, ["p", "q", "r"], 3), max_size=2)
+    premises, goal = data.draw(side), data.draw(side)
+    base = premises | goal
+    targets = sorted(subformulas(base), key=canon_key)
+    universe = frozenset(generalized_subformulas(base, calc.xi))
+    ground = _build_instances(calc, targets, universe)
+    order = sorted(universe, key=canon_key)
+    index = {f: i for i, f in enumerate(order)}
+    want = [
+        sorted([2 * index[f] + 1 for f in ant] + [2 * index[f] for f in succ])
+        for _, _, ant, succ in materialized(ground)
+    ]
+    want += [[2 * i] for i, f in enumerate(order) if f in premises]
+    want += [[2 * i + 1] for i, f in enumerate(order) if f in goal]
+    got = []
+
+    def solve(nvars, clauses, budget):
+        got.append((nvars, clauses))
+        return sat.Outcome()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sat, "solve", solve)
+        res = _decide(calc, premises, goal, universe, ground, 10)
+    assert isinstance(res, OutOfBudget)
+    assert got == [(len(order), want)]
+
+
+def test_grounding_on_a_universe_interns_nothing():
+    # variable names no other test uses: substituting into the rules would
+    # intern every instance, inside the universe or not
+    premises = parse_formula_set("~(w7 & w8)")
+    goal = parse_formula_set("~w7 | ~w8")
+    base = premises | goal
+    targets = sorted(subformulas(base), key=canon_key)
+    universe = frozenset(generalized_subformulas(base, R_LEQ.xi))
+    before = len(Formula._table)
+    ground = _build_instances(R_LEQ, targets, universe)
+    assert len(ground) > 1000
+    assert len(Formula._table) == before
+
+
 VARIANT = {"r-up": "up", "r-leq": "leq"}
 
 
@@ -413,7 +490,8 @@ def test_every_answer_is_certified(name, data):
     # saturated: every instance whose antecedent holds has a succedent
     # formula in omega
     targets = sorted(subformulas(part.base), key=canon_key)
-    for _, _, ant, succ in _build_instances(calc, targets, part.universe):
+    ground = _build_instances(calc, targets, part.universe)
+    for _, _, ant, succ in materialized(ground):
         assert not ant <= omega or succ & omega
     if name in VARIANT:
         valuation, a = countermodel_from_partition(part, VARIANT[name])

@@ -23,6 +23,15 @@ def test_prove_positive(capsys):
     assert "Proved" in capsys.readouterr().out
 
 
+def test_prove_premise_meeting_goal_at_budget_zero(capsys):
+    code = run([
+        "prove", "--calculus", "r-b", "--premises", "p", "--goal", "p",
+        "--budget-nodes", "0",
+    ])
+    assert code == EXIT_POSITIVE
+    assert "Proved" in capsys.readouterr().out
+
+
 def test_prove_refuted(capsys):
     code = run([
         "prove", "--calculus", "r-leq",

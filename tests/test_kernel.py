@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import formulas
+from conftest import formulas, materialized
 from mvlogic import kernel
 from mvlogic.algebra import FiniteAlgebra, check_identity
 from mvlogic.axiomatizer import unary_profile
@@ -251,15 +251,20 @@ def test_grounding_matches_product_and_filter(calc, data):
     if calc.xi is not None:
         universes.append(frozenset(generalized_subformulas(base, calc.xi)))
     for universe in universes:
-        got = _build_instances(calc, targets, universe)
+        got = materialized(_build_instances(calc, targets, universe))
         assert got == reference_instances(calc, targets, universe)
 
 
 def test_grounding_edge_cases():
     calc = _edge_calculus()
-    targets = sorted(subformulas(parse_formula_set("p, ~q")), key=canon_key)
-    got = _build_instances(calc, targets, None)
+    base = parse_formula_set("p, ~q")
+    targets = sorted(subformulas(base), key=canon_key)
+    got = materialized(_build_instances(calc, targets, None))
     assert got == reference_instances(calc, targets, None)
+    universe = frozenset(generalized_subformulas(base, calc.xi))
+    assert materialized(_build_instances(calc, targets, universe)) == (
+        reference_instances(calc, targets, universe)
+    )
     names_ = [name for name, _, _, _ in got]
     assert names_.count("top_i") == 1
     assert "refl" not in names_ and "pair_again" not in names_
