@@ -9,16 +9,20 @@ from itertools import product
 from . import kernel
 from .calculus import Rule
 from .errors import NotARefinement
-from .formula import app, substitute, subformulas, var
+from .formula import app, substitute, subformulas, var, variables
 
 
 @dataclass
 class Discriminator:
     """Per carrier value: formulas in one variable p whose value sets land
-    inside the designated set (pos) or its complement (neg)."""
+    inside the designated set (pos) or its complement (neg).  explored
+    counts the unary-clone formulas examined, and depth is the connective
+    depth of the last one."""
 
     pos: dict
     neg: dict
+    explored: int
+    depth: int
 
     def formulas(self, value):
         return self.pos.get(value, frozenset()) | self.neg.get(value, frozenset())
@@ -26,9 +30,14 @@ class Discriminator:
 
 @dataclass
 class NotMonadic:
+    """A value pair no examined formula separates; saturated when the
+    examined formulas are the whole unary clone.  explored and depth are as
+    in Discriminator."""
+
     witness: tuple
     saturated: bool
     explored: int
+    depth: int
 
 
 def unary_profile(m, formula):
@@ -84,7 +93,8 @@ def find_discriminator(m, max_depth):
         saturated = last_depth < max_depth
     if pending:
         i, j = sorted(pending)[0]
-        return NotMonadic((carrier[i], carrier[j]), saturated, explored)
+        witness = (carrier[i], carrier[j])
+        return NotMonadic(witness, saturated, explored, last_depth)
     pos = {a: set() for a in carrier}
     neg = {a: set() for a in carrier}
     for f, profile, hits in found:
@@ -98,10 +108,13 @@ def find_discriminator(m, max_depth):
     return Discriminator(
         {a: frozenset(v) for a, v in pos.items()},
         {a: frozenset(v) for a, v in neg.items()},
+        explored,
+        last_depth,
     )
 
 
 _ARG_VARS = [var(n) for n in ("p", "q", "r", "p1", "p2", "p3")]
+_P = _ARG_VARS[0]
 
 
 def generate_refinement_rules(base, refined, d):
@@ -142,22 +155,18 @@ def generate_refinement_rules(base, refined, d):
     return rules
 
 
-def _rule_subsumes(small, big):
-    """True when a variable renaming embeds small's antecedent and succedent
-    into big's (big is then a dilution of small)."""
-    small_vars = sorted(
-        {v.head for f in small.antecedent | small.succedent for v in subformulas(f) if v.is_var}
-    )
-    big_vars = sorted(
-        {v.head for f in big.antecedent | big.succedent for v in subformulas(f) if v.is_var}
-    )
+def _embeds(small, small_vars, big, big_vars):
+    """True when a renaming of the variable names small_vars into
+    big_vars (into p when big has none) embeds small's antecedent and
+    succedent into big's: big is then a dilution of small."""
     if not small_vars:
         return (
             small.antecedent <= big.antecedent
             and small.succedent <= big.succedent
         )
-    for target in product(big_vars or ["p"], repeat=len(small_vars)):
-        rho = {sv: var(tv) for sv, tv in zip(small_vars, target)}
+    targets = [var(v) for v in big_vars] or [_P]
+    for target in product(targets, repeat=len(small_vars)):
+        rho = dict(zip(small_vars, target))
         ant = {substitute(f, rho) for f in small.antecedent}
         succ = {substitute(f, rho) for f in small.succedent}
         if ant <= big.antecedent and succ <= big.succedent:
@@ -166,22 +175,39 @@ def _rule_subsumes(small, big):
 
 
 def subsume_simplify(rules):
-    """Drop dilutions: any rule another kept rule embeds into under a
-    variable renaming.  Output order follows the input."""
+    """Drop dilutions: every rule into which another rule of the list
+    embeds under a variable renaming, except that of renamed duplicates
+    (rules embedding into each other) the first stays.  Output order
+    follows the input.
+
+    A renaming maps variables to variables, so it keeps each formula's
+    shape, the formula with every variable replaced by p.  The renaming
+    search runs only on pairs whose shapes are already subsets."""
     rules = list(rules)
+    names, shapes = [], []
+    for r in rules:
+        vs = sorted(variables(r.antecedent | r.succedent))
+        to_p = dict.fromkeys(vs, _P)
+        names.append(vs)
+        shapes.append((
+            {substitute(f, to_p) for f in r.antecedent},
+            {substitute(f, to_p) for f in r.succedent},
+        ))
+
+    def subsumes(i, j):
+        (ant_i, succ_i), (ant_j, succ_j) = shapes[i], shapes[j]
+        return (
+            ant_i <= ant_j
+            and succ_i <= succ_j
+            and _embeds(rules[i], names[i], rules[j], names[j])
+        )
+
     keep = []
     for i, r in enumerate(rules):
-        dropped = False
-        for j, other in enumerate(rules):
-            if i == j:
-                continue
-            if _rule_subsumes(other, r):
-                # mutual subsumption (renamed duplicates): keep the first
-                if _rule_subsumes(r, other) and i < j:
-                    continue
-                dropped = True
+        for j in range(len(rules)):
+            # of mutually subsuming rules (renamed duplicates) keep the first
+            if i != j and subsumes(j, i) and not (i < j and subsumes(i, j)):
                 break
-        if not dropped:
+        else:
             keep.append(r)
     return keep
-

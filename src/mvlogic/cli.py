@@ -30,16 +30,24 @@ class UsageError(Exception):
     pass
 
 
-def _load_json(path):
+def _from_file(path, from_json):
+    """The object that from_json builds from the JSON export in the file at
+    path; malformed JSON and missing or ill-typed fields are usage errors."""
     with open(path) as fh:
-        return json.load(fh)
+        text = fh.read()
+    try:
+        return from_json(text)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(
+            "%s is not a valid export (%s: %s)" % (path, type(exc).__name__, exc)
+        ) from exc
 
 
 def _get_matrix(name):
     from . import registry
 
     if name.startswith("@"):
-        return registry.matrix_from_json(_load_json(name[1:]))
+        return _from_file(name[1:], registry.matrix_from_json)
     return registry.lookup(registry.KIND_MATRIX, name).payload
 
 
@@ -53,7 +61,7 @@ def _get_calculus(name):
     from . import registry
 
     if name.startswith("@"):
-        return registry.calculus_from_json(_load_json(name[1:])), None
+        return _from_file(name[1:], registry.calculus_from_json), None
     entry = registry.lookup(registry.KIND_CALCULUS, name)
     return entry.payload, entry.models
 
@@ -63,7 +71,7 @@ def _get_algebra(name):
     from .algebra import FiniteAlgebra
 
     if name.startswith("@"):
-        multi = registry.matrix_from_json(_load_json(name[1:])).algebra
+        multi = _from_file(name[1:], registry.matrix_from_json).algebra
     else:
         multi = registry.lookup(registry.KIND_ALGEBRA, name).payload
     if not (multi.is_deterministic() and multi.is_total()):
@@ -231,7 +239,8 @@ def cmd_axiomatize(args):
     if isinstance(d, NotMonadic):
         _print(
             args,
-            {"result": "not-monadic", "witness": list(d.witness)},
+            {"result": "not-monadic", "witness": list(d.witness),
+             "explored": d.explored},
             "Not monadic; unseparated pair: %s, %s" % d.witness,
         )
         return EXIT_NEGATIVE
@@ -451,7 +460,7 @@ def run(argv):
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, MvlError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, MvlError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -14,15 +14,17 @@ table is keyed by index tuples.  Two evaluators share that form.
   ``&`` and one ``|`` per table entry.
 * :meth:`Compiled.combine` applies a connective to set-valued arguments,
   one mask per carrier position, through memoised mask multioperations.
-  This is the evaluation of unary profiles, and :func:`enumerate_unary`
-  walks the unary clone with it.
+  This is the evaluation of unary profiles.  :func:`enumerate_unary` walks
+  the unary clone on :meth:`Compiled.row`, the same multioperations with
+  every argument but the last fixed, so that a candidate profile is one
+  int lookup per carrier position.
 
 :meth:`Compiled.components` gives the maximal total components as masks.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from math import prod
 
 from .errors import SignatureMismatch
@@ -55,6 +57,22 @@ class _MaskOp(dict):
         return out
 
 
+class _Row(dict):
+    """One connective at one carrier position with every argument but the
+    last fixed: the last argument's mask maps to the output mask."""
+
+    __slots__ = ("op", "fixed")
+
+    def __init__(self, op, fixed):
+        super().__init__()
+        self.op = op
+        self.fixed = fixed
+
+    def __missing__(self, mask):
+        out = self[mask] = self.op[self.fixed + (mask,)]
+        return out
+
+
 class Compiled:
     """A MultiAlgebra with values as indices and value sets as masks."""
 
@@ -70,9 +88,16 @@ class Compiled:
             }
             for conn, table in alg.interp.items()
         }
+        self.symmetric = {
+            conn
+            for conn, table in self.tables.items()
+            if self.arity[conn] == 2
+            and all(table.get((b, a)) == out for (a, b), out in table.items())
+        }
         self.all = (1 << self.n) - 1
         self.identity = tuple(1 << i for i in range(self.n))
         self._ops = {}
+        self._rows = {}
         self._restricted = {}
         self._components = None
 
@@ -98,6 +123,15 @@ class Compiled:
         if op is None:
             op = self._ops[conn] = _MaskOp(self.tables[conn], self.members)
         return op
+
+    def row(self, conn, fixed):
+        """The memoised row of conn with its arguments but the last fixed to
+        the masks in the tuple fixed: the last argument's mask maps to the
+        output mask."""
+        row = self._rows.get((conn, fixed))
+        if row is None:
+            row = self._rows[conn, fixed] = _Row(self.op(conn), fixed)
+        return row
 
     def combine(self, conn, profiles):
         """Set-valued application of conn, position by position, to argument
@@ -163,7 +197,14 @@ def enumerate_unary(alg, max_depth=None):
     product order over the earlier formulas that contain one of depth d-1.
     A formula is built only for a profile not seen before.  Stops after
     max_depth or, when that is None, at the first depth that adds nothing,
-    where the clone is saturated."""
+    where the clone is saturated.
+
+    The arguments but the last form a *head*.  At each carrier position
+    the head's masks select one :meth:`Compiled.row`, so all candidates of
+    a head are built in C, and a head whose candidates were all seen is
+    skipped.  A binary connective with a symmetric table starts the last
+    argument at the head: the pair (h, l) with l < h was evaluated as
+    (l, h) at this depth, or lies outside the depth's product."""
     k = compiled(alg)
     conns = sorted(k.arity, key=lambda c: (k.arity[c], c))
     p = var("p")
@@ -178,6 +219,8 @@ def enumerate_unary(alg, max_depth=None):
                 formulas.append(app(conn))
                 profiles.append(profile)
                 yield 0, formulas[-1], profile
+    lookup = repeat(dict.__getitem__)
+    positions = range(k.n)
     # the formulas of the previous depth are the lists' suffix from `start`
     start = depth = 0
     while max_depth is None or depth < max_depth:
@@ -187,12 +230,19 @@ def enumerate_unary(alg, max_depth=None):
             arity = k.arity[conn]
             if arity == 0:
                 continue
-            get = k.op(conn).__getitem__
+            symmetric = conn in k.symmetric
             for head in product(range(size), repeat=arity - 1):
-                first = [profiles[i] for i in head]
                 low = 0 if head and max(head) >= start else start
-                for last in range(low, size):
-                    profile = tuple(map(get, zip(*first, profiles[last])))
+                if symmetric:
+                    low = max(low, head[0])
+                fixed = [profiles[i] for i in head]
+                row = [k.row(conn, tuple(m[x] for m in fixed)) for x in positions]
+                candidates = list(
+                    map(tuple, map(map, lookup, repeat(row), profiles[low:size]))
+                )
+                if seen.issuperset(candidates):
+                    continue
+                for last, profile in enumerate(candidates, low):
                     if profile in seen:
                         continue
                     seen.add(profile)

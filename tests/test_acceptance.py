@@ -345,6 +345,7 @@ def test_07_ten_valued_matrices_not_monadic():
         assert res.witness == ("nm", "bm")
         assert res.saturated
         assert res.explored == 432
+        assert res.depth == 6
 
 
 def test_08_generated_calculus_for_classic_implication():

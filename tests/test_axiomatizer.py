@@ -1,9 +1,13 @@
 """Discriminator search and refinement-rule generation."""
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvlogic.axiomatizer import (
     Discriminator,
+    NotMonadic,
     find_discriminator,
     generate_refinement_rules,
     subsume_simplify,
@@ -11,12 +15,21 @@ from mvlogic.axiomatizer import (
 )
 from mvlogic.calculus import Rule
 from mvlogic.errors import NotARefinement
-from mvlogic.formula import parse_formula, parse_formula_set, substitute, var
+from mvlogic.formula import (
+    parse_formula,
+    parse_formula_set,
+    subformulas,
+    substitute,
+    var,
+    variables,
+)
 from mvlogic.registry import (
     MAT_DM4,
     MAT_LETK_UB,
     MAT_PP6A1_UB,
     MAT_PP6_UB,
+    lookup,
+    names,
 )
 from mvlogic.semantics import Sound, check_rule_soundness, solve_valuations
 
@@ -60,6 +73,14 @@ REFERENCE_TABLE = {
     "t": ("p", "@p, ~p"),
     "ht": ("p, @p", ""),
 }
+
+
+def test_discriminator_search_reports_its_work():
+    d = find_discriminator(MAT_PP6_UB, 3)
+    assert (d.explored, d.depth) == (5, 1)
+    # depth 0 is p, top and bot: no separator yet, and no saturation
+    res = find_discriminator(MAT_PP6A1_UB, 0)
+    assert res == NotMonadic(("hf", "f"), False, 3, 0)
 
 
 def test_pp6_ub_discriminator_table():
@@ -166,3 +187,92 @@ def test_subsume_simplify():
     # incomparable rules survive
     other = Rule("other", parse_formula_set("q"), parse_formula_set("~q"))
     assert subsume_simplify([base, other]) == [base, other]
+
+
+def _rule_subsumes(small, big):
+    """True when a variable renaming embeds small's antecedent and succedent
+    into big's (big is then a dilution of small)."""
+    small_vars = sorted(
+        {v.head for f in small.antecedent | small.succedent for v in subformulas(f) if v.is_var}
+    )
+    big_vars = sorted(
+        {v.head for f in big.antecedent | big.succedent for v in subformulas(f) if v.is_var}
+    )
+    if not small_vars:
+        return (
+            small.antecedent <= big.antecedent
+            and small.succedent <= big.succedent
+        )
+    for target in product(big_vars or ["p"], repeat=len(small_vars)):
+        rho = {sv: var(tv) for sv, tv in zip(small_vars, target)}
+        ant = {substitute(f, rho) for f in small.antecedent}
+        succ = {substitute(f, rho) for f in small.succedent}
+        if ant <= big.antecedent and succ <= big.succedent:
+            return True
+    return False
+
+
+def reference_subsume_simplify(rules):
+    """subsume_simplify as a renaming search on every ordered pair."""
+    rules = list(rules)
+    keep = []
+    for i, r in enumerate(rules):
+        dropped = False
+        for j, other in enumerate(rules):
+            if i == j:
+                continue
+            if _rule_subsumes(other, r):
+                if _rule_subsumes(r, other) and i < j:
+                    continue
+                dropped = True
+                break
+        if not dropped:
+            keep.append(r)
+    return keep
+
+
+CALCULI = [lookup("calculus", n).payload for n in names("calculus")]
+
+
+@st.composite
+def rule_lists(draw):
+    """Rules of one registered calculus, each maybe followed by a renamed
+    copy (variables to variables, not always injective) and a dilution
+    (formulas of the calculus added on either side), in shuffled order."""
+    calc = draw(st.sampled_from(CALCULI))
+    pool = sorted({f for r in calc.rules for f in r.antecedent | r.succedent})
+    extra = st.frozensets(st.sampled_from(pool), max_size=2)
+    picked = draw(st.lists(st.sampled_from(calc.rules), min_size=1, max_size=5))
+    rules = []
+    for r in picked:
+        rules.append(r)
+        if draw(st.booleans()):
+            targets = st.sampled_from(["p", "q", "r", "s"]).map(var)
+            rho = {v: draw(targets) for v in sorted(variables(r.antecedent | r.succedent))}
+            r = Rule(
+                r.name + "-renamed",
+                frozenset(substitute(f, rho) for f in r.antecedent),
+                frozenset(substitute(f, rho) for f in r.succedent),
+            )
+            rules.append(r)
+        if draw(st.booleans()):
+            rules.append(Rule(
+                r.name + "-diluted", r.antecedent | draw(extra), r.succedent | draw(extra)
+            ))
+    return draw(st.permutations(rules))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rule_lists())
+def test_subsume_simplify_matches_pairwise_search(rules):
+    got = subsume_simplify(rules)
+    want = reference_subsume_simplify(rules)
+    assert [id(r) for r in got] == [id(r) for r in want]
+
+
+def test_subsume_simplify_keeps_generated_rules():
+    d = find_discriminator(MAT_PP6_UB, 3)
+    rules = generate_refinement_rules(MAT_PP6A1_UB, MAT_LETK_UB, d)
+    got = subsume_simplify(rules)
+    assert len(got) == 72
+    assert all(a is b for a, b in zip(got, rules))

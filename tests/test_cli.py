@@ -252,6 +252,61 @@ def test_export_calculus_round_trip(capsys):
     assert len(calc.rules) == 18
 
 
+def _exported(tmp_path, capsys, kind, name):
+    """An @path argument naming a file that holds mvl export's output."""
+    assert run(["export", "--kind", kind, "--name", name]) == EXIT_POSITIVE
+    path = tmp_path / (name + ".json")
+    path.write_text(capsys.readouterr().out)
+    return "@%s" % path
+
+
+def _same_output(capsys, argv, by_name, by_file):
+    """Runs argv with by_name and then with by_file substituted for the
+    "NAME" placeholder; both print the same and exit alike."""
+    outputs = []
+    for arg in (by_name, by_file):
+        code = run([arg if a == "NAME" else a for a in argv])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    return outputs[0]
+
+
+def test_exports_read_back_through_file_arguments(tmp_path, capsys):
+    rb = _exported(tmp_path, capsys, "calculus", "r-b")
+    for premises, goal, code in [("p", "p | q", EXIT_POSITIVE),
+                                 ("~(p & q)", "~p | ~q", EXIT_POSITIVE)]:
+        got = _same_output(capsys, ["prove", "--calculus", "NAME", "--premises",
+                                    premises, "--goal", goal, "--json"], "r-b", rb)
+        assert got[0] == code
+    base = _exported(tmp_path, capsys, "matrix", "pp6a1-ub")
+    refined = _exported(tmp_path, capsys, "matrix", "letk-ub")
+    code, out = _same_output(
+        capsys, ["axiomatize", "--base", "NAME", "--refined", refined,
+                 "--max-depth", "3", "--simplify"], "pp6a1-ub", base,
+    )
+    assert code == EXIT_POSITIVE
+    assert len(json.loads(out)["rules"]) == 72
+    # the export of a matrix carries its algebra
+    for what in ("profile", "congruences", "subalgebras"):
+        code, out = _same_output(capsys, ["algebra", what, "--algebra", "NAME"],
+                                 "letk", refined)
+        assert code == EXIT_POSITIVE and out
+
+
+def test_malformed_file_argument_is_usage_error(tmp_path, capsys):
+    cases = [
+        ("broken.json", '{"name": ', ["prove", "--goal", "p", "--calculus"]),
+        ("norules.json", '{"name": "x"}', ["prove", "--goal", "p", "--calculus"]),
+        ("noconn.json", '{"name": "x"}', ["algebra", "profile", "--algebra"]),
+        ("list.json", "[1, 2]", ["axiomatize", "--refined", "letk-ub", "--base"]),
+    ]
+    for name, text, argv in cases:
+        path = tmp_path / name
+        path.write_text(text)
+        assert run(argv + ["@%s" % path]) == EXIT_USAGE
+        assert "is not a valid export" in capsys.readouterr().err
+
+
 def test_list(capsys):
     code = run(["list", "--kind", "calculus", "--json"])
     assert code == EXIT_POSITIVE
@@ -292,7 +347,7 @@ def test_axiomatize_saturated_clone_is_not_monadic(capsys):
             "--max-depth", "99", "--json"]
     assert run(argv) == EXIT_NEGATIVE
     assert json.loads(capsys.readouterr().out) == {
-        "result": "not-monadic", "witness": ["n", "b"],
+        "result": "not-monadic", "witness": ["n", "b"], "explored": 192,
     }
 
 

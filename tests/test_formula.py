@@ -1,8 +1,9 @@
 """Parsing, rendering, macros and subformula machinery."""
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import make_rng, random_formula
+from conftest import formulas, make_rng, random_formula
 from mvlogic.errors import ArityError, FormulaSyntaxError, UnknownConnective
 from mvlogic.formula import (
     SIG_PP,
@@ -123,6 +124,12 @@ def test_parse_render_round_trip_random():
     for _ in range(300):
         f = random_formula(rng, conns, ["p", "q", "r"], 4)
         assert parse_formula(render_formula(f)) == f
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(formulas(SIG_PP_IMP.connectives, ["p", "q", "p1", "p123", "x_y"], 12))
+def test_parse_render_round_trip_property(f):
+    assert parse_formula(render_formula(f)) is f
 
 
 def test_structural_equality_is_identity():

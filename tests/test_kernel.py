@@ -3,6 +3,7 @@ solve_valuations for consequence, set-valued recursion for unary profiles,
 and FiniteAlgebra.eval_formula for assignments; and the prover's rule
 grounding against the plain product-and-filter grounding."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -28,6 +29,7 @@ from mvlogic.semantics import (
     ConsequenceProblem,
     Fails,
     Holds,
+    MultiAlgebra,
     check_consequence,
     solve_valuations,
     total_components,
@@ -142,6 +144,100 @@ def test_enumerated_profiles_match_set_valued_evaluation(name):
         assert tuple(map(k.values, profile)) == set_valued_profile(m, f)
         if n == 150:
             break
+
+
+def reference_enumerate_unary(alg, max_depth=None):
+    """enumerate_unary as one profile evaluation per argument tuple, every
+    tuple of the depth's product in order, with no row memos, no skipped
+    heads and no symmetry."""
+    k = kernel.compiled(alg)
+    conns = sorted(k.arity, key=lambda c: (k.arity[c], c))
+    p = var("p")
+    formulas, profiles = [p], [k.identity]
+    seen = {k.identity}
+    yield 0, p, k.identity
+    for conn in conns:
+        if k.arity[conn] == 0:
+            profile = k.combine(conn, ())
+            if profile not in seen:
+                seen.add(profile)
+                formulas.append(app(conn))
+                profiles.append(profile)
+                yield 0, formulas[-1], profile
+    start = depth = 0
+    while max_depth is None or depth < max_depth:
+        depth += 1
+        size = len(profiles)
+        for conn in conns:
+            arity = k.arity[conn]
+            if arity == 0:
+                continue
+            get = k.op(conn).__getitem__
+            for head in product(range(size), repeat=arity - 1):
+                first = [profiles[i] for i in head]
+                low = 0 if head and max(head) >= start else start
+                for last in range(low, size):
+                    profile = tuple(map(get, zip(*first, profiles[last])))
+                    if profile in seen:
+                        continue
+                    seen.add(profile)
+                    f = app(conn, *(formulas[i] for i in head), formulas[last])
+                    formulas.append(f)
+                    profiles.append(profile)
+                    yield depth, f, profile
+        if len(profiles) == size:
+            return
+        start = size
+
+
+@st.composite
+def multialgebras(draw):
+    """A set-valued algebra on 2 to 4 values, with up to four connectives of
+    arity 0 to 3 (at most one ternary), binary tables symmetric or not;
+    output sets may be empty.  Returns (algebra, depth bound): depth 2 with
+    a ternary connective, else 3, and saturation on two values."""
+    carrier = "abcd"[: draw(st.integers(2, 4))]
+    outputs = st.frozensets(st.sampled_from(carrier))
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    if arities.count(3) > 1:
+        arities = [a for a in arities if a != 3] + [3]
+    interp = {}
+    for c, arity in enumerate(arities):
+        keys = list(product(carrier, repeat=arity))
+        table = dict(zip(keys, draw(st.lists(outputs, min_size=len(keys),
+                                             max_size=len(keys)))))
+        if arity == 2 and draw(st.booleans()):
+            table = {(a, b): table[min(a, b), max(a, b)] for a, b in keys}
+        interp["c%d" % c] = table
+    alg = MultiAlgebra("random", carrier, interp)
+    if len(carrier) == 2:
+        return alg, None
+    return alg, 2 if 3 in arities else 3
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(multialgebras())
+def test_clone_walk_matches_reference(case):
+    alg, depth = case
+    want = list(reference_enumerate_unary(alg, depth))
+    assert list(kernel.enumerate_unary(alg, depth)) == want
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [lookup("algebra", n).payload for n in names("algebra")]
+    + [lookup("matrix", n).payload.algebra for n in ("m-leq", "m-up")],
+    ids=lambda alg: alg.name,
+)
+def test_clone_walk_of_registered_algebras(alg):
+    want = list(reference_enumerate_unary(alg, 2))
+    assert list(kernel.enumerate_unary(alg, 2)) == want
+
+
+def test_m_leq_clone_per_depth():
+    m = lookup("matrix", "m-leq").payload
+    depths = Counter(d for d, _, _ in kernel.enumerate_unary(m.algebra))
+    assert depths == {0: 3, 1: 3, 2: 11, 3: 39, 4: 165, 5: 203, 6: 8}
 
 
 STEERED = [
