@@ -133,55 +133,101 @@ class _Saturated(Exception):
 
 @lru_cache(maxsize=1024)
 def _compiled_rule(rule):
-    """A rule's variables, sorted, and a program per level that fills an
-    env of ids.  Level 0 appends -1, the id of a missing argument, then
-    covers the variable-free subterms of the rule's formulas; level j + 1
-    appends the j-th variable's value, then covers the subterms whose last
-    variable it is, smaller first.  An op (head, env slots of its arguments,
-    whether it is a formula of the rule) appends its subterm's id.  Also
-    returns the variables' slots and the antecedent's and succedent's, in
-    canon_key order."""
+    """A rule's variables, sorted, and its grounding function, generated
+    once.  ground(get, tids, size, seen, clauses, records, name) binds the
+    variables in order, each in one nested loop over the target ids and
+    their positions.  A subterm's id is get((head, argument ids)), with -1
+    for a missing argument; it is looked up as soon as its variables are
+    bound, smaller subterms first, and a subterm of one variable once per
+    target, before the loops.  An id of None, or one of a formula of the
+    rule not below size, drops the assignment with all its extensions.  An
+    instance whose sides meet is dropped too; otherwise its clause, the
+    sorted literals 2*id + 1 of its antecedent and 2*id of its succedent,
+    is appended to clauses and (name, target positions) to records, unless
+    seen holds the clause already.  The source splices in only generated
+    names, ints and the repr of connective names."""
     sides = rule.antecedent | rule.succedent
     vs = sorted(variables(sides))
     index = {v: i for i, v in enumerate(vs)}
+    ordered = sorted(subformulas(sides), key=canon_key)
+    local = {g: "x%d" % k for k, g in enumerate(ordered)}
+    own = {g: variables(g) for g in ordered if g.args is not None}
+    lines = [
+        "def ground(get, tids, size, seen, clauses, records, name):",
+        "    seen_add, emit, record = seen.add, clauses.append, records.append",
+    ]
 
-    def level(g):
-        return max(map(index.get, variables(g)), default=-1) + 1
+    def look_up(g, pad, skip):
+        a, b = [local[y] for y in g.args] + ["-1"] * (2 - len(g.args))
+        lines.append("%s%s = get((%r, %s, %s))" % (pad, local[g], g.head, a, b))
+        test = "%s is None" % local[g]
+        if g in sides:
+            test += " or %s >= size" % local[g]
+        lines.append("%sif %s: %s" % (pad, test, skip))
 
-    slot = {}
-    levels = [[] for _ in range(len(vs) + 1)]
-    for g in sorted(subformulas(sides), key=lambda g: (level(g), g)):
-        slot[g] = len(slot) + 1
-        if g.args is not None:
-            a, b = [slot[x] for x in g.args] + [0] * (2 - len(g.args))
-            levels[level(g)].append((g.head, a, b, g in sides))
-    return (
-        tuple(vs), tuple(slot[var(v)] for v in vs), tuple(map(tuple, levels)),
-        tuple(slot[f] for f in sorted(rule.antecedent, key=canon_key)),
-        tuple(slot[f] for f in sorted(rule.succedent, key=canon_key)),
-    )
+    for g, gv in own.items():
+        if not gv:
+            look_up(g, "    ", "return")
+    loops = []
+    for j, v in enumerate(vs):
+        x = local[var(v)]
+        solo = [g for g, gv in own.items() if gv == {v}]
+        names = ", ".join(["i%d" % j, x] + [local[g] for g in solo])
+        lines += ["    c%d = []" % j, "    for i%d, %s in enumerate(tids):" % (j, x)]
+        for g in solo:
+            look_up(g, "        ", "continue")
+        lines.append("        c%d.append((%s))" % (j, names))
+        loops.append("for %s in c%d:" % (names, j))
+    pad, skip = "    ", "return"
+    for j, v in enumerate(vs):
+        lines.append(pad + loops[j])
+        pad, skip = pad + "    ", "continue"
+        for g, gv in own.items():
+            if len(gv) > 1 and max(map(index.get, gv)) == j:
+                look_up(g, pad, skip)
+    ant = [local[f] for f in rule.antecedent]
+    succ = [local[f] for f in rule.succedent]
+    meets = ["%s == %s" % (a, s) for a in ant for s in succ]
+    if meets:
+        lines.append("%sif %s: %s" % (pad, " or ".join(meets), skip))
+    lits = ["2 * %s + 1" % a for a in ant] + ["2 * %s" % s for s in succ]
+    lines += [
+        pad + "clause = " + ("sorted({%s})" % ", ".join(lits) if lits else "[]"),
+        pad + "key = tuple(clause)",
+        pad + "if key in seen: %s" % skip,
+        pad + "seen_add(key)",
+        pad + "emit(clause)",
+        pad + "record((name, (%s)))" % "".join("i%d, " % j for j in range(len(vs))),
+    ]
+    scope = {}
+    exec("\n".join(lines), scope)
+    return tuple(vs), scope["ground"]
 
 
 class _Ground(list):
-    """Ground instances as (rule name, target positions of the rule's
-    sorted variables, antecedent ids, succedent ids).  formulas[i] is the
-    formula with id i; a universe's formulas come first, in canon_key
-    order, so an id below its size is the formula's SAT variable."""
+    """Ground instances: self[k] is instance k's (rule name, target
+    positions of the rule's sorted variables) and clauses[k] its clause,
+    the sorted literals 2*id + 1 of its antecedent and 2*id of its
+    succedent.  formulas[i] is the formula with id i; a universe's formulas
+    come first, in canon_key order, so an id below its size is the
+    formula's SAT variable."""
 
     def __init__(self, targets, formulas):
         super().__init__()
         self.targets = targets
         self.formulas = formulas
+        self.clauses = []
         self.rule_variables = {}
 
     def instance(self, k):
         """Instance k as (rule name, substitution, antecedent, succedent)."""
-        name, values, ant, succ = self[k]
+        name, values = self[k]
         fs, targets = self.formulas, self.targets
         vs = self.rule_variables[name]
         subst = dict(zip(vs, [targets[t] for t in values]))
-        return name, subst, frozenset([fs[i] for i in ant]), frozenset(
-            [fs[i] for i in succ]
+        clause = self.clauses[k]
+        return name, subst, frozenset([fs[q >> 1] for q in clause if q & 1]), (
+            frozenset([fs[q >> 1] for q in clause if not q & 1])
         )
 
 
@@ -191,10 +237,12 @@ def _build_instances(calc, targets, universe):
     formulas stay inside the universe, and return them as a _Ground.
     Grounding runs on ids and interns no formula then: the universe, then
     the rest of its subformula closure, is numbered, and a table gives the
-    id of (head, argument ids).  A subterm missing from the table lies
-    outside the universe, so its prefix is dropped with all its extensions;
-    without a universe it is built and numbered instead.  The variables are
-    bound in order and the assignments come out in product order."""
+    id of (head, argument ids).  Each rule's generated loops (see
+    _compiled_rule) look subterms up in the table; one missing lies outside
+    the universe, so the loops drop its prefix with all its extensions.
+    Without a universe the lookup builds and numbers the subterm instead.
+    The assignments come out in product order, and each kept instance
+    emits its clause straight from the ids."""
     formulas = sorted(targets if universe is None else universe, key=canon_key)
     ids = {f: i for i, f in enumerate(formulas)}
     table = {}
@@ -207,46 +255,26 @@ def _build_instances(calc, targets, universe):
                     formulas.append(a)
                 key.append(ids[a])
             table[tuple(key + [-1] * (3 - len(key)))] = i
-    size = float("inf") if universe is None else len(universe)
+    if universe is None:
+        size = float("inf")
+
+        def get(key):
+            g = table.get(key)
+            if g is None:
+                g = table[key] = len(formulas)
+                head, a, b = key
+                args = [formulas[i] for i in (a, b) if i >= 0]
+                formulas.append(app(head, *args))
+            return g
+    else:
+        size, get = len(universe), table.get
     tids = [ids[t] for t in targets]
-    position = {t: k for k, t in enumerate(tids)}
     out = _Ground(targets, formulas)
     seen = set()
     for rule in calc.rules:
-        vs, var_slots, levels, ant_slots, succ_slots = _compiled_rule(rule)
+        vs, ground = _compiled_rule(rule)
         out.rule_variables[rule.name] = vs
-        envs = [[]]
-        for j, ops in enumerate(levels):
-            grown = []
-            for env0 in envs:
-                for t in tids if j else (-1,):
-                    env = env0 + [t]
-                    for head, a, b, is_formula in ops:
-                        key = (head, env[a], env[b])
-                        g = table.get(key)
-                        if g is None:
-                            if universe is not None:
-                                break
-                            g = table[key] = len(formulas)
-                            args = [formulas[env[s]] for s in (a, b) if s]
-                            formulas.append(app(head, *args))
-                        elif is_formula and g >= size:
-                            break
-                        env.append(g)
-                    else:
-                        grown.append(env)
-            envs = grown
-        for env in envs:
-            ant = frozenset([env[s] for s in ant_slots])
-            succ = frozenset([env[s] for s in succ_slots])
-            if ant & succ:
-                continue
-            key = (ant, succ)
-            if key in seen:
-                continue
-            seen.add(key)
-            values = tuple([position[env[s]] for s in var_slots])
-            out.append((rule.name, values, ant, succ))
+        ground(get, tids, size, seen, out.clauses, out, rule.name)
     return out
 
 
@@ -475,7 +503,7 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     premises = frozenset(premises)
     goal = frozenset(goal)
     if calc.framework == SET_FMLA and len(goal) != 1:
-        raise ValueError("Set-Fmla proving needs exactly one goal formula")
+        raise FrameworkMismatch("Set-Fmla proving needs exactly one goal formula")
     if premises & goal:
         stats = ProveStats("closed", None, 0, nodes=1)
         return Proved(TreeNode(premises, closed=True), stats)
@@ -511,18 +539,16 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
 
 def _decide(calc, premises, goal, universe, ground, budget_nodes):
     """Solve the clause set of an analytic sequent; search for the proof
-    tree over a minimal unsatisfiable core.  The clauses are built from the
-    ground ids, which are the SAT variables, and keep the instances' order,
-    so runs repeat; only the core's instances are turned back into
-    formulas."""
+    tree over a minimal unsatisfiable core.  The clauses are the ground
+    instances' own, on ids that are the SAT variables, in the instances'
+    order, so runs repeat; the premises' and goal's unit clauses follow.
+    Only the core's instances are turned back into formulas."""
     from . import sat
 
     order = ground.formulas[:len(universe)]
-    clauses = [
-        sorted([2 * i + 1 for i in ant] + [2 * i for i in succ])
-        for _, _, ant, succ in ground
+    clauses = ground.clauses + [
+        [2 * i] for i, f in enumerate(order) if f in premises
     ]
-    clauses += [[2 * i] for i, f in enumerate(order) if f in premises]
     clauses += [[2 * i + 1] for i, f in enumerate(order) if f in goal]
     out = sat.solve(len(order), clauses, budget_nodes)
     stats = ProveStats(

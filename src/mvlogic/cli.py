@@ -61,9 +61,8 @@ def _get_calculus(name):
     from . import registry
 
     if name.startswith("@"):
-        return _from_file(name[1:], registry.calculus_from_json), None
-    entry = registry.lookup(registry.KIND_CALCULUS, name)
-    return entry.payload, entry.models
+        return _from_file(name[1:], registry.calculus_from_json)
+    return registry.lookup(registry.KIND_CALCULUS, name).payload
 
 
 def _get_algebra(name):
@@ -111,7 +110,7 @@ def cmd_prove(args):
         tree_to_json,
     )
 
-    calc, _ = _get_calculus(args.calculus)
+    calc = _get_calculus(args.calculus)
     premises = parse_formula_set(args.premises)
     goal = parse_formula_set(args.goal)
     res = prove(calc, premises, goal, budget_nodes=args.budget_nodes)
@@ -172,11 +171,11 @@ def cmd_check(args):
 def cmd_soundness(args):
     from .semantics import Sound, check_rule_soundness
 
-    calc, declared = _get_calculus(args.calculus)
+    calc = _get_calculus(args.calculus)
     if getattr(args, "matrix", None) or getattr(args, "cls", None):
         models = _models_from_args(args)
-    elif declared:
-        models = [_get_matrix(n) for n in declared]
+    elif calc.models:
+        models = calc.models
     else:
         raise UsageError("calculus has no declared models; pass --matrix/--class")
     bad = []
@@ -342,7 +341,7 @@ def cmd_export(args):
         m = _get_matrix(args.name)
         print(registry.matrix_to_json(m))
     elif args.kind == "calculus":
-        calc, _ = _get_calculus(args.name)
+        calc = _get_calculus(args.name)
         print(registry.calculus_to_json(calc))
     else:
         raise UsageError("export kind must be matrix or calculus")

@@ -37,9 +37,11 @@ SIG_PP_IMP = Signature(
 
 
 class Formula:
-    """A variable (args is None) or a connective application (args a tuple)."""
+    """A variable (args is None) or a connective application (args a tuple).
+    depth is the number of applications with arguments on the longest path
+    from the root to a leaf, so a variable or a constant has depth 0."""
 
-    __slots__ = ("head", "args", "size", "_hash")
+    __slots__ = ("head", "args", "size", "depth", "_hash")
     _table = {}
 
     def __new__(cls, head, args):
@@ -50,7 +52,11 @@ class Formula:
         self = object.__new__(cls)
         self.head = head
         self.args = args
-        self.size = 1 if args is None else 1 + sum(a.size for a in args)
+        if args is None:
+            self.size, self.depth = 1, 0
+        else:
+            self.size = 1 + sum(a.size for a in args)
+            self.depth = 1 + max([a.depth for a in args], default=-1)
         # the same in every process: a str hash depends on PYTHONHASHSEED,
         # and hash(None) on an address before CPython 3.12
         name = zlib.crc32(head.encode())
@@ -136,6 +142,18 @@ _TOKEN = re.compile(r"\s*(=>|[a-z][a-z0-9_]*|[~@&|(),])")
 
 _KEYWORDS = {"top", "bot"}
 
+# The parser rejects input nested more than this many levels deep: prefix
+# operators, brackets, macro calls and right-nested implications in the
+# text, and connectives in the formula it builds.  Parsing recurses at most
+# six frames per level of the text, and render_formula and substitute two
+# and one per level of the formula, so every accepted formula stays well
+# inside Python's default recursion limit of 1000.  Macros repeat their
+# arguments, so nested macro calls double a formula's size at each level;
+# a formula of more than MAX_SIZE nodes, counted as a tree, is rejected too,
+# which bounds the length of its rendering.
+MAX_NESTING = 100
+MAX_SIZE = 100_000
+
 
 def _tokenize(text):
     tokens = []
@@ -160,6 +178,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.sig = sig
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.i][0]
@@ -177,6 +196,29 @@ class _Parser:
         if tok != sym:
             raise FormulaSyntaxError("expected %r, found %r" % (sym, tok), pos)
 
+    def _nested(self, parse, pos):
+        """What parse() reads one level deeper in the text."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise FormulaSyntaxError(
+                "nested more than %d levels deep" % MAX_NESTING, pos
+            )
+        f = parse()
+        self.nesting -= 1
+        return f
+
+    def _bounded(self, f, pos):
+        if f.depth > MAX_NESTING:
+            raise FormulaSyntaxError(
+                "nested more than %d levels deep" % MAX_NESTING, pos
+            )
+        if f.size > MAX_SIZE:
+            raise FormulaSyntaxError(
+                "more than %d connectives and variables once macros are expanded"
+                % MAX_SIZE, pos
+            )
+        return f
+
     def _conn(self, symbol, pos):
         name = _SYMBOL_CONN[symbol]
         if name not in self.sig:
@@ -190,8 +232,8 @@ class _Parser:
         if self.peek() == "=>":
             _, pos = self.take()
             name = self._conn("=>", pos)
-            right = self.formula()
-            return app(name, left, right)
+            right = self._nested(self.formula, pos)
+            return self._bounded(app(name, left, right), pos)
         return left
 
     def or_term(self):
@@ -199,7 +241,7 @@ class _Parser:
         while self.peek() == "|":
             _, pos = self.take()
             name = self._conn("|", pos)
-            f = app(name, f, self.and_term())
+            f = self._bounded(app(name, f, self.and_term()), pos)
         return f
 
     def and_term(self):
@@ -207,7 +249,7 @@ class _Parser:
         while self.peek() == "&":
             _, pos = self.take()
             name = self._conn("&", pos)
-            f = app(name, f, self.unary())
+            f = self._bounded(app(name, f, self.unary()), pos)
         return f
 
     def unary(self):
@@ -215,13 +257,13 @@ class _Parser:
         if tok in ("~", "@"):
             _, pos = self.take()
             name = self._conn(tok, pos)
-            return app(name, self.unary())
+            return self._bounded(app(name, self._nested(self.unary, pos)), pos)
         return self.atom()
 
     def atom(self):
         tok, pos = self.take()
         if tok == "(":
-            f = self.formula()
+            f = self._nested(self.formula, pos)
             self.expect(")")
             return f
         if tok is None:
@@ -241,17 +283,17 @@ class _Parser:
             raise UnknownConnective("unknown macro %r" % name)
         params, body = MACROS[name]
         self.expect("(")
-        args = [self.formula()]
+        args = [self._nested(self.formula, pos)]
         while self.peek() == ",":
             self.take()
-            args.append(self.formula())
+            args.append(self._nested(self.formula, pos))
         self.expect(")")
         if len(args) != len(params):
             raise ArityError(
                 "macro %r expects %d arguments, got %d"
                 % (name, len(params), len(args))
             )
-        return substitute(body, dict(zip(params, args)))
+        return self._bounded(substitute(body, dict(zip(params, args))), pos)
 
 
 def parse_formula(text, sig=SIG_PP_IMP):
@@ -304,10 +346,13 @@ def _render(f):
     head = f.head
     if head in ("top", "bot"):
         return head
+    if head not in _PREC:
+        # a connective outside the built-in signature, in prefix form
+        return "%s(%s)" % (head, ", ".join(map(render_formula, f.args)))
     if head in ("neg", "circ"):
         arg = f.args[0]
         body = render_formula(arg)
-        if not arg.is_var and arg.head not in ("top", "bot") and _PREC[arg.head] < 4:
+        if not arg.is_var and _PREC.get(arg.head, 4) < 4:
             body = "(" + body + ")"
         return _SYM[head] + body
     prec = _PREC[head]
@@ -323,7 +368,7 @@ def _render(f):
 
 
 def _needs_parens(child, parent_prec, left_side, assoc_right):
-    if child.is_var or child.head in ("top", "bot"):
+    if child.is_var or child.head not in _PREC:
         return False
     cp = _PREC[child.head]
     if cp > parent_prec:

@@ -481,11 +481,10 @@ KIND_CALCULUS = "calculus"
 
 
 class RegistryEntry:
-    def __init__(self, kind, name, payload, models=None):
+    def __init__(self, kind, name, payload):
         self.kind = kind
         self.name = name
         self.payload = payload
-        self.models = models or []
 
 
 def _matrix(name, alg, designated):
@@ -558,10 +557,6 @@ _CALCULI = [
     ),
 ]
 
-for _name, _calc, _models in _CALCULI:
-    _add(RegistryEntry(KIND_CALCULUS, _name, _calc, models=_models))
-
-
 def lookup(kind, name):
     try:
         return _REGISTRY[(kind, name)]
@@ -584,6 +579,7 @@ def resolve_models(names_list):
 
 for _name, _calc, _models in _CALCULI:
     _calc.models = resolve_models(_models)
+    _add(RegistryEntry(KIND_CALCULUS, _name, _calc))
 del _name, _calc, _models
 
 
@@ -631,9 +627,13 @@ def matrix_from_json(text):
 
 
 def calculus_to_json(c):
+    """The calculus as JSON: its rules, analyticity set, framework and the
+    names of its models, which must be registered matrices to read back."""
     return json.dumps(
         {
             "name": c.name,
+            "framework": c.framework,
+            "models": [m.name for m in c.models or ()],
             "xi": [render_formula(f) for f in (c.xi or ())],
             "rules": [
                 {
@@ -660,4 +660,8 @@ def calculus_from_json(text):
         for r in data["rules"]
     ]
     xi = tuple(parse_formula(f) for f in data.get("xi", [])) or None
-    return Calculus(data["name"], rules, xi, SET_SET)
+    framework = data.get("framework", SET_SET)
+    if framework not in (SET_SET, SET_FMLA):
+        raise ValueError("unknown framework %r" % framework)
+    models = resolve_models(data.get("models", [])) or None
+    return Calculus(data["name"], rules, xi, framework, models=models)

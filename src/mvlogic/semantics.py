@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from math import prod
 
 from . import kernel
-from .errors import ArityError, UnknownConnective, ValueAbsent
+from .errors import ArityError, FrameworkMismatch, UnknownConnective, ValueAbsent
 from .formula import canon_key, subformulas
 
 SET_SET = "set-set"
@@ -233,7 +233,7 @@ def check_consequence(problem):
     premises = frozenset(problem.premises)
     conclusions = frozenset(problem.conclusions)
     if problem.mode == SET_FMLA and len(conclusions) != 1:
-        raise ValueError("Set-Fmla problems need exactly one conclusion")
+        raise FrameworkMismatch("Set-Fmla problems need exactly one conclusion")
     domain = subformulas(premises | conclusions)
     for m in problem.models:
         kernel.check_signature(m.algebra, domain)

@@ -251,7 +251,7 @@ def test_refutation_needs_interpreted_connectives():
 
 def test_prove_set_fmla_needs_single_goal():
     rv = to_set_fmla_calculus(R_LEQ)
-    with pytest.raises(ValueError):
+    with pytest.raises(FrameworkMismatch):
         prove(rv, frozenset(), parse_formula_set("p, q"))
 
 

@@ -11,6 +11,7 @@ from mvlogic.cli import (
     EXIT_USAGE,
     run,
 )
+from mvlogic.formula import MAX_NESTING
 from mvlogic.registry import matrix_from_json, calculus_from_json
 
 
@@ -99,10 +100,14 @@ def test_prove_inconclusive(capsys):
     }
 
 
-def test_crash_is_not_an_answer(capsys):
-    code = run([
-        "check", "--matrix", "m-up", "--conclusions", "~" * 3000 + "p",
-    ])
+def test_crash_is_not_an_answer(capsys, monkeypatch):
+    # deep input is a syntax error now (test_deep_input_is_an_input_error),
+    # so the crash is staged inside the check
+    def crash(problem):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("mvlogic.semantics.check_consequence", crash)
+    code = run(["check", "--matrix", "m-up", "--conclusions", "p"])
     assert code == EXIT_INTERNAL
     assert "RecursionError" in capsys.readouterr().err
 
@@ -356,3 +361,47 @@ def test_axiomatize_negative_depth_is_usage_error(capsys):
             "--max-depth", "-1"]
     assert run(argv) == EXIT_USAGE
     assert "non-negative" in capsys.readouterr().err
+
+
+def test_set_fmla_goal_count_is_input_error(capsys):
+    code = run(["prove", "--calculus", "moisil", "--goal", "p, q"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exactly one goal formula" in err
+
+
+def test_exported_calculus_keeps_framework_and_models(tmp_path, capsys):
+    moisil = _exported(tmp_path, capsys, "calculus", "moisil")
+    answers = []
+    for arg in ("moisil", moisil):
+        code = run(["prove", "--calculus", arg, "--goal", "p, q",
+                    "--budget-nodes", "2000"])
+        answers.append((code, capsys.readouterr().err))
+    assert answers[0] == answers[1]
+    assert answers[0][0] == EXIT_USAGE
+    # the models come back too: soundness needs no --matrix or --class
+    r_leq = _exported(tmp_path, capsys, "calculus", "r-leq")
+    for premises, goal in [("", "(p | q) => p, q"), ("~(p & q)", "~p | ~q")]:
+        _same_output(capsys, ["prove", "--calculus", "NAME", "--premises",
+                              premises, "--goal", goal, "--json"],
+                     "r-leq", r_leq)
+    code, out = _same_output(capsys, ["soundness", "--calculus", "NAME"],
+                             "r-leq", r_leq)
+    assert code == EXIT_POSITIVE and out.startswith("Sound")
+
+
+def test_deep_input_is_an_input_error(capsys):
+    n = MAX_NESTING
+    for text, ok in [
+        ("~" * n + "p", True), ("~" * (n + 1) + "p", False),
+        ("(" * n + "p" + ")" * n, True),
+        ("(" * (n + 1) + "p" + ")" * (n + 1), False),
+        ("~" * 3000 + "p", False),
+    ]:
+        code = run(["check", "--class", "pp6h-order", "--conclusions", text])
+        err = capsys.readouterr().err
+        if ok:
+            assert code == EXIT_NEGATIVE and not err
+        else:
+            assert code == EXIT_USAGE
+            assert "nested more than %d levels deep" % n in err

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from conftest import formulas, make_rng, random_formula
 from mvlogic.errors import ArityError, FormulaSyntaxError, UnknownConnective
 from mvlogic.formula import (
+    MAX_NESTING,
+    MAX_SIZE,
     SIG_PP,
     SIG_PP_IMP,
     app,
@@ -98,6 +100,40 @@ def test_parse_errors():
         parse_formula("frobnicate(p)")
     with pytest.raises(ArityError):
         parse_formula("wimp(p)")
+
+
+def test_nesting_bound():
+    # at the bound parsing, rendering and substituting fit in the default
+    # recursion limit; one level past it is a syntax error, not a crash
+    n = MAX_NESTING
+    h = n // 2  # a prefix operator and a bracket per step
+    q = var("q")
+    for deep, too_deep in [
+        ("~" * n + "p", "~" * (n + 1) + "p"),
+        ("(" * n + "p" + ")" * n, "(" * (n + 1) + "p" + ")" * (n + 1)),
+        ("~(" * h + "p" + ")" * h, "~(" * h + "~p" + ")" * h),
+        (" & ".join(["p"] * (n + 1)), " & ".join(["p"] * (n + 2))),
+        (" => ".join(["p"] * (n + 1)), " => ".join(["p"] * (n + 2))),
+    ]:
+        f = parse_formula(deep)
+        assert f.depth <= n
+        assert parse_formula(render_formula(f)) is f
+        g = substitute(f, {"p": q})
+        assert render_formula(g) == render_formula(f).replace("p", "q")
+        with pytest.raises(FormulaSyntaxError, match="nested more than"):
+            parse_formula(too_deep)
+    assert parse_formula_set(", ".join(["~" * n + "p"] * 2))
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula_set("q, " + "~" * 3000 + "p")
+
+
+def test_size_bound():
+    # up(p) repeats p, so each nested call doubles the size: 2 ** (k + 2) - 3
+    # nodes at k calls
+    assert parse_formula("up(" * 14 + "p" + ")" * 14).size == 2 ** 16 - 3
+    assert 2 ** 17 - 3 > MAX_SIZE
+    with pytest.raises(FormulaSyntaxError, match="more than"):
+        parse_formula("up(" * 15 + "p" + ")" * 15)
 
 
 def test_parse_formula_set():

@@ -368,6 +368,62 @@ def test_grounding_edge_cases():
     assert names_.count("pair") == len(targets) * (len(targets) + 1) // 2
 
 
+# connective and rule names that the generated grounding code must not
+# splice into its source as text
+AWKWARD = st.text(alphabet="ab'\"\\\n", min_size=1, max_size=3)
+
+
+@st.composite
+def random_calculi(draw):
+    """A calculus over connectives of arity 0-2 with awkward names, of rules
+    with 0-3 variables, empty sides, formulas repeated within and across
+    rules and sides meeting, and targets and a universe for it, which is
+    not always closed under subformulas."""
+    heads = draw(st.lists(AWKWARD, unique=True, max_size=3))
+    sig = {h: draw(st.integers(0, 2)) for h in heads}
+    leaves = st.sampled_from(["p", "q", "r"]).map(var)
+    consts = sorted(h for h, k in sig.items() if k == 0)
+    if consts:
+        leaves = leaves | st.sampled_from(consts).map(app)
+    pool = draw(st.lists(formulas(sig, ["p", "q", "r"], 4) if any(sig.values())
+                         else leaves, min_size=1, max_size=6))
+    side = st.frozensets(st.sampled_from(pool), max_size=3)
+    names_ = draw(st.lists(AWKWARD, unique=True, min_size=1, max_size=4))
+    rules = [Rule(name, draw(side), draw(side)) for name in names_]
+    xi = tuple(draw(st.lists(st.sampled_from(pool), max_size=4)))
+    base = draw(st.frozensets(
+        formulas(sig, ["p", "q"], 3) if any(sig.values()) else leaves,
+        min_size=1, max_size=2,
+    ))
+    targets = sorted(subformulas(base), key=canon_key)
+    # drop some formulas beyond the targets, so that the subformula closure
+    # the grounding numbers holds formulas outside the universe
+    extra = sorted(generalized_subformulas(base, xi) - set(targets), key=canon_key)
+    kept = draw(st.lists(st.booleans(), min_size=len(extra), max_size=len(extra)))
+    universe = frozenset(targets).union(f for f, k in zip(extra, kept) if k)
+    return Calculus("random", rules, xi), targets, universe
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_calculi())
+def test_generated_grounding_matches_product_and_filter(case):
+    calc, targets, universe = case
+    for route in (universe, None):
+        ground = _build_instances(calc, targets, route)
+        got = materialized(ground)
+        assert got == reference_instances(calc, targets, route)
+        ids = {f: i for i, f in enumerate(ground.formulas)}
+        assert len(ids) == len(ground.formulas)
+        if route is not None:
+            order = sorted(route, key=canon_key)
+            assert ground.formulas[:len(order)] == order
+        assert len(ground.clauses) == len(ground)
+        for clause, (_, _, ant, succ) in zip(ground.clauses, got):
+            assert clause == sorted(
+                [2 * ids[f] + 1 for f in ant] + [2 * ids[f] for f in succ]
+            )
+
+
 PP6H = FiniteAlgebra(lookup("algebra", "pp6h").payload)
 
 

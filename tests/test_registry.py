@@ -163,6 +163,32 @@ def test_calculus_json_round_trip():
     assert set(again.xi) == set(calc.xi)
 
 
+def test_every_calculus_export_round_trips():
+    # rules, analyticity set, framework and models, for every registered
+    # calculus: Set-Fmla ones and those whose models came from a class
+    for name in names(KIND_CALCULUS):
+        calc = lookup(KIND_CALCULUS, name).payload
+        again = calculus_from_json(calculus_to_json(calc))
+        assert again.name == calc.name
+        assert again.rules == calc.rules
+        assert again.xi == calc.xi
+        assert again.framework == calc.framework
+        assert len(again.models) == len(calc.models)
+        assert all(m is n for m, n in zip(again.models, calc.models))
+        assert calculus_to_json(again) == calculus_to_json(calc)
+
+
+def test_calculus_import_defaults_and_rejects():
+    text = '{"name": "x", "rules": [{"name": "r", "premises": ["p"], ' \
+        '"conclusions": []}]}'
+    calc = calculus_from_json(text)
+    assert calc.framework == "set-set" and calc.models is None
+    with pytest.raises(ValueError):
+        calculus_from_json(text[:-1] + ', "framework": "set-bag"}')
+    with pytest.raises(NotFound):
+        calculus_from_json(text[:-1] + ', "models": ["nonesuch"]}')
+
+
 def test_pp6h_subalgebra_constants():
     for name in ("pp2h", "pp3h", "pp4h"):
         alg = lookup(KIND_ALGEBRA, name).payload

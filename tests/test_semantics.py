@@ -5,6 +5,8 @@ import pytest
 from conftest import make_rng, random_sequent
 from mvlogic.errors import (
     ArityError,
+    FrameworkMismatch,
+    MvlError,
     SignatureMismatch,
     UnknownConnective,
     ValueAbsent,
@@ -118,7 +120,9 @@ def test_check_consequence_order_class_holds():
 
 
 def test_check_consequence_set_fmla_arity():
-    with pytest.raises(ValueError):
+    # an input error, which mvl reports with exit 2, not a crash
+    assert issubclass(FrameworkMismatch, MvlError)
+    with pytest.raises(FrameworkMismatch):
         check_consequence(
             ConsequenceProblem(
                 [MAT_PP6_UB], frozenset(), parse_formula_set("p, q"), SET_FMLA
