@@ -117,18 +117,10 @@ class OutOfBudget:
 class Inconclusive:
     """No proof and no refutation, which no budget changes: the models do
     not interpret every connective of a sequent the calculus does not
-    derive, or the calculus has no analyticity set and its search tried
-    every choice."""
+    derive, or the calculus has no analyticity set and a branch of its
+    search saturated: its label satisfies every instance."""
 
     stats: ProveStats = field(default=None, compare=False)
-
-
-class _Budget(Exception):
-    pass
-
-
-class _Saturated(Exception):
-    pass
 
 
 @lru_cache(maxsize=1024)
@@ -315,23 +307,25 @@ def _model_truths(calc, base, formulas):
 
 
 class _Searcher:
-    """Depth-first search for a proof tree from ground instances.  Each
-    step applies the applicable instances with at most one succedent
-    formula, then branches, trying the candidates in the one order that
-    phase 2 describes.  A branch that saturates (no instance left to apply)
-    only fails the choice that led to it; saturated is set when every
-    choice at the root failed."""
+    """Depth-first search for a proof tree from ground instances, built top
+    down in one work-list loop and never backtracking.  Each node first
+    applies the applicable instances with at most one succedent formula,
+    one unit step per child, then branches on the one candidate that phase
+    2 picks.  When a branch saturates (no instance left to apply), its label
+    satisfies every instance with the premises true and the goal false, so
+    no tree over these instances exists: saturated is set and the search
+    ends."""
 
     def __init__(self, instances, goal, budget, truths=None):
         self.goal = goal
         self.budget = budget
         self.truths = truths
         self.steps = 0
+        self.nodes = 0
         self.saturated = False
         self.names = [i[0] for i in instances]
         self.substs = [i[1] for i in instances]
         self.ants = [i[2] for i in instances]
-        self.succs = [i[3] for i in instances]
         self.by_ant = defaultdict(list)
         self.by_succ = defaultdict(list)
         for idx, (_, _, ant, succ) in enumerate(instances):
@@ -339,11 +333,12 @@ class _Searcher:
                 self.by_ant[f].append(idx)
             for f in succ:
                 self.by_succ[f].append(idx)
-        self.succ_sorted = [sorted(s, key=canon_key) for s in self.succs]
+        self.succ_sorted = [sorted(i[3], key=canon_key) for i in instances]
 
     def run(self, premises):
         """The proof tree of premises that do not meet the goal, or None
-        when the budget ran out or every choice saturated."""
+        when the budget ran out or a branch saturated.  nodes counts the
+        tree's nodes, and stays 0 without a tree."""
         label = set(premises)
         missing = [len(a) for a in self.ants]
         satisfied = bytearray(len(self.ants))
@@ -355,14 +350,97 @@ class _Searcher:
             missing[i] = sum(1 for f in ant if f not in label)
             if missing[i] == 0 and not satisfied[i]:
                 queue.append(i)
-        try:
-            root = self._search(label, missing, satisfied, queue, [])
-        except _Saturated:
-            self.saturated = True
-            return None
-        except _Budget:
-            return None
-        root.adds = frozenset(premises)
+        root = TreeNode(frozenset(premises))
+        nodes = 1
+        # a node to grow, the formula it adds to its parent's state, and
+        # that state; a branch's children share it, and each copies it when
+        # popped.  The root's own state comes with no formula to add.
+        work = [(root, None, (label, missing, satisfied, queue, []))]
+        while work:
+            node, phi, (label, missing, satisfied, queue, pending) = work.pop()
+            if phi is not None:
+                label, missing = set(label), list(missing)
+                satisfied, queue = bytearray(satisfied), []
+                self._add(phi, label, missing, satisfied, queue)
+                pending = [
+                    i for i in pending if missing[i] == 0 and not satisfied[i]
+                ]
+            self.steps += 1
+            if self.steps > self.budget:
+                return None
+            # phase 1: close under non-branching applicable instances
+            while queue:
+                i = queue.pop()
+                if satisfied[i] or missing[i] > 0:
+                    continue
+                succ = self.succ_sorted[i]
+                if len(succ) > 1:
+                    pending.append(i)
+                    continue
+                node.rule, node.subst = self.names[i], self.substs[i]
+                nodes += 1
+                if not succ:
+                    node.children = [TreeNode(star=True)]
+                    break
+                phi = succ[0]
+                self._add(phi, label, missing, satisfied, queue)
+                node.children = [TreeNode(frozenset({phi}))]
+                node = node.children[0]
+                self.steps += 1
+                if self.steps > self.budget:
+                    return None
+                if phi in self.goal:
+                    node.closed = True
+                    break
+            if node.closed or node.children:
+                continue
+            # phase 2: branch on the candidate first in order of its
+            # children that some truth row of the label still designates (a
+            # child no row designates should close), those children's row
+            # weight, the formulas it adds, and its index; without truth
+            # rows, or with no row left, the first two are 0
+            candidates = [
+                i for i in pending if missing[i] == 0 and not satisfied[i]
+            ]
+            if not candidates:
+                self.saturated = True
+                return None
+            # the truth rows designating every formula of the label; -1 has
+            # every row's bit set, for an empty label
+            alive = 0
+            if self.truths is not None:
+                alive = -1
+                for f in label:
+                    alive &= self.truths[f]
+            weight = {}
+
+            def w(f):
+                got = weight.get(f)
+                if got is None:
+                    got = (alive & self.truths[f]).bit_count() if alive else 0
+                    weight[f] = got
+                return got
+
+            def score(i):
+                weights = [
+                    w(f) for f in self.succ_sorted[i]
+                    if f not in self.goal and w(f)
+                ]
+                return (len(weights), sum(weights), len(self.succ_sorted[i]), i)
+
+            best = min(candidates, key=score)
+            node.rule, node.subst = self.names[best], self.substs[best]
+            succ = self.succ_sorted[best]
+            node.children = [
+                TreeNode(frozenset({f}), closed=f in self.goal) for f in succ
+            ]
+            nodes += len(succ)
+            state = (label, missing, satisfied, None, pending)
+            # reversed, so that the first open child is grown first
+            for child, f in zip(node.children[::-1], succ[::-1]):
+                if not child.closed:
+                    work.append((child, f, state))
+        self.nodes = nodes
         return root
 
     def _add(self, phi, label, missing, satisfied, queue):
@@ -373,108 +451,6 @@ class _Searcher:
                 queue.append(i)
         for i in self.by_succ.get(phi, ()):
             satisfied[i] = 1
-
-    def _search(self, label, missing, satisfied, queue, pending):
-        self.steps += 1
-        if self.steps > self.budget:
-            raise _Budget()
-        steps_taken = []
-        # phase 1: close under non-branching applicable instances
-        while queue:
-            i = queue.pop()
-            if satisfied[i] or missing[i] > 0:
-                continue
-            succ = self.succ_sorted[i]
-            if not succ:
-                node = TreeNode(
-                    rule=self.names[i],
-                    subst=self.substs[i],
-                    children=[TreeNode(star=True)],
-                )
-                return self._wrap(steps_taken, node)
-            if len(succ) == 1:
-                phi = succ[0]
-                self._add(phi, label, missing, satisfied, queue)
-                steps_taken.append((i, phi))
-                self.steps += 1
-                if self.steps > self.budget:
-                    raise _Budget()
-                if phi in self.goal:
-                    return self._wrap(steps_taken, TreeNode(closed=True))
-            else:
-                pending.append(i)
-        # phase 2: try the branching instances in order of their children
-        # that some truth row of the label still designates (a child no row
-        # designates should close), those children's row weight, the
-        # formulas they add, and their index; without truth rows, or with
-        # no row left, the first two are 0
-        candidates = [
-            i for i in pending if missing[i] == 0 and not satisfied[i]
-        ]
-        if not candidates:
-            raise _Saturated()
-        # the truth rows designating every formula of the label; -1 has
-        # every row's bit set, for an empty label
-        alive = 0
-        if self.truths is not None:
-            alive = -1
-            for phi in label:
-                alive &= self.truths[phi]
-        weight = {}
-
-        def w(phi):
-            got = weight.get(phi)
-            if got is None:
-                got = (alive & self.truths[phi]).bit_count() if alive else 0
-                weight[phi] = got
-            return got
-
-        def score(i):
-            weights = [
-                w(phi) for phi in self.succ_sorted[i]
-                if phi not in self.goal and w(phi)
-            ]
-            return (len(weights), sum(weights), len(self.succs[i]), i)
-
-        for best in sorted(candidates, key=score):
-            try:
-                children = []
-                for phi in self.succ_sorted[best]:
-                    c_label = set(label)
-                    c_missing = list(missing)
-                    c_satisfied = bytearray(satisfied)
-                    c_queue = []
-                    self._add(phi, c_label, c_missing, c_satisfied, c_queue)
-                    if phi in self.goal:
-                        child = TreeNode(closed=True)
-                    else:
-                        c_pending = [
-                            i
-                            for i in pending
-                            if c_missing[i] == 0 and not c_satisfied[i]
-                        ]
-                        child = self._search(
-                            c_label, c_missing, c_satisfied, c_queue, c_pending
-                        )
-                    child.adds = frozenset({phi})
-                    children.append(child)
-            except _Saturated:
-                continue
-            node = TreeNode(
-                rule=self.names[best], subst=self.substs[best], children=children
-            )
-            return self._wrap(steps_taken, node)
-        raise _Saturated()
-
-    def _wrap(self, steps_taken, node):
-        """Re-chain the unit steps of phase 1 into unary tree nodes; the
-        caller sets what the outermost node adds."""
-        for i, phi in reversed(steps_taken):
-            node.adds = frozenset({phi})
-            node = TreeNode(
-                rule=self.names[i], subst=self.substs[i], children=[node]
-            )
-        return node
 
 
 def prove(calc, premises, goal, budget_nodes=1_000_000):
@@ -493,8 +469,9 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     The solver's assignments and the search's steps share budget_nodes; a
     decided sequent whose tree does not fit stays OutOfBudget.
 
-    Without an analyticity set all instances are searched; a search that
-    saturates every choice is Inconclusive.  A calculus made by
+    Without an analyticity set all instances are searched; a search in
+    which a branch saturated (its label satisfies every instance) is
+    Inconclusive.  A calculus made by
     to_set_fmla_calculus from an analytic source is never searched itself:
     the source's Set-Set proof of the goal is replayed with the disjunction
     rules, and the source's refutation is passed on.  With a non-analytic
@@ -522,12 +499,12 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     tree = searcher.run(premises)
     stats = ProveStats(
         "search", None, len(ground),
-        steps=searcher.steps, nodes=_count_nodes(tree),
+        steps=searcher.steps, nodes=searcher.nodes,
     )
     if tree is not None:
         return Proved(tree, stats)
-    # a search that saturates every choice ends without an answer that a
-    # larger budget could change
+    # a saturated branch ends the search without an answer that a larger
+    # budget could change
     saturated = searcher.saturated
     if calc.source is not None:
         res = _prove_by_simulation(calc, premises, goal, budget_nodes)
@@ -590,18 +567,9 @@ def _decide(calc, premises, goal, universe, ground, budget_nodes):
     # a label closed under the core's instances would satisfy the core
     assert not searcher.saturated
     stats = replace(
-        stats, core=len(core), steps=searcher.steps, nodes=_count_nodes(tree)
+        stats, core=len(core), steps=searcher.steps, nodes=searcher.nodes
     )
     return OutOfBudget(stats) if tree is None else Proved(tree, stats)
-
-
-def _count_nodes(tree):
-    nodes, stack = 0, [tree] if tree is not None else []
-    while stack:
-        node = stack.pop()
-        nodes += 1
-        stack.extend(node.children)
-    return nodes
 
 
 def _or_spine(f):

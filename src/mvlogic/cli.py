@@ -5,7 +5,8 @@ certificate printed, 2 usage or input error, 3 budget exhausted, 4 internal
 error (an unexpected exception, never an answer), 5 inconclusive (no proof
 and no refutation, which no budget changes: the calculus does not derive
 the sequent but its models do not interpret it, or the calculus has no
-analyticity set and its search tried every choice).
+analyticity set and a branch of its search saturated: its label satisfies
+every instance).
 """
 
 from __future__ import annotations
@@ -340,23 +341,16 @@ def cmd_export(args):
     if args.kind == "matrix":
         m = _get_matrix(args.name)
         print(registry.matrix_to_json(m))
-    elif args.kind == "calculus":
+    else:
         calc = _get_calculus(args.name)
         print(registry.calculus_to_json(calc))
-    else:
-        raise UsageError("export kind must be matrix or calculus")
     return EXIT_POSITIVE
 
 
 def cmd_list(args):
     from . import registry
 
-    kinds = [args.kind] if args.kind else [
-        registry.KIND_ALGEBRA,
-        registry.KIND_MATRIX,
-        registry.KIND_MATRIX_CLASS,
-        registry.KIND_CALCULUS,
-    ]
+    kinds = [args.kind] if args.kind else registry.KINDS
     data = {k: registry.names(k) for k in kinds}
     _print(
         args,
@@ -375,6 +369,8 @@ def nonnegative(text):
 
 
 def build_parser():
+    from . import registry
+
     parser = argparse.ArgumentParser(
         prog="mvl", description="Finite many-valued logic workbench"
     )
@@ -438,13 +434,16 @@ def build_parser():
     p.set_defaults(func=cmd_interpolate)
 
     p = sub.add_parser("export", help="emit registry objects as JSON")
-    p.add_argument("--kind", required=True)
+    p.add_argument(
+        "--kind", required=True,
+        choices=(registry.KIND_MATRIX, registry.KIND_CALCULUS),
+    )
     p.add_argument("--name", required=True)
     common(p)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("list", help="list registered names")
-    p.add_argument("--kind")
+    p.add_argument("--kind", choices=registry.KINDS)
     common(p)
     p.set_defaults(func=cmd_list)
 

@@ -478,6 +478,7 @@ KIND_ALGEBRA = "algebra"
 KIND_MATRIX = "matrix"
 KIND_MATRIX_CLASS = "matrix-class"
 KIND_CALCULUS = "calculus"
+KINDS = (KIND_ALGEBRA, KIND_MATRIX, KIND_MATRIX_CLASS, KIND_CALCULUS)
 
 
 class RegistryEntry:

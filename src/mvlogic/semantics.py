@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import prod
 
 from . import kernel
@@ -14,9 +15,10 @@ SET_FMLA = "set-fmla"
 
 
 class MultiAlgebra:
-    """Finite carrier plus one table per connective mapping value tuples to
-    sets of values.  Empty output sets encode partiality; non-singletons
-    encode non-determinism."""
+    """Finite carrier plus one table per connective mapping each tuple of
+    values at its arity to a set of values; a table with a missing entry or
+    a key outside the carrier is a ValueAbsent.  Empty output sets encode
+    partiality; non-singletons encode non-determinism."""
 
     def __init__(self, name, carrier, interp):
         self.name = name
@@ -26,12 +28,18 @@ class MultiAlgebra:
             for conn, table in interp.items()
         }
         self._index = {v: i for i, v in enumerate(self.carrier)}
+        values = set(self.carrier)
         for conn, table in self.interp.items():
-            for key, out in table.items():
-                if not out <= set(self.carrier):
-                    raise ValueAbsent(
-                        "table for %r outputs values outside the carrier" % conn
-                    )
+            n = self.arity(conn)
+            if table.keys() != set(product(self.carrier, repeat=n)):
+                raise ValueAbsent(
+                    "table for %r needs one entry per %d-tuple of the carrier"
+                    % (conn, n)
+                )
+            if not all(out <= values for out in table.values()):
+                raise ValueAbsent(
+                    "table for %r outputs values outside the carrier" % conn
+                )
 
     def arity(self, conn):
         table = self.interp[conn]

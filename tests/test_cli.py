@@ -312,6 +312,31 @@ def test_malformed_file_argument_is_usage_error(tmp_path, capsys):
         assert "is not a valid export" in capsys.readouterr().err
 
 
+def test_incomplete_table_is_input_error(tmp_path, capsys):
+    # a table must have one entry per tuple of the carrier; a missing entry
+    # or a key outside the carrier used to crash evaluation with KeyError
+    assert run(["export", "--kind", "matrix", "--name", "dm4-bt"]) == EXIT_POSITIVE
+    exported = capsys.readouterr().out
+    missing, stray = json.loads(exported), json.loads(exported)
+    del missing["connectives"]["and"]["table"]["t,t"]
+    stray["connectives"]["neg"]["table"]["zz"] = ["t"]
+    for name, data in (("missing", missing), ("stray", stray)):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(data))
+        for argv in (["check", "--premises", "p & q", "--conclusions", "p",
+                      "--matrix"],
+                     ["components", "--matrix"],
+                     ["algebra", "profile", "--algebra"]):
+            assert run(argv + ["@%s" % path]) == EXIT_USAGE
+            assert "one entry per" in capsys.readouterr().err
+
+
+def test_unknown_kind_is_usage_error(capsys):
+    assert run(["list", "--kind", "matrices"]) == EXIT_USAGE
+    assert run(["export", "--kind", "algebra", "--name", "dm4"]) == EXIT_USAGE
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_list(capsys):
     code = run(["list", "--kind", "calculus", "--json"])
     assert code == EXIT_POSITIVE

@@ -1,9 +1,19 @@
-"""validate_tree against random proofs and tampered copies of them."""
+"""validate_tree against random proofs and tampered copies of them, and
+the tree search against a brute-force oracle."""
+
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import copy_tree, random_formula, random_sequent
-from mvlogic.calculus import Proved, prove, validate_tree
+from mvlogic.calculus import (
+    Calculus,
+    Proved,
+    Rule,
+    _Searcher,
+    prove,
+    validate_tree,
+)
 from mvlogic.formula import app, canon_key, var
 from mvlogic.registry import KIND_CALCULUS, lookup
 
@@ -70,3 +80,86 @@ def test_proofs_validate_and_tampering_is_caught(proof, data):
         node = data.draw(st.sampled_from(branching))
         node.children.pop(data.draw(st.integers(0, len(node.children) - 1)))
         assert validate_tree(calc, pruned, premises, goal) is not None
+
+
+def _search(instances, premises, goal, truths=None):
+    """Runs the tree search over ground instances given as (antecedent,
+    succedent) pairs; each tree found must validate on the calculus whose
+    rules are those instances, and count its nodes."""
+    named = [("i%d" % k, {}, frozenset(a), frozenset(s))
+             for k, (a, s) in enumerate(instances)]
+    searcher = _Searcher(named, frozenset(goal), 1_000_000, truths)
+    tree = searcher.run(frozenset(premises))
+    if tree is None:
+        assert searcher.nodes == 0
+    else:
+        calc = Calculus("instances", [Rule(n, a, s) for n, _, a, s in named])
+        assert validate_tree(calc, tree, premises, goal) is None
+        assert searcher.nodes == sum(1 for _ in walk(tree))
+    return searcher, tree
+
+
+@st.composite
+def ground_sequents(draw):
+    """Up to 6 atoms, premises and goal that do not meet, instances with
+    0-2 antecedent and 0-3 succedent atoms, and optional truth rows to
+    steer the branching.  An instance is a case split or one that closes
+    on at most one goal atom; with arbitrary instances, almost every
+    sequent without a model closes before any branching."""
+    atoms = [var("a%d" % i) for i in range(draw(st.integers(1, 6)))]
+    roles = draw(st.lists(st.sampled_from("pg-"), min_size=len(atoms),
+                          max_size=len(atoms)))
+    premises = {a for a, r in zip(atoms, roles) if r == "p"}
+    goal = {a for a, r in zip(atoms, roles) if r == "g"}
+    side = lambda pool, least, most: st.sets(
+        st.sampled_from(pool), min_size=min(least, len(pool)), max_size=most)
+    split = st.tuples(side(atoms, 0, 1), side(atoms, 2, 3))
+    close = st.tuples(side(atoms, 1, 2),
+                      side(sorted(goal, key=canon_key) or atoms, 0, 1))
+    instances = draw(st.lists(split | close, max_size=10))
+    truths = draw(st.none() | st.fixed_dictionaries(
+        {a: st.integers(0, 255) for a in atoms}))
+    return atoms, instances, premises, goal, truths
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ground_sequents())
+def test_search_finds_a_tree_iff_no_model(case):
+    atoms, instances, premises, goal, truths = case
+    # a model: premises true, goal false, and every instance satisfied
+    has_model = any(
+        premises <= true and not (true & goal) and all(
+            not ant <= true or succ & true for ant, succ in instances
+        )
+        for true in (
+            {a for a, bit in zip(atoms, bits) if bit}
+            for bits in product((0, 1), repeat=len(atoms))
+        )
+    )
+    searcher, tree = _search(instances, premises, goal, truths)
+    assert (tree is None) == has_model
+    assert searcher.saturated == has_model
+
+
+def test_saturated_branch_ends_the_search():
+    a, b, c, d, e = (var(x) for x in "abcde")
+    searcher, tree = _search([((), (a, b)), ((), (c, d))], (), {e})
+    # root, its first branch and that branch's own branch: the label a, c
+    # satisfies both instances, so trying another choice cannot close it
+    assert tree is None and searcher.saturated
+    assert searcher.steps == 3
+    # depth first: the first child's subtree closes in 3 steps before its
+    # sibling b saturates
+    searcher, tree = _search([((), (a, b)), ((a,), (c,)), ((c,), (e,))],
+                             (), {e})
+    assert tree is None and searcher.saturated
+    assert searcher.steps == 5
+
+
+def test_long_branching_chain_builds_without_recursion():
+    q = [var("q%d" % i) for i in range(3001)]
+    g = var("g")
+    instances = [((q[i],), (q[i + 1], g)) for i in range(3000)]
+    searcher, tree = _search(instances + [((q[3000],), (g,))], {q[0]}, {g})
+    assert tree is not None and not searcher.saturated
+    assert (searcher.nodes, searcher.steps) == (6002, 3002)
