@@ -4,7 +4,6 @@ disjunction transform."""
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
@@ -50,7 +49,7 @@ class Calculus:
     models: list = None
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     """A derivation step.  A node's label is the union of `adds` on the
     path from the root: the root adds the premises, each child of a rule
@@ -223,6 +222,15 @@ class _Ground(list):
         )
 
 
+@lru_cache(maxsize=1024)
+def _rule_heads(rule):
+    """The connectives of a rule's formulas."""
+    return frozenset(
+        f.head for f in subformulas(rule.antecedent | rule.succedent)
+        if f.args is not None
+    )
+
+
 def _build_instances(calc, targets, universe):
     """Ground every rule by mapping its variables into `targets` (a subset
     of `universe`, when given); keep an instance only if all of its
@@ -231,8 +239,10 @@ def _build_instances(calc, targets, universe):
     the rest of its subformula closure, is numbered, and a table gives the
     id of (head, argument ids).  Each rule's generated loops (see
     _compiled_rule) look subterms up in the table; one missing lies outside
-    the universe, so the loops drop its prefix with all its extensions.
-    Without a universe the lookup builds and numbers the subterm instead.
+    the universe, so the loops drop its prefix with all its extensions.  A
+    rule with a connective that heads no numbered formula has no instance
+    inside the universe, and is skipped before it is compiled.  Without a
+    universe the lookup builds and numbers the subterm instead.
     The assignments come out in product order, and each kept instance
     emits its clause straight from the ids."""
     formulas = sorted(targets if universe is None else universe, key=canon_key)
@@ -260,10 +270,15 @@ def _build_instances(calc, targets, universe):
             return g
     else:
         size, get = len(universe), table.get
+    heads = None
+    if universe is not None:
+        heads = {f.head for f in formulas if f.args is not None}
     tids = [ids[t] for t in targets]
     out = _Ground(targets, formulas)
     seen = set()
     for rule in calc.rules:
+        if heads is not None and not _rule_heads(rule) <= heads:
+            continue
         vs, ground = _compiled_rule(rule)
         out.rule_variables[rule.name] = vs
         ground(get, tids, size, seen, out.clauses, out, rule.name)
@@ -314,10 +329,13 @@ class _Searcher:
     2 picks.  When a branch saturates (no instance left to apply), its label
     satisfies every instance with the premises true and the goal false, so
     no tree over these instances exists: saturated is set and the search
-    ends."""
+    ends.
+
+    The search runs on bitsets: the instances' formulas are numbered, a
+    label is an int with the bits of its formulas, and instance i applies
+    to a label when ant[i] & ~label and succ[i] & label are both 0."""
 
     def __init__(self, instances, goal, budget, truths=None):
-        self.goal = goal
         self.budget = budget
         self.truths = truths
         self.steps = 0
@@ -325,45 +343,73 @@ class _Searcher:
         self.saturated = False
         self.names = [i[0] for i in instances]
         self.substs = [i[1] for i in instances]
-        self.ants = [i[2] for i in instances]
-        self.by_ant = defaultdict(list)
-        self.by_succ = defaultdict(list)
+        self.number = {}
+        self.formulas = []
+        self.by_ant = []
+        self.ant = []
+        self.succ = []
+        self.succ_sorted = []
         for idx, (_, _, ant, succ) in enumerate(instances):
-            for f in ant:
-                self.by_ant[f].append(idx)
-            for f in succ:
-                self.by_succ[f].append(idx)
-        self.succ_sorted = [sorted(i[3], key=canon_key) for i in instances]
+            bits = [self._bit(f) for f in ant]
+            for b in bits:
+                self.by_ant[b].append(idx)
+            self.ant.append(sum(1 << b for b in bits))
+            bits = [self._bit(f) for f in sorted(succ, key=canon_key)]
+            self.succ.append(sum(1 << b for b in bits))
+            self.succ_sorted.append(bits)
+        # per number: the formula as a node's adds, and whether it is a
+        # goal formula
+        self.adds = [frozenset({f}) for f in self.formulas]
+        self.in_goal = [f in goal for f in self.formulas]
+
+    def _bit(self, f):
+        b = self.number.get(f)
+        if b is None:
+            b = self.number[f] = len(self.formulas)
+            self.formulas.append(f)
+            self.by_ant.append([])
+        return b
 
     def run(self, premises):
         """The proof tree of premises that do not meet the goal, or None
         when the budget ran out or a branch saturated.  nodes counts the
         tree's nodes, and stays 0 without a tree."""
-        label = set(premises)
-        missing = [len(a) for a in self.ants]
-        satisfied = bytearray(len(self.ants))
-        queue = []
-        for f in label:
-            for i in self.by_succ.get(f, ()):
-                satisfied[i] = 1
-        for i, ant in enumerate(self.ants):
-            missing[i] = sum(1 for f in ant if f not in label)
-            if missing[i] == 0 and not satisfied[i]:
-                queue.append(i)
+        ants, succs, adds, in_goal = self.ant, self.succ, self.adds, self.in_goal
+        label = 0
+        for f in premises:
+            if f in self.number:
+                label |= 1 << self.number[f]
+        queue = [
+            i for i in range(len(ants))
+            if not ants[i] & ~label and not succs[i] & label
+        ]
+        # the truth rows designating every formula of the label, carried
+        # down the tree: -1 (every row) for an empty label, and 0 without
+        # truth rows, where every formula's rows are 0 too
+        alive, rows = 0, [0] * len(self.formulas)
+        if self.truths is not None:
+            alive = -1
+            for f in premises:
+                alive &= self.truths[f]
+            rows = [self.truths[f] for f in self.formulas]
         root = TreeNode(frozenset(premises))
         nodes = 1
-        # a node to grow, the formula it adds to its parent's state, and
-        # that state; a branch's children share it, and each copies it when
-        # popped.  The root's own state comes with no formula to add.
-        work = [(root, None, (label, missing, satisfied, queue, []))]
+        # a node to grow, the bit of the formula it adds to its parent's
+        # state, and that state; a branch's children share it.  The root's
+        # own state comes with no formula to add.
+        work = [(root, -1, (label, alive, queue, []))]
         while work:
-            node, phi, (label, missing, satisfied, queue, pending) = work.pop()
-            if phi is not None:
-                label, missing = set(label), list(missing)
-                satisfied, queue = bytearray(satisfied), []
-                self._add(phi, label, missing, satisfied, queue)
+            node, b, (label, alive, queue, pending) = work.pop()
+            if b >= 0:
+                label |= 1 << b
+                alive &= rows[b]
+                queue = [
+                    i for i in self.by_ant[b]
+                    if not ants[i] & ~label and not succs[i] & label
+                ]
                 pending = [
-                    i for i in pending if missing[i] == 0 and not satisfied[i]
+                    i for i in pending
+                    if not ants[i] & ~label and not succs[i] & label
                 ]
             self.steps += 1
             if self.steps > self.budget:
@@ -371,7 +417,7 @@ class _Searcher:
             # phase 1: close under non-branching applicable instances
             while queue:
                 i = queue.pop()
-                if satisfied[i] or missing[i] > 0:
+                if succs[i] & label or ants[i] & ~label:
                     continue
                 succ = self.succ_sorted[i]
                 if len(succ) > 1:
@@ -382,14 +428,19 @@ class _Searcher:
                 if not succ:
                     node.children = [TreeNode(star=True)]
                     break
-                phi = succ[0]
-                self._add(phi, label, missing, satisfied, queue)
-                node.children = [TreeNode(frozenset({phi}))]
+                b = succ[0]
+                label |= 1 << b
+                alive &= rows[b]
+                queue += [
+                    i for i in self.by_ant[b]
+                    if not ants[i] & ~label and not succs[i] & label
+                ]
+                node.children = [TreeNode(adds[b])]
                 node = node.children[0]
                 self.steps += 1
                 if self.steps > self.budget:
                     return None
-                if phi in self.goal:
+                if in_goal[b]:
                     node.closed = True
                     break
             if node.closed or node.children:
@@ -400,57 +451,38 @@ class _Searcher:
             # weight, the formulas it adds, and its index; without truth
             # rows, or with no row left, the first two are 0
             candidates = [
-                i for i in pending if missing[i] == 0 and not satisfied[i]
+                i for i in pending
+                if not ants[i] & ~label and not succs[i] & label
             ]
             if not candidates:
                 self.saturated = True
                 return None
-            # the truth rows designating every formula of the label; -1 has
-            # every row's bit set, for an empty label
-            alive = 0
-            if self.truths is not None:
-                alive = -1
-                for f in label:
-                    alive &= self.truths[f]
             weight = {}
 
-            def w(f):
-                got = weight.get(f)
+            def w(b):
+                got = weight.get(b)
                 if got is None:
-                    got = (alive & self.truths[f]).bit_count() if alive else 0
-                    weight[f] = got
+                    got = (alive & rows[b]).bit_count() if alive else 0
+                    weight[b] = got
                 return got
 
             def score(i):
-                weights = [
-                    w(f) for f in self.succ_sorted[i]
-                    if f not in self.goal and w(f)
-                ]
-                return (len(weights), sum(weights), len(self.succ_sorted[i]), i)
+                succ = self.succ_sorted[i]
+                weights = [w(b) for b in succ if not in_goal[b] and w(b)]
+                return (len(weights), sum(weights), len(succ), i)
 
             best = min(candidates, key=score)
             node.rule, node.subst = self.names[best], self.substs[best]
             succ = self.succ_sorted[best]
-            node.children = [
-                TreeNode(frozenset({f}), closed=f in self.goal) for f in succ
-            ]
+            node.children = [TreeNode(adds[b], closed=in_goal[b]) for b in succ]
             nodes += len(succ)
-            state = (label, missing, satisfied, None, pending)
+            state = (label, alive, None, pending)
             # reversed, so that the first open child is grown first
-            for child, f in zip(node.children[::-1], succ[::-1]):
+            for child, b in zip(node.children[::-1], succ[::-1]):
                 if not child.closed:
-                    work.append((child, f, state))
+                    work.append((child, b, state))
         self.nodes = nodes
         return root
-
-    def _add(self, phi, label, missing, satisfied, queue):
-        label.add(phi)
-        for i in self.by_ant.get(phi, ()):
-            missing[i] -= 1
-            if missing[i] == 0 and not satisfied[i]:
-                queue.append(i)
-        for i in self.by_succ.get(phi, ()):
-            satisfied[i] = 1
 
 
 def prove(calc, premises, goal, budget_nodes=1_000_000):
@@ -859,12 +891,20 @@ def validate_tree(calc, tree, premises, goal):
     """None if the tree derives goal from premises, else the first node
     found at fault.  One label set serves the whole walk: a node's adds
     join it on entry and leave it on exit, and every child is checked to
-    add exactly one new formula before it is entered."""
+    add exactly one new formula before it is entered.
+
+    Nodes made from one ground instance share its substitution dict, so a
+    dict's substituted sides are kept under its id once a second node
+    uses it, and reused while the entry holds that very dict and rule.  A
+    dict used once, as each step of a Set-Fmla replay chain has, is not
+    kept."""
     premises = frozenset(premises)
     goal = frozenset(goal)
     rules = {r.name: r for r in calc.rules}
     if not tree.adds <= premises:
         return tree
+    sides = {}
+    used = set()
     label = set()
     stack = [(tree, False)]
     while stack:
@@ -883,8 +923,17 @@ def validate_tree(calc, tree, premises, goal):
         rule = rules.get(node.rule)
         if rule is None:
             return node
-        ant = frozenset(substitute(f, node.subst) for f in rule.antecedent)
-        succ = frozenset(substitute(f, node.subst) for f in rule.succedent)
+        subst = node.subst
+        hit = sides.get(id(subst))
+        if hit is not None and hit[0] is subst and hit[1] is rule:
+            ant, succ = hit[2], hit[3]
+        else:
+            ant = frozenset(substitute(f, subst) for f in rule.antecedent)
+            succ = frozenset(substitute(f, subst) for f in rule.succedent)
+            if id(subst) in used:
+                sides[id(subst)] = (subst, rule, ant, succ)
+            else:
+                used.add(id(subst))
         if not ant <= label:
             return node
         if not succ:

@@ -11,7 +11,9 @@ Each learnt clause remembers the clauses it was resolved from and the
 level-0 variables whose literals analysis dropped.  An unsatisfiable answer
 walks these back from the final conflict to the input clauses it used,
 after Zhang & Malik, *Extracting small unsatisfiable cores from
-unsatisfiable Boolean formulas* (SAT 2003).
+unsatisfiable Boolean formulas* (SAT 2003).  ``minimize`` shrinks such a
+core by deletion, and rotates the model of each satisfiable trial to find
+further needed clauses without solving for them.
 """
 
 from __future__ import annotations
@@ -50,12 +52,20 @@ def minimize(clauses, core, droppable, budget):
     """Shrink an unsatisfiable core (sorted indices into ``clauses``) until
     leaving out any of its clauses below index ``droppable`` makes it
     satisfiable.  Each such clause in turn is left out, and an
-    unsatisfiable rest is cut to its own core.  The Outcome's core is None
-    past the budget; its counts add up every solve."""
+    unsatisfiable rest is cut to its own core.  A satisfiable rest's model
+    is rotated (see _rotate): every clause the rotation shows to be needed
+    is kept later without a solve, since a clause needed in a core stays
+    needed in every smaller core that holds it.  So the core is the one
+    deletion alone would find, with fewer assignments.  The Outcome's core
+    is None past the budget; its counts add up every solve."""
     i = used = conflicts = 0
+    needed = set()
     while i < len(core):
         if core[i] >= droppable:
             break
+        if core[i] in needed:
+            i += 1
+            continue
         trial = core[:i] + core[i + 1:]
         # number the trial's variables afresh, in the same order
         names = sorted({q >> 1 for ci in trial for q in clauses[ci]})
@@ -70,10 +80,49 @@ def minimize(clauses, core, droppable, budget):
         if out.core is not None:
             core = [trial[k] for k in out.core]
         elif out.model is not None:
+            # per variable, the core's clauses that hold it
+            occurs = {}
+            for ci in core:
+                for q in clauses[ci]:
+                    occurs.setdefault(q >> 1, []).append(ci)
+            needed.add(core[i])
+            _rotate(clauses, occurs, dict(zip(names, out.model)), core[i],
+                    droppable, needed)
             i += 1
         else:
             return Outcome(None, None, used, conflicts)
     return Outcome(None, core, used, conflicts)
+
+
+def _rotate(clauses, occurs, model, start, droppable, needed):
+    """Recursive model rotation (Marques-Silva & Lynce, *On improving MUS
+    extraction algorithms*, SAT 2011; Belov & Marques-Silva, *Accelerating
+    MUS extraction with recursive model rotation*, FMCAD 2011).  ``model``
+    (variable -> bool) falsifies exactly the core's clause ``start``.
+    Flipping the variable of one of its literals satisfies it; when the
+    flipped model falsifies exactly one other clause of the core, that
+    clause is needed.  A droppable one not yet in ``needed`` is added and
+    rotated from in turn, depth first, before the variable flips back.  The
+    work list holds (clause, position of the next literal to flip)."""
+    work = [(start, 0)]
+    while work:
+        ci, k = work.pop()
+        c = clauses[ci]
+        if k:
+            v = c[k - 1] >> 1
+            model[v] = not model[v]
+        if k == len(c):
+            continue
+        v = c[k] >> 1
+        model[v] = not model[v]
+        work.append((ci, k + 1))
+        false = [
+            cj for cj in occurs[v]
+            if cj != ci and not any(model[q >> 1] != q & 1 for q in clauses[cj])
+        ]
+        if len(false) == 1 and false[0] < droppable and false[0] not in needed:
+            needed.add(false[0])
+            work.append((false[0], 0))
 
 
 class _Solver:

@@ -155,6 +155,36 @@ def test_validate_tree_rejects_tampering():
     assert validate_tree(R_B, pruned, premises, goal) is not None
 
 
+def _walk(tree):
+    """The nodes in validate_tree's order."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children)
+
+
+def test_validate_tree_checks_a_node_whose_sides_are_kept():
+    # nodes of the k=2 ladder tree that apply one instance share its
+    # substitution dict: the second such node keeps the sides it
+    # substituted and the third reuses them, and both must still check
+    # their children
+    premises = parse_formula_set("~(p1 & p2)")
+    goal = parse_formula_set("~p1 | ~p2")
+    tree = prove(R_LEQ, premises, goal).tree
+    steps = [node for node in _walk(tree) if node.children]
+    uses = {}
+    for k, node in enumerate(steps):
+        uses.setdefault(id(node.subst), []).append(k)
+    _, second, third = next(ks for ks in uses.values() if len(ks) >= 3)[:3]
+    for k in (second, third):
+        # copy_tree keeps the substitution dicts
+        bad = copy_tree(tree)
+        node = [node for node in _walk(bad) if node.children][k]
+        node.children[0].adds = frozenset({var("r")})
+        assert validate_tree(R_LEQ, bad, premises, goal) is node
+
+
 def _full_search(calc, premises, goal):
     """The tree search over every ground instance, the route of a calculus
     without an analyticity set, run here on an analytic one."""
@@ -230,11 +260,31 @@ def test_wider_ladder_within_the_benchmark_budget():
     assert isinstance(res, Proved)
     stats = res.stats
     assert (stats.core, stats.nodes) == (73, 20_164)
+    # the deletion trials rotate their models, so many solves are spared
+    assert stats.assignments == 9_849
     assert stats.assignments + stats.steps <= 50_000
     assert validate_tree(R_LEQ, res.tree, premises, goal) is None
     # short of the budget the decided sequent still has no certificate
     res = prove(R_LEQ, premises, goal, budget_nodes=20_000)
     assert isinstance(res, OutOfBudget)
+
+
+def test_r_up_wider_ladder_within_the_benchmark_budget():
+    # the k=3 ladder on r-up needs the largest tree of the prover's
+    # workload: it fits only because model rotation keeps the core's
+    # minimization to 13,379 assignments
+    calc = lookup(KIND_CALCULUS, "r-up").payload
+    premises = parse_formula_set("~(p1 & p2 & p3)")
+    goal = parse_formula_set("~p1 | ~p2 | ~p3")
+    res = prove(calc, premises, goal, budget_nodes=50_000)
+    assert isinstance(res, Proved)
+    stats = res.stats
+    assert (stats.core, stats.steps, stats.nodes, stats.assignments) == (
+        95, 36_273, 39_954, 13_379
+    )
+    assert stats.assignments + stats.steps <= 50_000
+    assert _count(res.tree) == stats.nodes
+    assert validate_tree(calc, res.tree, premises, goal) is None
 
 
 def test_refutation_needs_interpreted_connectives():

@@ -13,7 +13,13 @@ from conftest import formulas, materialized
 from mvlogic import kernel
 from mvlogic.algebra import FiniteAlgebra, check_identity
 from mvlogic.axiomatizer import unary_profile
-from mvlogic.calculus import Calculus, Rule, _build_instances, _model_truths
+from mvlogic.calculus import (
+    Calculus,
+    Rule,
+    _build_instances,
+    _compiled_rule,
+    _model_truths,
+)
 from mvlogic.formula import (
     app,
     canon_key,
@@ -368,6 +374,21 @@ def test_grounding_edge_cases():
     assert names_.count("pair") == len(targets) * (len(targets) + 1) // 2
 
 
+def test_grounding_skips_a_rule_without_compiling_it():
+    # no formula of the universe of p, q has a "xor": the rule is left
+    # out before it is compiled; the search route grounds it
+    p, q = var("p"), var("q")
+    rule = Rule("xor_only", frozenset({app("xor", p, q)}), frozenset({p}))
+    calc = Calculus("xor", [rule], ())
+    targets = [p, q]
+    misses = _compiled_rule.cache_info().misses
+    ground = _build_instances(calc, targets, frozenset(targets))
+    assert len(ground) == 0
+    assert _compiled_rule.cache_info().misses == misses
+    assert len(_build_instances(calc, targets, None)) == 4
+    assert _compiled_rule.cache_info().misses == misses + 1
+
+
 # connective and rule names that the generated grounding code must not
 # splice into its source as text
 AWKWARD = st.text(alphabet="ab'\"\\\n", min_size=1, max_size=3)
@@ -378,7 +399,9 @@ def random_calculi(draw):
     """A calculus over connectives of arity 0-2 with awkward names, of rules
     with 0-3 variables, empty sides, formulas repeated within and across
     rules and sides meeting, and targets and a universe for it, which is
-    not always closed under subformulas."""
+    not always closed under subformulas; and the names of the rules, put
+    in among the others, that use a connective which neither the targets
+    nor the universe have."""
     heads = draw(st.lists(AWKWARD, unique=True, max_size=3))
     sig = {h: draw(st.integers(0, 2)) for h in heads}
     leaves = st.sampled_from(["p", "q", "r"]).map(var)
@@ -391,6 +414,17 @@ def random_calculi(draw):
     names_ = draw(st.lists(AWKWARD, unique=True, min_size=1, max_size=4))
     rules = [Rule(name, draw(side), draw(side)) for name in names_]
     xi = tuple(draw(st.lists(st.sampled_from(pool), max_size=4)))
+    fresh = draw(AWKWARD.filter(lambda h: h not in sig))
+    args = st.lists(st.sampled_from(pool), max_size=2)
+    lacking = []
+    for name in draw(st.lists(AWKWARD.filter(lambda n: n not in names_),
+                              unique=True, max_size=2)):
+        f = app(fresh, *draw(args))
+        rule = Rule(name, draw(side) | {f}, draw(side))
+        if draw(st.booleans()):
+            rule = Rule(name, rule.succedent, rule.antecedent)
+        rules.insert(draw(st.integers(0, len(rules))), rule)
+        lacking.append(name)
     base = draw(st.frozensets(
         formulas(sig, ["p", "q"], 3) if any(sig.values()) else leaves,
         min_size=1, max_size=2,
@@ -401,17 +435,22 @@ def random_calculi(draw):
     extra = sorted(generalized_subformulas(base, xi) - set(targets), key=canon_key)
     kept = draw(st.lists(st.booleans(), min_size=len(extra), max_size=len(extra)))
     universe = frozenset(targets).union(f for f, k in zip(extra, kept) if k)
-    return Calculus("random", rules, xi), targets, universe
+    return Calculus("random", rules, xi), targets, universe, lacking
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(random_calculi())
 def test_generated_grounding_matches_product_and_filter(case):
-    calc, targets, universe = case
+    calc, targets, universe, lacking = case
     for route in (universe, None):
         ground = _build_instances(calc, targets, route)
         got = materialized(ground)
         assert got == reference_instances(calc, targets, route)
+        if route is not None:
+            # the rules the universe lacks a connective of are skipped
+            kept = [r for r in calc.rules if r.name not in lacking]
+            rest = _build_instances(Calculus("rest", kept, calc.xi), targets, route)
+            assert rest.clauses == ground.clauses and list(rest) == list(ground)
         ids = {f: i for i, f in enumerate(ground.formulas)}
         assert len(ids) == len(ground.formulas)
         if route is not None:

@@ -1,12 +1,16 @@
 """The CDCL solver against brute force: models satisfy, cores are
 unsatisfiable, minimized cores are minimal, runs repeat, and the budget
-bounds the assignments."""
+bounds the assignments.  Core minimization with model rotation against
+deletion alone."""
 
+import random
 from itertools import product
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from mvlogic.sat import minimize, solve
+from mvlogic import sat
+from mvlogic.sat import Outcome, minimize, solve
 
 
 def satisfies(bits, clauses):
@@ -69,3 +73,92 @@ def test_budget_bounds_the_assignments():
 
 def test_empty_clause_is_its_own_core():
     assert solve(2, [[0, 2], [], [1]], 10).core == [1]
+
+
+def deletion_only(clauses, core, droppable, budget):
+    """Core minimization by deletion alone, without model rotation."""
+    i = used = conflicts = 0
+    while i < len(core):
+        if core[i] >= droppable:
+            break
+        trial = core[:i] + core[i + 1:]
+        names = sorted({q >> 1 for ci in trial for q in clauses[ci]})
+        new = {v: k for k, v in enumerate(names)}
+        out = solve(
+            len(names),
+            [[2 * new[q >> 1] | q & 1 for q in clauses[ci]] for ci in trial],
+            budget - used,
+        )
+        used += out.assignments
+        conflicts += out.conflicts
+        if out.core is not None:
+            core = [trial[k] for k in out.core]
+        elif out.model is not None:
+            i += 1
+        else:
+            return Outcome(None, None, used, conflicts)
+    return Outcome(None, core, used, conflicts)
+
+
+def check_rotation(nvars, clauses, fixed):
+    """minimize finds deletion's core with no more work, and each clause
+    its rotation marks as needed leaves that core satisfiable when it is
+    removed.  The number of marks."""
+    out = solve(nvars, clauses, 10**6)
+    if out.core is None:
+        return 0
+    marks = []
+    rotate = sat._rotate
+
+    def spy(clauses_, occurs, model, start, droppable, needed):
+        before = set(needed)
+        rotate(clauses_, occurs, model, start, droppable, needed)
+        core = sorted({ci for cis in occurs.values() for ci in cis})
+        marks.append((core, needed - before - {start}))
+
+    with mock.patch.object(sat, "_rotate", spy):
+        got = minimize(clauses, out.core, fixed, 10**6)
+    want = deletion_only(clauses, out.core, fixed, 10**6)
+    assert got.core == want.core
+    assert got.assignments <= want.assignments
+    assert got.conflicts <= want.conflicts
+    for core, marked in marks:
+        for ci in marked:
+            assert ci < fixed
+            rest = [clauses[j] for j in core if j != ci]
+            assert brute_sat(nvars, rest)
+    return sum(len(marked) for _, marked in marks)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cnfs(), st.booleans())
+def test_rotation_keeps_the_deletion_core(cnf, all_droppable):
+    nvars, clauses = cnf
+    check_rotation(nvars, clauses, len(clauses) // (1 if all_droppable else 2))
+
+
+def test_rotation_on_dense_random_3cnfs():
+    # 40 random 3-clauses over 6 variables are nearly always unsatisfiable,
+    # with cores where a flipped model often falsifies two clauses at once
+    marks = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        clauses = [
+            sorted(2 * v + rng.randrange(2) for v in rng.sample(range(6), 3))
+            for _ in range(40)
+        ]
+        marks += check_rotation(6, clauses, len(clauses))
+    assert marks > 100
+
+
+def test_rotation_spares_the_solves_of_a_chain():
+    # every clause of the chain is needed: one trial's model rotates
+    # through all the others, so the rest need no solve
+    clauses = [[2 * v + 1, 2 * v + 2] for v in range(9)] + [[0], [19]]
+    core = solve(10, clauses, 10**6).core
+    first = solve(10, clauses[1:], 10**6)
+    least = minimize(clauses, core, len(clauses), 10**6)
+    assert least.core == core
+    assert (least.assignments, least.conflicts) == (
+        first.assignments, first.conflicts
+    )
