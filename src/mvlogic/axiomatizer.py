@@ -3,7 +3,7 @@ automatic generation of analytic Set-Set rules for matrix refinements."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from . import kernel
@@ -16,13 +16,15 @@ from .formula import app, substitute, subformulas, var, variables
 class Discriminator:
     """Per carrier value: formulas in one variable p whose value sets land
     inside the designated set (pos) or its complement (neg).  explored
-    counts the unary-clone formulas examined, and depth is the connective
-    depth of the last one."""
+    counts the unary-clone formulas examined, depth is the connective
+    depth of the last one, and candidates counts the candidate profiles
+    the clone walk evaluated to find them."""
 
     pos: dict
     neg: dict
     explored: int
     depth: int
+    candidates: int = field(default=0, compare=False)
 
     def formulas(self, value):
         return self.pos.get(value, frozenset()) | self.neg.get(value, frozenset())
@@ -31,13 +33,14 @@ class Discriminator:
 @dataclass
 class NotMonadic:
     """A value pair no examined formula separates; saturated when the
-    examined formulas are the whole unary clone.  explored and depth are as
-    in Discriminator."""
+    examined formulas are the whole unary clone.  explored, depth and
+    candidates are as in Discriminator."""
 
     witness: tuple
     saturated: bool
     explored: int
     depth: int
+    candidates: int = field(default=0, compare=False)
 
 
 def unary_profile(m, formula):
@@ -67,7 +70,8 @@ def find_discriminator(m, max_depth):
     """Search for a discriminator; each returned formula is a smallest-depth
     separator for some value pair.  When every pair is separated the matrix
     is monadic; otherwise the first unseparated pair is the witness,
-    definitive when the unary clone saturated below max_depth."""
+    definitive when the unary clone saturated below max_depth (always when
+    max_depth is None: the walk then ends only at saturation)."""
     carrier = m.carrier
     n = len(carrier)
     des = kernel.compiled(m.algebra).mask_of(m.designated)
@@ -76,7 +80,8 @@ def find_discriminator(m, max_depth):
     explored = 0
     saturated = True
     last_depth = -1
-    for depth, f, profile in kernel.enumerate_unary(m.algebra, max_depth):
+    walk = kernel.UnaryWalk(m.algebra, max_depth)
+    for depth, f, profile in walk:
         explored += 1
         last_depth = depth
         hits = []
@@ -90,11 +95,13 @@ def find_discriminator(m, max_depth):
         if not pending:
             break
     else:
-        saturated = last_depth < max_depth
+        saturated = max_depth is None or last_depth < max_depth
     if pending:
         i, j = sorted(pending)[0]
         witness = (carrier[i], carrier[j])
-        return NotMonadic(witness, saturated, explored, last_depth)
+        return NotMonadic(
+            witness, saturated, explored, last_depth, walk.candidates
+        )
     pos = {a: set() for a in carrier}
     neg = {a: set() for a in carrier}
     for f, profile, hits in found:
@@ -110,6 +117,7 @@ def find_discriminator(m, max_depth):
         {a: frozenset(v) for a, v in neg.items()},
         explored,
         last_depth,
+        walk.candidates,
     )
 
 

@@ -231,7 +231,8 @@ def cmd_axiomatize(args):
         _print(
             args,
             {"result": "out-of-budget", "unseparated": list(d.witness),
-             "explored": d.explored},
+             "explored": d.explored, "depth": d.depth,
+             "candidates": d.candidates},
             "Out of budget: no separator found up to depth %d; "
             "unseparated pair: %s, %s" % ((args.max_depth,) + d.witness),
         )
@@ -240,7 +241,8 @@ def cmd_axiomatize(args):
         _print(
             args,
             {"result": "not-monadic", "witness": list(d.witness),
-             "explored": d.explored},
+             "explored": d.explored, "depth": d.depth,
+             "candidates": d.candidates},
             "Not monadic; unseparated pair: %s, %s" % d.witness,
         )
         return EXIT_NEGATIVE

@@ -83,6 +83,25 @@ def test_discriminator_search_reports_its_work():
     assert res == NotMonadic(("hf", "f"), False, 3, 0)
 
 
+def test_unbounded_search_ends_at_saturation():
+    m = lookup("matrix", "pp6h-ut").payload
+    res = find_discriminator(m, None)
+    assert res == NotMonadic(("n", "b"), saturated=True, explored=192, depth=5)
+
+
+@pytest.mark.parametrize("name, depth, candidates", [
+    # the walk evaluates exactly these many candidate profiles; starting
+    # the last argument of a symmetric connective at the head keeps them
+    # this low
+    ("m-leq", None, 374_544),
+    ("pp6h-ut", None, 74_304),
+    ("pp6-ub", 3, 6),
+])
+def test_clone_walk_candidate_counts(name, depth, candidates):
+    res = find_discriminator(lookup("matrix", name).payload, depth)
+    assert res.candidates == candidates
+
+
 def test_pp6_ub_discriminator_table():
     d = find_discriminator(MAT_PP6_UB, 1)
     assert isinstance(d, Discriminator)

@@ -367,6 +367,7 @@ def test_axiomatize_unseparated_within_depth_is_out_of_budget(capsys):
     assert run(argv + ["--json"]) == EXIT_BUDGET
     assert json.loads(capsys.readouterr().out) == {
         "result": "out-of-budget", "unseparated": ["hf", "f"], "explored": 3,
+        "depth": 0, "candidates": 0,
     }
 
 
@@ -378,6 +379,7 @@ def test_axiomatize_saturated_clone_is_not_monadic(capsys):
     assert run(argv) == EXIT_NEGATIVE
     assert json.loads(capsys.readouterr().out) == {
         "result": "not-monadic", "witness": ["n", "b"], "explored": 192,
+        "depth": 5, "candidates": 74_304,
     }
 
 

@@ -197,12 +197,13 @@ def reference_enumerate_unary(alg, max_depth=None):
 
 
 @st.composite
-def multialgebras(draw):
-    """A set-valued algebra on 2 to 4 values, with up to four connectives of
-    arity 0 to 3 (at most one ternary), binary tables symmetric or not;
-    output sets may be empty.  Returns (algebra, depth bound): depth 2 with
-    a ternary connective, else 3, and saturation on two values."""
-    carrier = "abcd"[: draw(st.integers(2, 4))]
+def multialgebras(draw, sizes=(2, 4)):
+    """A set-valued algebra on sizes[0] to sizes[1] values, with up to four
+    connectives of arity 0 to 3 (at most one ternary), binary tables
+    symmetric or not; output sets may be empty.  Returns (algebra, depth
+    bound): depth 2 with a ternary connective or more than 4 values, else
+    3, and saturation on two values."""
+    carrier = "abcdefg"[: draw(st.integers(*sizes))]
     outputs = st.frozensets(st.sampled_from(carrier))
     arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
     if arities.count(3) > 1:
@@ -218,7 +219,7 @@ def multialgebras(draw):
     alg = MultiAlgebra("random", carrier, interp)
     if len(carrier) == 2:
         return alg, None
-    return alg, 2 if 3 in arities else 3
+    return alg, 2 if 3 in arities or len(carrier) > 4 else 3
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -227,6 +228,24 @@ def test_clone_walk_matches_reference(case):
     alg, depth = case
     want = list(reference_enumerate_unary(alg, depth))
     assert list(kernel.enumerate_unary(alg, depth)) == want
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(multialgebras((5, 7)))
+def test_clone_walk_on_several_blocks_matches_reference(case):
+    # 5 to 7 carrier positions fill one block of kernel.BLOCK and leave a
+    # shorter last one
+    alg, depth = case
+    want = list(reference_enumerate_unary(alg, depth))
+    assert list(kernel.enumerate_unary(alg, depth)) == want
+
+
+@pytest.mark.parametrize("name", ["pp6h-ut", "m-leq"])
+def test_clone_walk_to_saturation_matches_reference(name):
+    alg = lookup("matrix", name).payload.algebra
+    assert list(kernel.enumerate_unary(alg)) == list(
+        reference_enumerate_unary(alg)
+    )
 
 
 @pytest.mark.parametrize(
