@@ -6,17 +6,19 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from . import kernel
-from .errors import CarrierTooLarge, MissingConnective, TooManyVariables
+from .errors import CarrierTooLarge, MissingConnective, NotALattice, TooManyVariables
 from .formula import app, parse_formula, subformulas, var, variables
 from .semantics import MultiAlgebra, PNMatrix
 
-DEFAULT_CARRIER_BOUND = 12
-DEFAULT_VARIABLE_BOUND = 4
+# identities over more variables, or algebras over more values, are refused:
+# the checks and the closures below enumerate carrier^variables and subsets
+CARRIER_BOUND = 12
+VARIABLE_BOUND = 4
 
 
 class FiniteAlgebra:
     """A deterministic total multialgebra with single-valued operations and,
-    when a bounded-lattice reduct is present, the order derived from meet."""
+    when and/or are present, the lattice order derived from meet."""
 
     def __init__(self, multi):
         if not (multi.is_deterministic() and multi.is_total()):
@@ -28,8 +30,7 @@ class FiniteAlgebra:
             conn: {k: next(iter(v)) for k, v in table.items()}
             for conn, table in multi.interp.items()
         }
-        self._leq = None
-        if {"and", "or", "top", "bot"} <= set(self.ops):
+        if self.has("and", "or"):
             self._check_lattice()
 
     def op(self, conn, *args):
@@ -45,21 +46,26 @@ class FiniteAlgebra:
         return self.op("and", a, b) == a
 
     def _check_lattice(self):
-        meet = self.ops["and"]
-        join = self.ops["or"]
-        top = self.op("top")
-        bot = self.op("bot")
-        for a in self.carrier:
-            if not (self.leq(bot, a) and self.leq(a, top)):
-                raise ValueError("top/bot are not lattice bounds")
-        for a, b in product(self.carrier, repeat=2):
-            if meet[(a, b)] != meet[(b, a)] or join[(a, b)] != join[(b, a)]:
-                raise ValueError("lattice operations are not commutative")
-            # absorption fixes meet/join as glb/lub of the derived order
-            if self.op("and", a, self.op("or", a, b)) != a:
-                raise ValueError("absorption fails")
-            if self.op("or", a, self.op("and", a, b)) != a:
-                raise ValueError("absorption fails")
+        """and/or are a lattice's meet and join (commutative, associative
+        and absorptive) and top/bot, when present, bound its order: the
+        up-set filters and the Heyting identities rely on it."""
+        meet, join = self.ops["and"], self.ops["or"]
+        carrier = self.carrier
+        for a, b in product(carrier, repeat=2):
+            if meet[a, b] != meet[b, a] or join[a, b] != join[b, a]:
+                raise NotALattice("lattice operations are not commutative")
+            if meet[a, join[a, b]] != a or join[a, meet[a, b]] != a:
+                raise NotALattice("absorption fails")
+        for a, b, c in product(carrier, repeat=3):
+            if meet[a, meet[b, c]] != meet[meet[a, b], c] or (
+                join[a, join[b, c]] != join[join[a, b], c]
+            ):
+                raise NotALattice("lattice operations are not associative")
+        for a in carrier:
+            if (self.has("bot") and not self.leq(self.op("bot"), a)) or (
+                self.has("top") and not self.leq(a, self.op("top"))
+            ):
+                raise NotALattice("top/bot are not lattice bounds")
 
     def eval_formula(self, f, assignment):
         if f.is_var:
@@ -70,7 +76,7 @@ class FiniteAlgebra:
         return "FiniteAlgebra(%r)" % (self.name,)
 
 
-def check_identity(alg, lhs, rhs, variable_bound=DEFAULT_VARIABLE_BOUND):
+def check_identity(alg, lhs, rhs):
     """Exhaustively check lhs ≈ rhs; returns None for valid, else the first
     counterexample assignment in canonical order."""
     if isinstance(lhs, str):
@@ -78,8 +84,8 @@ def check_identity(alg, lhs, rhs, variable_bound=DEFAULT_VARIABLE_BOUND):
     if isinstance(rhs, str):
         rhs = parse_formula(rhs)
     vs = sorted(variables(lhs) | variables(rhs))
-    if len(vs) > variable_bound:
-        raise TooManyVariables("%d variables exceed the bound %d" % (len(vs), variable_bound))
+    if len(vs) > VARIABLE_BOUND:
+        raise TooManyVariables("%d variables exceed the bound %d" % (len(vs), VARIABLE_BOUND))
     kernel.check_signature(alg.multi, subformulas((lhs, rhs)))
     k = kernel.compiled(alg.multi)
     tables = k.single_valued(k.all)
@@ -98,13 +104,13 @@ def check_identity(alg, lhs, rhs, variable_bound=DEFAULT_VARIABLE_BOUND):
     return {v: alg.carrier[i] for v, i in zip(vs, hit[1])}
 
 
-def check_inequality(alg, lhs, rhs, variable_bound=DEFAULT_VARIABLE_BOUND):
+def check_inequality(alg, lhs, rhs):
     """lhs ≤ rhs encoded as lhs ≈ lhs ∧ rhs."""
     if isinstance(lhs, str):
         lhs = parse_formula(lhs)
     if isinstance(rhs, str):
         rhs = parse_formula(rhs)
-    return check_identity(alg, lhs, app("and", lhs, rhs), variable_bound)
+    return check_identity(alg, lhs, app("and", lhs, rhs))
 
 
 def residuum_of_meet(alg):
@@ -131,106 +137,75 @@ def _delta_map(alg):
     raise MissingConnective("Δ needs ∘/∧ or ⇒/∼")
 
 
-VARIETY_SUITES = {
-    "DeMorgan": (
-        {"and", "or", "neg", "top", "bot"},
+# The paper's equational bases: (name, connectives required, laws), each law
+# an identity "l == r" or an inequality "l <= r" valid in every algebra of
+# the variety.  The Heyting identities make => the relative pseudocomplement
+# of the lattice meet; nabla is the derived x | ~@x.
+_DEMORGAN = ["~~x == x", "~(x & y) == ~x | ~y"]
+_PP = [
+    "@@x == top",
+    "@x == @~x",
+    "@top == top",
+    "x & ~x & @x == bot",
+    "@(x & y) == (@x | @y) & (@x | ~y) & (@y | ~x)",
+]
+_HEYTING = [
+    "x => x == top",
+    "x & (x => y) == x & y",
+    "y & (x => y) == y",
+    "x => (y & z) == (x => y) & (x => z)",
+]
+_LATTICE = {"and", "or", "top", "bot"}
+VARIETIES = [
+    ("DeMorgan", _LATTICE | {"neg"}, _DEMORGAN + ["x & (y | z) == (x & y) | (x & z)"]),
+    ("PP", _LATTICE | {"neg", "circ"}, _PP),
+    (
+        "InvolutiveStone",
+        _LATTICE | {"neg", "circ"},
         [
-            ("~~x", "x"),
-            ("~(x & y)", "~x | ~y"),
-            ("x & (y | z)", "(x & y) | (x & z)"),
+            "nabla(bot) == bot",
+            "x & nabla(x) == x",
+            "nabla(x & y) == nabla(x) & nabla(y)",
+            "~nabla(x) & nabla(x) == bot",
         ],
     ),
-    "PP": (
-        {"and", "or", "neg", "circ", "top", "bot"},
-        [
-            ("@@x", "top"),
-            ("@x", "@~x"),
-            ("@top", "top"),
-            ("x & ~x & @x", "bot"),
-            ("@(x & y)", "(@x | @y) & (@x | ~y) & (@y | ~x)"),
+    ("SymmetricHeyting", _LATTICE | {"neg", "imp"}, _HEYTING + _DEMORGAN),
+    (
+        "PPImp",
+        _LATTICE | {"neg", "circ", "imp"},
+        _PP + _HEYTING + _DEMORGAN
+        + [
+            "@(x1 => x2) & @(x2 => x3)"
+            " <= @x1 | @x4 | @(x4 => x3) | @(x3 => x2) | @(x2 => x1)"
         ],
     ),
-}
+]
 
 
-def _nabla_formula(alg):
-    # ∇ as a derived term: x ∨ ∼∘x when ∘ is present
-    if alg.has("circ"):
-        return parse_formula("x | ~(@x)")
-    raise MissingConnective("∇ needs ∘")
+def _holds(alg, law):
+    if " <= " in law:
+        return check_inequality(alg, *law.split(" <= ")) is None
+    return check_identity(alg, *law.split(" == ")) is None
 
 
 def variety_profile(alg):
-    names = set()
-    for name, (required, pairs) in VARIETY_SUITES.items():
-        if required <= set(alg.ops) and all(
-            check_identity(alg, l, r) is None for l, r in pairs
-        ):
-            names.add(name)
-
-    # InvolutiveStone: IS1-IS4 over the derived ∇
-    try:
-        nabla = _nabla_formula(alg)
-        x, y = var("x"), var("y")
-        from .formula import substitute
-
-        def nb(f):
-            return substitute(nabla, {"x": f})
-
-        is_eqs = [
-            (nb(app("bot")), app("bot")),
-            (app("and", x, nb(x)), x),
-            (nb(app("and", x, y)), app("and", nb(x), nb(y))),
-            (app("and", app("neg", nb(x)), nb(x)), app("bot")),
-        ]
-        if {"and", "or", "neg", "top", "bot"} <= set(alg.ops) and all(
-            check_identity(alg, l, r) is None for l, r in is_eqs
-        ):
-            names.add("InvolutiveStone")
-    except MissingConnective:
-        pass
-
-    # SymmetricHeyting: ⇒ is the residuum of ∧ and ∼ is a De Morgan negation
-    if alg.has("imp", "and", "or", "neg", "top", "bot"):
-        table, _ = residuum_of_meet(alg)
-        heyting = table is not None and all(
-            alg.op("imp", a, b) == table[(a, b)] for a, b in product(alg.carrier, repeat=2)
-        )
-        demorgan = (
-            check_identity(alg, "~~x", "x") is None
-            and check_identity(alg, "~(x & y)", "~x | ~y") is None
-        )
-        if heyting and demorgan:
-            names.add("SymmetricHeyting")
-
-    # PPImp: PP reduct + SHA + the four-variable ∘/⇒ inequality
-    if alg.has("imp", "circ", "and", "or", "neg", "top", "bot"):
-        ineq_ok = (
-            check_inequality(
-                alg,
-                "@(x1 => x2) & @(x2 => x3)",
-                "@x1 | @x4 | @(x4 => x3) | @(x3 => x2) | @(x2 => x1)",
-            )
-            is None
-        )
-        if "PP" in names and "SymmetricHeyting" in names and ineq_ok:
-            names.add("PPImp")
-
-    # DeltaIdempotent: ΔΔx ≈ Δx for the derived Δ
+    """The varieties of VARIETIES whose laws alg satisfies, and
+    DeltaIdempotent when the Δ term function is idempotent."""
+    names = {
+        name
+        for name, required, laws in VARIETIES
+        if alg.has(*required) and all(_holds(alg, law) for law in laws)
+    }
     try:
         delta = _delta_map(alg)
-        if all(delta[delta[a]] == delta[a] for a in alg.carrier):
-            names.add("DeltaIdempotent")
     except MissingConnective:
-        pass
+        return names
+    if all(delta[delta[a]] == delta[a] for a in alg.carrier):
+        names.add("DeltaIdempotent")
     return names
 
 
 # --- congruences ---------------------------------------------------------
-
-def _partition_key(blocks):
-    return tuple(sorted(tuple(sorted(b)) for b in blocks))
-
 
 class Congruence:
     def __init__(self, carrier, blocks):
@@ -248,7 +223,7 @@ class Congruence:
         return self._cls[a] is self._cls[b]
 
     def key(self):
-        return _partition_key(self.blocks)
+        return tuple(sorted(tuple(sorted(b)) for b in self.blocks))
 
     def is_identity(self):
         return all(len(b) == 1 for b in self.blocks)
@@ -261,7 +236,9 @@ class Congruence:
 
 def _close_congruence(alg, pairs):
     """Smallest congruence containing the given pairs (union-find plus
-    saturation under unary polynomial translations)."""
+    saturation under unary polynomial translations).  A pair whose members
+    are already related needs no translations of its own: they follow from
+    those of the pairs that related them."""
     parent = {a: a for a in alg.carrier}
 
     def find(x):
@@ -272,27 +249,19 @@ def _close_congruence(alg, pairs):
 
     def union(a, b):
         ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
         parent[ra] = rb
-        return True
+        return ra != rb
 
-    work = [p for p in pairs]
-    for a, b in pairs:
-        union(a, b)
+    work = [(a, b) for a, b in pairs if union(a, b)]
     while work:
         a, b = work.pop()
         for conn, table in alg.ops.items():
             k = alg.arity(conn)
-            if k == 0:
-                continue
             for pos in range(k):
                 for rest in product(alg.carrier, repeat=k - 1):
-                    ta = rest[:pos] + (a,) + rest[pos:]
-                    tb = rest[:pos] + (b,) + rest[pos:]
-                    ra, rb = table[ta], table[tb]
-                    if find(ra) != find(rb):
-                        union(ra, rb)
+                    ra = table[rest[:pos] + (a,) + rest[pos:]]
+                    rb = table[rest[:pos] + (b,) + rest[pos:]]
+                    if union(ra, rb):
                         work.append((ra, rb))
     blocks = {}
     for x in alg.carrier:
@@ -300,41 +269,40 @@ def _close_congruence(alg, pairs):
     return Congruence(alg.carrier, blocks.values())
 
 
-def congruences(alg, carrier_bound=DEFAULT_CARRIER_BOUND):
-    if len(alg.carrier) > carrier_bound:
-        raise CarrierTooLarge(str(len(alg.carrier)))
+def _bounded(alg):
+    n = len(alg.carrier)
+    if n > CARRIER_BOUND:
+        raise CarrierTooLarge("%d values exceed the bound %d" % (n, CARRIER_BOUND))
+
+
+def congruences(alg):
+    """Every congruence, as a join of principal congruences: a work list
+    joins each congruence found with each principal congruence once."""
+    _bounded(alg)
     identity = Congruence(alg.carrier, [[a] for a in alg.carrier])
-    found = {identity.key(): identity}
-    principals = []
-    for a, b in combinations(alg.carrier, 2):
-        theta = _close_congruence(alg, [(a, b)])
-        principals.append(theta)
-        found.setdefault(theta.key(), theta)
-    # close under join
-    changed = True
-    while changed:
-        changed = False
-        current = list(found.values())
-        for t1 in current:
-            for t2 in principals:
-                pairs = []
-                for th in (t1, t2):
-                    for block in th.blocks:
-                        bl = sorted(block)
-                        pairs.extend((bl[0], x) for x in bl[1:])
-                joined = _close_congruence(alg, pairs)
-                if joined.key() not in found:
-                    found[joined.key()] = joined
-                    changed = True
-    return sorted(found.values(), key=lambda c: (len(c.blocks), c.key()), reverse=False)
+    principals = {}
+    for pair in combinations(alg.carrier, 2):
+        theta = _close_congruence(alg, [pair])
+        principals.setdefault(theta.key(), theta)
+    found = {identity.key(): identity, **principals}
+    work = list(found.values())
+    while work:
+        t1 = work.pop()
+        for t2 in principals.values():
+            pairs = [(min(b), x) for th in (t1, t2) for b in th.blocks for x in b]
+            joined = _close_congruence(alg, pairs)
+            if joined.key() not in found:
+                found[joined.key()] = joined
+                work.append(joined)
+    return sorted(found.values(), key=lambda c: (len(c.blocks), c.key()))
 
 
-def leibniz_and_reduce(m, carrier_bound=DEFAULT_CARRIER_BOUND):
+def leibniz_and_reduce(m):
     alg = FiniteAlgebra(m.algebra) if not isinstance(m.algebra, FiniteAlgebra) else m.algebra
     designated = m.designated
     compatible = [
         c
-        for c in congruences(alg, carrier_bound)
+        for c in congruences(alg)
         if all(b <= designated or not (b & designated) for b in c.blocks)
     ]
     # the Leibniz congruence is the greatest compatible one
@@ -378,32 +346,14 @@ FILTER_REGULAR = "Regular"
 
 
 def filters(alg, flavor=FILTER_LATTICE):
+    """The lattice filters of the given flavor.  A filter of a finite
+    lattice is the up-set of its meet, so every filter is principal and the
+    filters are the up-sets of the carrier values."""
     if not alg.has("and", "or", "top"):
         raise MissingConnective("filters need a lattice reduct")
     carrier = alg.carrier
-    top = alg.op("top")
-    out = []
-    for size in range(1, len(carrier) + 1):
-        for subset in combinations(carrier, size):
-            f = frozenset(subset)
-            if top not in f:
-                continue
-            if not all(alg.op("and", a, b) in f for a, b in product(f, repeat=2)):
-                continue
-            if not all(
-                b in f for a in f for b in carrier if alg.leq(a, b)
-            ):
-                continue
-            out.append(f)
-    if flavor == FILTER_LATTICE:
-        pass
-    elif flavor == FILTER_PRINCIPAL:
-        out = [
-            f
-            for f in out
-            if any(f == frozenset(b for b in carrier if alg.leq(a, b)) for a in f)
-        ]
-    elif flavor == FILTER_PRIME:
+    out = [frozenset(b for b in carrier if alg.leq(a, b)) for a in carrier]
+    if flavor == FILTER_PRIME:
         out = [
             f
             for f in out
@@ -417,14 +367,13 @@ def filters(alg, flavor=FILTER_LATTICE):
     elif flavor == FILTER_REGULAR:
         delta = _delta_map(alg)
         out = [f for f in out if all(delta[a] in f for a in f)]
-    else:
+    elif flavor not in (FILTER_LATTICE, FILTER_PRINCIPAL):
         raise ValueError("unknown filter flavor %r" % flavor)
     return sorted(out, key=lambda f: (len(f), tuple(sorted(f))))
 
 
-def subalgebras(alg, carrier_bound=DEFAULT_CARRIER_BOUND):
-    if len(alg.carrier) > carrier_bound:
-        raise CarrierTooLarge(str(len(alg.carrier)))
+def subalgebras(alg):
+    _bounded(alg)
     constants = {alg.op(c) for c in alg.ops if alg.arity(c) == 0}
 
     def close(seed):
@@ -448,12 +397,11 @@ def subalgebras(alg, carrier_bound=DEFAULT_CARRIER_BOUND):
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def unary_term_functions(alg, carrier_bound=DEFAULT_CARRIER_BOUND):
+def unary_term_functions(alg):
     """The full unary clone as a map function-tuple -> witness formula, the
     kernel enumeration's one formula per function, of least connective
     depth.  Every profile mask holds one value: alg is deterministic."""
-    if len(alg.carrier) > carrier_bound:
-        raise CarrierTooLarge(str(len(alg.carrier)))
+    _bounded(alg)
     return {
         tuple(alg.carrier[m.bit_length() - 1] for m in profile): f
         for _, f, profile in kernel.enumerate_unary(alg.multi)

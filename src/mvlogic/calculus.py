@@ -16,7 +16,6 @@ from .errors import (
     SignatureMismatch,
 )
 from .formula import (
-    SIG_PP_IMP,
     app,
     big_or,
     canon_key,
@@ -1008,12 +1007,12 @@ def classify_partition(part):
 def countermodel_from_partition(part, variant):
     """Extract a PP6⇒H valuation on Λ and a principal filter separating the
     saturated partition; for the `leq` variant the filter never sits at t."""
-    from .registry import ALG_PP6H, V6, leq6
-    from .semantics import PNMatrix, solve_valuations
+    from .registry import ALG_PP6H, MAT_PP6H
 
+    tables = ALG_PP6H.interp
     classes, groups = classify_partition(part)
-    lam = set(classes) | {phi for g in groups for phi in g}
-    omega_lam = part.omega & lam
+    lam = sorted(set(classes) | {phi for g in groups for phi in g}, key=canon_key)
+    omega_lam = part.omega & set(lam)
     filter_values = ["f", "n", "b", "t", "ht"]
     if variant == VARIANT_LEQ:
         filter_values.remove("t")
@@ -1032,20 +1031,18 @@ def countermodel_from_partition(part, variant):
             for phi in groups[gi]:
                 assign[phi] = value
         for a in filter_values:
-            upset = frozenset(v for v in V6 if leq6(a, v))
-            ok = all(
-                (assign[phi] in upset) == (phi in omega_lam) for phi in lam
-            )
-            if not ok:
+            upset = MAT_PP6H[a].designated
+            if any((assign[phi] in upset) != (phi in omega_lam) for phi in lam):
                 continue
-            matrix = PNMatrix("pp6h-u%s" % a, ALG_PP6H, upset)
-            cons = {phi: frozenset({assign[phi]}) for phi in lam}
-            found = solve_valuations(matrix, lam, cons, limit=1)
-            if not found:
-                raise ClassificationError(
-                    "classification is not a legal valuation"
-                )
-            return found[0], a
+            # ALG_PP6H is deterministic: the classes are a valuation when
+            # each compound takes the value its table gives its arguments'
+            if any(
+                assign[phi] not in tables[phi.head][tuple(assign[x] for x in phi.args)]
+                for phi in lam
+                if not phi.is_var
+            ):
+                raise ClassificationError("classification is not a legal valuation")
+            return {phi: assign[phi] for phi in lam}, a
     raise ClassificationError("no separating principal filter exists")
 
 
@@ -1066,12 +1063,12 @@ def _fresh_variable(calc):
                 return name
 
 
-def to_set_fmla_calculus(calc, sig=None):
-    sig = sig or SIG_PP_IMP
+def to_set_fmla_calculus(calc):
     if calc.framework != SET_SET:
         raise FrameworkMismatch("%s is not a Set-Set calculus" % calc.name)
-    if "or" not in sig:
-        raise MissingDisjunction("signature has no disjunction connective")
+    for m in calc.models or ():
+        if "or" not in m.algebra.interp:
+            raise MissingDisjunction("%s does not interpret or" % m.name)
     p, q, r = var("p"), var("q"), var("r")
     base = [
         Rule("or_intro", frozenset({p}), frozenset({app("or", p, q)})),

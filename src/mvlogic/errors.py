@@ -59,6 +59,10 @@ class MissingConnective(MvlError):
     pass
 
 
+class NotALattice(MvlError):
+    pass
+
+
 class PremiseNotEntailed(MvlError):
     pass
 

@@ -197,7 +197,7 @@ def cip_failure_certificate():
     witness entailment: sweeps the full unary clone, evaluating both required
     entailments at the valuation dictated by the separation argument."""
     from .algebra import FiniteAlgebra, unary_term_functions
-    from .registry import ALG_PP6H, ORDER_CLASS, V6, leq6
+    from .registry import ALG_PP6H, ORDER_CLASS
 
     alg = FiniteAlgebra(ALG_PP6H)
     phi, goal = cip_witness()
@@ -206,10 +206,7 @@ def cip_failure_certificate():
     fixed = {"p": "b", "q": "n", "r": "b", "s": "hf"}
     phi_val = alg.eval_formula(phi, fixed)
     goal_val = alg.eval_formula(goal, fixed)
-    filters = [
-        frozenset(v for v in V6 if leq6(m.name.rsplit("-u", 1)[1], v))
-        for m in ORDER_CLASS
-    ]
+    filters = [m.designated for m in ORDER_CLASS]
     s_index = alg.carrier.index(fixed["s"])
     report = CipReport(confirmed, len(clone))
     for func, witness in sorted(clone.items(), key=lambda kv: canon_key(kv[1])):

@@ -130,6 +130,9 @@ def eval_multiop(alg, conn, args):
     return table[key]
 
 
+_EXHAUSTED = object()
+
+
 def solve_valuations(m, domain, constraints, limit=None):
     """Legal valuations on a subformula-closed domain, restricted by the
     constraint sets; deterministic order from the carrier order and the
@@ -152,21 +155,24 @@ def solve_valuations(m, domain, constraints, limit=None):
             return list(opts)
         return [v for v in opts if v in cons]
 
-    def rec(i):
+    if limit is not None and limit <= 0:
+        return results
+    if not order:
+        return [{}]
+    # depth-first, without recursion: choices[i] iterates order[i]'s values
+    choices = [iter(allowed(order[0]))]
+    while choices:
+        v = next(choices[-1], _EXHAUSTED)
+        if v is _EXHAUSTED:
+            choices.pop()
+            continue
+        assign[order[len(choices) - 1]] = v
+        if len(choices) < len(order):
+            choices.append(iter(allowed(order[len(choices)])))
+            continue
+        results.append(dict(assign))
         if limit is not None and len(results) >= limit:
-            return
-        if i == len(order):
-            results.append(dict(assign))
-            return
-        f = order[i]
-        for v in allowed(f):
-            assign[f] = v
-            rec(i + 1)
-            if limit is not None and len(results) >= limit:
-                return
-        assign.pop(f, None)
-
-    rec(0)
+            break
     return results
 
 

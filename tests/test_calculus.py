@@ -1,6 +1,9 @@
 """Proof search, tree validation, countermodels and the disjunction
 transform."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,10 +29,14 @@ from mvlogic.calculus import (
     tree_to_json,
     validate_tree,
 )
-from mvlogic.errors import FrameworkMismatch, MissingDisjunction, MvlError
+from mvlogic.errors import (
+    ClassificationError,
+    FrameworkMismatch,
+    MissingDisjunction,
+    MvlError,
+)
 from mvlogic.formula import (
     Formula,
-    Signature,
     app,
     canon_key,
     generalized_subformulas,
@@ -38,12 +45,14 @@ from mvlogic.formula import (
     subformulas,
     var,
 )
-from mvlogic.registry import KIND_CALCULUS, MAT_PP6H, lookup, names
+from mvlogic.registry import ALG_PP6H, KIND_CALCULUS, MAT_PP6H, lookup, names
 from mvlogic.semantics import (
     SET_FMLA,
     ConsequenceProblem,
     Fails,
     Holds,
+    MultiAlgebra,
+    PNMatrix,
     check_consequence,
     solve_valuations,
 )
@@ -127,6 +136,34 @@ def test_countermodel_from_refutation():
     # the classification is a legal valuation of the matrix
     cons = {f: frozenset({v}) for f, v in valuation.items()}
     assert solve_valuations(matrix, set(valuation), cons, limit=1)
+
+
+def test_countermodel_reads_tables_without_search(monkeypatch):
+    goal = parse_formula_set("(p | q) => p, q")
+    res = prove(R_LEQ, frozenset(), goal)
+    want = countermodel_from_partition(res.partition, "leq")
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("countermodel_from_partition searched valuations")
+
+    monkeypatch.setattr("mvlogic.semantics.solve_valuations", no_search)
+    assert countermodel_from_partition(res.partition, "leq") == want
+
+
+def test_countermodel_rejects_illegal_classification(monkeypatch):
+    p, q = var("p"), var("q")
+    part = SimpleNamespace(omega=frozenset())
+    for value, legal in (("t", True), ("f", False)):
+        classes = {p: "t", q: "t", app("and", p, q): value}
+        monkeypatch.setattr(
+            "mvlogic.calculus.classify_partition", lambda _: (classes, [])
+        )
+        if legal:
+            # nothing is in omega, so only the filter at ht separates
+            assert countermodel_from_partition(part, "up") == (classes, "ht")
+        else:
+            with pytest.raises(ClassificationError, match="not a legal valuation"):
+                countermodel_from_partition(part, "up")
 
 
 def test_validate_tree_rejects_tampering():
@@ -343,9 +380,10 @@ def test_transform_framework_and_source():
 
 
 def test_transform_needs_disjunction():
-    sig = Signature({"and": 2, "neg": 1})
-    with pytest.raises(MissingDisjunction):
-        to_set_fmla_calculus(R_LEQ, sig)
+    interp = {c: t for c, t in ALG_PP6H.interp.items() if c != "or"}
+    model = PNMatrix("no-or", MultiAlgebra("no-or", ALG_PP6H.carrier, interp), {"ht"})
+    with pytest.raises(MissingDisjunction, match="no-or"):
+        to_set_fmla_calculus(replace(R_LEQ, models=[model]))
 
 
 def test_transform_needs_set_set_source():

@@ -331,6 +331,24 @@ def test_incomplete_table_is_input_error(tmp_path, capsys):
             assert "one entry per" in capsys.readouterr().err
 
 
+def test_check_wide_balanced_conjunction(capsys):
+    # 999 domain formulas but nesting 9: the valuation search once recursed
+    # per domain formula and crashed with RecursionError on pp6a1-ub
+    def balanced(names):
+        if len(names) == 1:
+            return names[0]
+        half = len(names) // 2
+        return "(%s & %s)" % (balanced(names[:half]), balanced(names[half:]))
+
+    conclusion = balanced(["p%d" % i for i in range(500)])
+    for matrix, path in (("pp6a1-ub", "backtrack"), ("pp6-ub", "bitset")):
+        code = run(["check", "--matrix", matrix, "--conclusions", conclusion, "--json"])
+        assert code == EXIT_NEGATIVE
+        data = json.loads(capsys.readouterr().out)
+        assert data["result"] == "fails" and data["stats"]["path"] == path
+        assert set(data["witness"].values()) == {"hf"}
+
+
 def test_unknown_kind_is_usage_error(capsys):
     assert run(["list", "--kind", "matrices"]) == EXIT_USAGE
     assert run(["export", "--kind", "algebra", "--name", "dm4"]) == EXIT_USAGE

@@ -146,3 +146,15 @@ def test_heyting_implication_not_classic_like():
         )
     )
     assert isinstance(res, Fails)
+
+
+def test_cip_certificate_takes_filters_from_the_matrices(monkeypatch):
+    from mvlogic import registry
+    from mvlogic.semantics import PNMatrix
+
+    want = cip_failure_certificate()
+    renamed = [
+        PNMatrix("m%d" % i, m.algebra, m.designated) for i, m in enumerate(ORDER_CLASS)
+    ]
+    monkeypatch.setattr(registry, "ORDER_CLASS", renamed)
+    assert cip_failure_certificate() == want

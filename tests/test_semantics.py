@@ -1,8 +1,9 @@
 """Multialgebras, valuation search, consequence and total components."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_rng, random_sequent
+from conftest import formulas, make_rng, random_sequent
 from mvlogic.errors import (
     ArityError,
     FrameworkMismatch,
@@ -11,7 +12,14 @@ from mvlogic.errors import (
     UnknownConnective,
     ValueAbsent,
 )
-from mvlogic.formula import app, parse_formula, parse_formula_set, subformulas, var
+from mvlogic.formula import (
+    app,
+    canon_key,
+    parse_formula,
+    parse_formula_set,
+    subformulas,
+    var,
+)
 from mvlogic.registry import (
     ALG_PP6,
     ALG_PP6A1,
@@ -89,6 +97,63 @@ def test_solve_valuations_partial_entry_kills():
         {p: frozenset({"bm"}), q: frozenset({"bp"})},
     )
     assert found == []
+
+
+def reference_solve_valuations(m, domain, constraints, limit=None):
+    """solve_valuations as first written: one recursive call per domain
+    formula, in canonical order, values in carrier order."""
+    alg = m.algebra
+    order = sorted(domain, key=canon_key)
+    results = []
+    assign = {}
+
+    def allowed(f):
+        if f.is_var:
+            opts = alg.carrier
+        else:
+            opts = alg.sort_values(
+                eval_multiop(alg, f.head, tuple(assign[a] for a in f.args))
+            )
+        cons = constraints.get(f)
+        return list(opts) if cons is None else [v for v in opts if v in cons]
+
+    def rec(i):
+        if limit is not None and len(results) >= limit:
+            return
+        if i == len(order):
+            results.append(dict(assign))
+            return
+        f = order[i]
+        for v in allowed(f):
+            assign[f] = v
+            rec(i + 1)
+            if limit is not None and len(results) >= limit:
+                return
+        assign.pop(f, None)
+
+    rec(0)
+    return results
+
+
+SEARCHED = [MAT_PP6A1_UB, MAT_M_UP, MAT_PP6_UB, MAT_PP6H["b"]]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_solve_valuations_matches_recursive_reference(data):
+    m = data.draw(st.sampled_from(SEARCHED), label="matrix")
+    side = formulas(m.algebra.connectives, ["p", "q"], max_leaves=4)
+    domain = subformulas(data.draw(st.lists(side, min_size=1, max_size=2)))
+    values = st.frozensets(st.sampled_from(m.carrier), min_size=1)
+    cons = {
+        f: data.draw(values)
+        for f in sorted(domain, key=canon_key)
+        if data.draw(st.booleans())
+    }
+    limit = data.draw(st.sampled_from([None, 0, 1, 3]))
+    got = solve_valuations(m, domain, cons, limit)
+    want = reference_solve_valuations(m, domain, cons, limit)
+    assert [list(w.items()) for w in got] == [list(w.items()) for w in want]
 
 
 def test_check_consequence_reflexivity():
