@@ -140,8 +140,10 @@ def _delta_map(alg):
 # The paper's equational bases: (name, connectives required, laws), each law
 # an identity "l == r" or an inequality "l <= r" valid in every algebra of
 # the variety.  The Heyting identities make => the relative pseudocomplement
-# of the lattice meet; nabla is the derived x | ~@x.
+# of the lattice meet, and so the lattice distributive; nabla is the derived
+# x | ~@x.  PP and involutive Stone algebras are De Morgan algebras.
 _DEMORGAN = ["~~x == x", "~(x & y) == ~x | ~y"]
+_DEMORGAN_LATTICE = _DEMORGAN + ["x & (y | z) == (x & y) | (x & z)"]
 _PP = [
     "@@x == top",
     "@x == @~x",
@@ -157,12 +159,12 @@ _HEYTING = [
 ]
 _LATTICE = {"and", "or", "top", "bot"}
 VARIETIES = [
-    ("DeMorgan", _LATTICE | {"neg"}, _DEMORGAN + ["x & (y | z) == (x & y) | (x & z)"]),
-    ("PP", _LATTICE | {"neg", "circ"}, _PP),
+    ("DeMorgan", _LATTICE | {"neg"}, _DEMORGAN_LATTICE),
+    ("PP", _LATTICE | {"neg", "circ"}, _PP + _DEMORGAN_LATTICE),
     (
         "InvolutiveStone",
         _LATTICE | {"neg", "circ"},
-        [
+        _DEMORGAN_LATTICE + [
             "nabla(bot) == bot",
             "x & nabla(x) == x",
             "nabla(x & y) == nabla(x) & nabla(y)",

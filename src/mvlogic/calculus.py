@@ -1,5 +1,5 @@
-"""Set-Set Hilbert calculi, analytic proving by clause learning and proof
-search, countermodel extraction from saturated partitions, and the Set-Fmla
+"""Set-Set Hilbert calculi, proving by clause learning and proof search,
+countermodel extraction from saturated partitions, and the Set-Fmla
 disjunction transform."""
 
 from __future__ import annotations
@@ -65,16 +65,14 @@ class TreeNode:
 @dataclass(frozen=True)
 class ProveStats:
     """The work behind a prove answer.  route is "cdcl" when the clause set
-    of an analytic calculus was solved (and a proof tree searched over its
-    unsatisfiable core), "search" when a calculus without an analyticity
-    set was searched, "replay" when a Set-Fmla answer came from the
+    of the ground instances was solved (and a proof tree searched over its
+    unsatisfiable core), "replay" when a Set-Fmla answer came from the
     source calculus, and "closed" when the premises meet the goal: the root
     closes before any grounding, so every count is 0 but the one node.
-    universe is None without an analyticity set or work; core
-    counts the instances in the minimal unsatisfiable core, steps the tree
-    search's steps and nodes the proof tree's nodes.  assignments (those of
-    the core's minimization included) plus steps count against
-    budget_nodes."""
+    universe is None without an analyticity set or work; core counts the
+    instances in the minimal unsatisfiable core, steps the tree search's
+    steps and nodes the proof tree's nodes.  assignments (those of the
+    core's minimization included) plus steps count against budget_nodes."""
 
     route: str
     universe: int
@@ -113,10 +111,10 @@ class OutOfBudget:
 
 @dataclass
 class Inconclusive:
-    """No proof and no refutation, which no budget changes: the models do
-    not interpret every connective of a sequent the calculus does not
-    derive, or the calculus has no analyticity set and a branch of its
-    search saturated: its label satisfies every instance."""
+    """No proof and no refutation, which no budget changes: the calculus
+    does not derive the sequent, and either its models do not interpret
+    every connective of the sequent, or it has no analyticity set, so that
+    a model of its ground instances is no countermodel."""
 
     stats: ProveStats = field(default=None, compare=False)
 
@@ -200,7 +198,7 @@ class _Ground(list):
     the sorted literals 2*id + 1 of its antecedent and 2*id of its
     succedent.  formulas[i] is the formula with id i; a universe's formulas
     come first, in canon_key order, so an id below its size is the
-    formula's SAT variable."""
+    formula's SAT variable; without a universe every id is one."""
 
     def __init__(self, targets, formulas):
         super().__init__()
@@ -289,8 +287,8 @@ def _model_truths(calc, base, formulas):
     row is a (deterministic model, assignment to the variables of base)
     pair, and each model's rows follow the previous models' rows.  Used to
     steer branch selection; None without models, when a model is not
-    single-valued or does not interpret every formula, or when there are
-    too many rows."""
+    single-valued or does not interpret every formula and subformula, or
+    when there are too many rows."""
     models = calc.models
     if not models:
         return None
@@ -300,6 +298,8 @@ def _model_truths(calc, base, formulas):
     if sum(len(m.carrier) ** len(vs) for m in models) > 20000:
         return None
     masks = dict.fromkeys(formulas, 0)
+    # a row is computed from the rows of every subformula
+    closure = subformulas(formulas)
     shift = 0
     for m in models:
         k = kernel.compiled(m.algebra)
@@ -307,7 +307,7 @@ def _model_truths(calc, base, formulas):
         if tables is None:
             return None
         try:
-            kernel.check_signature(m.algebra, formulas)
+            kernel.check_signature(m.algebra, closure)
         except SignatureMismatch:
             return None
         # at most 20000 assignments: one bitset covers them all
@@ -489,25 +489,27 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     Inconclusive, or OutOfBudget; `stats` records the route and its work.
     Premises that meet the goal close the root at once, on every route.
 
-    With an analyticity set the sequent is decided as a clause set over the
-    universe: each ground instance Γ ▷ Δ is the clause ¬Γ ∨ Δ, premises are
-    true and goal formulas false, so the models are exactly the saturated
-    partitions.  A model is the refutation (Ω its true formulas) when the
-    calculus's models interpret every connective of the sequent, and
-    Inconclusive otherwise, since no countermodel exists.  Unsatisfiable,
-    the core the solver used is shrunk until every instance in it is
-    needed, and the proof tree is searched over those instances only.
-    The solver's assignments and the search's steps share budget_nodes; a
-    decided sequent whose tree does not fit stays OutOfBudget.
+    The sequent is decided as a clause set: each ground instance Γ ▷ Δ is
+    the clause ¬Γ ∨ Δ, premises are true and goal formulas false, so the
+    models are exactly the saturated partitions.  The rules' variables range
+    over the subformulas of the sequent; with an analyticity set an
+    instance must also stay inside the universe.  A model is then the
+    refutation (Ω its true formulas) when the calculus's models interpret
+    every connective of the sequent, and Inconclusive otherwise, since no
+    countermodel exists.  Without an analyticity set a model is always
+    Inconclusive.  Unsatisfiable, the core the solver used is shrunk until
+    every instance in it is needed, and the proof tree is searched over
+    those instances only.  The solver's assignments and the search's steps
+    share budget_nodes; a decided sequent whose tree does not fit stays
+    OutOfBudget.
 
-    Without an analyticity set all instances are searched; a search in
-    which a branch saturated (its label satisfies every instance) is
-    Inconclusive.  A calculus made by
-    to_set_fmla_calculus from an analytic source is never searched itself:
-    the source's Set-Set proof of the goal is replayed with the disjunction
-    rules, and the source's refutation is passed on.  With a non-analytic
-    source the replay is only tried after a direct search, since the source
-    may be unable to break up a premise that the disjunction rules can."""
+    A calculus made by to_set_fmla_calculus from an analytic source is
+    never decided itself: the source's Set-Set proof of the goal is
+    replayed with the disjunction rules, and the source's refutation is
+    passed on.  With a non-analytic source the replay is only tried after
+    the calculus's own clause set, since the source may be unable to break
+    up a premise that the disjunction rules can; the answer is Inconclusive
+    when both are."""
     premises = frozenset(premises)
     goal = frozenset(goal)
     if calc.framework == SET_FMLA and len(goal) != 1:
@@ -519,51 +521,47 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
         return _prove_by_simulation(calc, premises, goal, budget_nodes)
     base = premises | goal
     targets = sorted(subformulas(base), key=canon_key)
+    universe = None
     if calc.xi is not None:
         universe = frozenset(generalized_subformulas(base, calc.xi))
-        ground = _build_instances(calc, targets, universe)
-        return _decide(calc, premises, goal, universe, ground, budget_nodes)
-    ground = _build_instances(calc, targets, None)
-    searcher = _Searcher(
-        [ground.instance(k) for k in range(len(ground))], goal, budget_nodes
-    )
-    tree = searcher.run(premises)
-    stats = ProveStats(
-        "search", None, len(ground),
-        steps=searcher.steps, nodes=searcher.nodes,
-    )
-    if tree is not None:
-        return Proved(tree, stats)
-    # a saturated branch ends the search without an answer that a larger
-    # budget could change
-    saturated = searcher.saturated
-    if calc.source is not None:
-        res = _prove_by_simulation(calc, premises, goal, budget_nodes)
-        if isinstance(res, Proved):
-            return res
-        saturated = saturated and isinstance(res, Inconclusive)
-    return Inconclusive(stats) if saturated else OutOfBudget(stats)
+    ground = _build_instances(calc, targets, universe)
+    res = _decide(calc, premises, goal, universe, ground, budget_nodes)
+    if calc.source is None or isinstance(res, Proved):
+        return res
+    replayed = _prove_by_simulation(calc, premises, goal, budget_nodes)
+    if isinstance(replayed, Proved):
+        return replayed
+    if isinstance(res, Inconclusive) and isinstance(replayed, Inconclusive):
+        return res
+    return OutOfBudget(res.stats)
 
 
 def _decide(calc, premises, goal, universe, ground, budget_nodes):
-    """Solve the clause set of an analytic sequent; search for the proof
-    tree over a minimal unsatisfiable core.  The clauses are the ground
-    instances' own, on ids that are the SAT variables, in the instances'
-    order, so runs repeat; the premises' and goal's unit clauses follow.
-    Only the core's instances are turned back into formulas."""
+    """Solve the clause set of a sequent's ground instances; search for the
+    proof tree over a minimal unsatisfiable core.  The clauses are the
+    instances' own, on ids that are the SAT variables (the universe's
+    formulas, or every numbered formula without a universe), in the
+    instances' order, so runs repeat; the premises' and goal's unit clauses
+    follow.  Only the core's instances are turned back into formulas."""
     from . import sat
 
-    order = ground.formulas[:len(universe)]
+    order = ground.formulas
+    if universe is not None:
+        order = order[:len(universe)]
     clauses = ground.clauses + [
         [2 * i] for i, f in enumerate(order) if f in premises
     ]
     clauses += [[2 * i + 1] for i, f in enumerate(order) if f in goal]
     out = sat.solve(len(order), clauses, budget_nodes)
     stats = ProveStats(
-        "cdcl", len(universe), len(ground), out.assignments, out.conflicts
+        "cdcl", None if universe is None else len(universe), len(ground),
+        out.assignments, out.conflicts,
     )
     base = premises | goal
     if out.model is not None:
+        # without analyticity a model of these instances is no countermodel
+        if universe is None:
+            return Inconclusive(stats)
         try:
             for m in calc.models or ():
                 kernel.check_signature(m.algebra, subformulas(base))
@@ -624,9 +622,9 @@ def _prove_by_simulation(calc, premises, goal, budget_nodes):
     for psis in splits:
         res = prove(calc.source, premises, psis, budget_nodes)
         if isinstance(res, Proved):
-            spec, _ = _condense(calc.source, res.tree, psis)
+            spec, needed = _condense(calc.source, res.tree, psis)
             sim = _Simulation(calc, calc.source, psis)
-            steps = sim.run(spec, premises)
+            steps = sim.run(spec, needed, premises)
             stats = replace(res.stats, route="replay", nodes=len(steps) + 1)
             return Proved(_chain_tree(premises, steps), stats)
     # the last attempt had the goal {g}: the source refuting it refutes g
@@ -760,11 +758,11 @@ class _Simulation:
         return self._contract(f)
 
     # -- the replay ----------------------------------------------------------
-    def run(self, spec, premises):
+    def run(self, spec, needed, premises):
         self.derived = set(premises)
         goal = self.big_goal
         amap = {}
-        for chi in sorted(_spec_needed(spec), key=canon_key):
+        for chi in sorted(needed, key=canon_key):
             amap[chi] = self._intro(chi, goal)
         stack = [self._walk(spec, goal, amap)]
         while stack:
@@ -863,15 +861,6 @@ class _Simulation:
             f = app("or", self.big_goal, child_ctx)
         for _ in range(len(ws) - 1):
             f = self._collapse(f)
-
-
-def _spec_needed(spec):
-    if spec[0] == "closed":
-        return frozenset({spec[1]})
-    if spec[0] == "star":
-        return spec[3]
-    _, _, _, ant, kids = spec
-    return ant.union(*(n - {phi} for phi, _, n in kids))
 
 
 def _chain_tree(premises, steps):

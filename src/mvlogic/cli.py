@@ -4,9 +4,9 @@ Exit codes: 0 positive answer (Proved/Holds/Sound/Valid), 1 negative with a
 certificate printed, 2 usage or input error, 3 budget exhausted, 4 internal
 error (an unexpected exception, never an answer), 5 inconclusive (no proof
 and no refutation, which no budget changes: the calculus does not derive
-the sequent but its models do not interpret it, or the calculus has no
-analyticity set and a branch of its search saturated: its label satisfies
-every instance).
+the sequent, and either its models do not interpret it, or the calculus
+has no analyticity set, so that a model of its ground instances is no
+countermodel).
 """
 
 from __future__ import annotations
@@ -381,7 +381,7 @@ def build_parser():
     def common(p):
         p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("prove", help="run analytic proof search")
+    p = sub.add_parser("prove", help="decide a sequent: prove or refute it")
     p.add_argument("--calculus", required=True)
     p.add_argument("--premises", default="")
     p.add_argument("--goal", "--conclusions", dest="goal", required=True)

@@ -26,7 +26,13 @@ from mvlogic.algebra import (
     unary_term_functions,
     variety_profile,
 )
-from mvlogic.algebra import Congruence, _delta_map
+from mvlogic.algebra import (
+    VARIETIES,
+    Congruence,
+    _DEMORGAN_LATTICE,
+    _delta_map,
+    _holds,
+)
 from mvlogic.cli import EXIT_USAGE, run
 from mvlogic.errors import (
     CarrierTooLarge,
@@ -509,6 +515,9 @@ REFERENCE_SUITES = {
             ("@top", "top"),
             ("x & ~x & @x", "bot"),
             ("@(x & y)", "(@x | @y) & (@x | ~y) & (@y | ~x)"),
+            ("~~x", "x"),
+            ("~(x & y)", "~x | ~y"),
+            ("x & (y | z)", "(x & y) | (x & z)"),
         ],
     ),
 }
@@ -516,8 +525,8 @@ REFERENCE_SUITES = {
 
 def reference_variety_profile(alg):
     """The profile as first written: ∇ substituted into the involutive Stone
-    laws, ⇒ compared with the residuum table of meet, and PPImp from the
-    PP and SymmetricHeyting answers."""
+    laws of a De Morgan algebra, ⇒ compared with the residuum table of
+    meet, and PPImp from the PP and SymmetricHeyting answers."""
     names = set()
     for name, (required, pairs) in REFERENCE_SUITES.items():
         if required <= set(alg.ops) and all(
@@ -536,7 +545,9 @@ def reference_variety_profile(alg):
             (nb(app("and", x, y)), app("and", nb(x), nb(y))),
             (app("and", app("neg", nb(x)), nb(x)), app("bot")),
         ]
-        if all(check_identity(alg, l, r) is None for l, r in is_eqs):
+        if "DeMorgan" in names and all(
+            check_identity(alg, l, r) is None for l, r in is_eqs
+        ):
             names.add("InvolutiveStone")
     if alg.has("imp", "and", "or", "neg", "top", "bot"):
         table, _ = residuum_of_meet(alg)
@@ -712,6 +723,30 @@ def test_pp_imp_needs_its_inequality():
         "PP",
         "SymmetricHeyting",
     }
+
+
+def test_pp_and_involutive_stone_are_de_morgan():
+    # each satisfies the @ (nabla) laws of its variety, with ~ constantly
+    # bot, but is no De Morgan algebra: the two-element lattice with @
+    # constantly top, and the non-distributive N5 with @ the indicator of
+    # the bounds
+    carrier, leq, _ = chain(2)
+    two = lattice_algebra(carrier, leq, {
+        "neg": dict.fromkeys(carrier, "c00"),
+        "circ": dict.fromkeys(carrier, "c01"),
+    })
+    carrier, leq, _ = N5
+    n5 = lattice_algebra(carrier, leq, {
+        "neg": dict.fromkeys(carrier, "bot"),
+        "circ": {a: "top" if a in ("bot", "top") else "bot" for a in carrier},
+    })
+    laws = {name: laws for name, _, laws in VARIETIES}
+    for alg, name in ((two, "PP"), (n5, "InvolutiveStone")):
+        assert all(
+            _holds(alg, law) for law in laws[name] if law not in _DEMORGAN_LATTICE
+        )
+        assert variety_profile(alg) == reference_variety_profile(alg)
+        assert not variety_profile(alg) & {name, "DeMorgan"}
 
 
 def test_congruences_of_a_chain_are_its_interval_partitions():

@@ -451,11 +451,12 @@ def test_transformed_non_analytic_calculus_searches_directly():
 def test_saturated_search_without_analyticity_is_inconclusive():
     source = lookup(KIND_CALCULUS, "pp-top-rules").payload
     premises, goal = parse_formula_set("p"), parse_formula_set("q")
-    # the search saturates in a few steps, far inside the budget
+    # the clause set has a model, which refutes nothing without an
+    # analyticity set; the solver finds it in 20 assignments
     assert isinstance(prove(source, premises, goal), Inconclusive)
-    assert isinstance(prove(source, premises, goal, budget_nodes=10),
+    assert isinstance(prove(source, premises, goal, budget_nodes=20),
                       Inconclusive)
-    assert isinstance(prove(source, premises, goal, budget_nodes=1),
+    assert isinstance(prove(source, premises, goal, budget_nodes=10),
                       OutOfBudget)
     # neither the transformed rules nor the replay prove it
     rv = to_set_fmla_calculus(source)
@@ -547,6 +548,47 @@ def test_grounding_on_a_universe_interns_nothing():
     ground = _build_instances(R_LEQ, targets, universe)
     assert len(ground) > 1000
     assert len(Formula._table) == before
+
+
+# calculi without an analyticity set: one registered, one with it dropped
+NON_ANALYTIC = {
+    "pp-top-rules": lookup(KIND_CALCULUS, "pp-top-rules").payload,
+    "r-b": replace(R_B, xi=None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_ANALYTIC))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_clause_route_without_analyticity_matches_full_search(name, data):
+    # a saturated branch of the search over every instance is a model of
+    # their clause set with the premises true and the goal false, and a
+    # tree over them leaves none: prove proves exactly what that search
+    # proves, and is Inconclusive exactly where it saturates
+    calc = NON_ANALYTIC[name]
+    sig = dict(calc.models[0].algebra.connectives)
+    some = formulas(sig, ["p", "q"], 3)
+    premises = data.draw(st.frozensets(some, max_size=2))
+    if premises:
+        # a premise under a unary connective, which a rule may derive
+        unary = sorted(c for c, k in sig.items() if k == 1)
+        some |= st.tuples(
+            st.sampled_from(unary), st.sampled_from(sorted(premises, key=canon_key))
+        ).map(lambda cf: app(*cf))
+    goal = data.draw(
+        st.frozensets(some, max_size=2).filter(lambda g: not g & premises)
+    )
+    targets = sorted(subformulas(premises | goal), key=canon_key)
+    instances = materialized(_build_instances(calc, targets, None))
+    searcher = _Searcher(instances, goal, 1_000_000)
+    tree = searcher.run(premises)
+    assert (tree is None) == searcher.saturated
+    res = prove(calc, premises, goal)
+    assert isinstance(res, Proved if tree is not None else Inconclusive)
+    assert res.stats.route == "cdcl" and res.stats.universe is None
+    if tree is not None:
+        assert validate_tree(calc, res.tree, premises, goal) is None
+        assert res.stats.core <= len(instances)
 
 
 VARIANT = {"r-up": "up", "r-leq": "leq"}

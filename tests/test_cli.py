@@ -83,8 +83,8 @@ def test_prove_negative_budget_is_usage_error(capsys):
 
 
 def test_prove_inconclusive(capsys):
-    # pp-top-rules has no analyticity set: its search saturates after three
-    # steps, which refutes nothing and is no budget exhausted
+    # pp-top-rules has no analyticity set: its clause set has a model after
+    # 20 assignments, which refutes nothing and is no budget exhausted
     argv = ["prove", "--calculus", "pp-top-rules", "--premises", "p",
             "--goal", "q"]
     assert run(argv) == EXIT_INCONCLUSIVE
@@ -93,11 +93,27 @@ def test_prove_inconclusive(capsys):
     assert json.loads(capsys.readouterr().out) == {
         "result": "inconclusive",
         "stats": {
-            "route": "search", "universe": None, "instances": 6,
-            "assignments": 0, "conflicts": 0, "core": 0, "steps": 3,
+            "route": "cdcl", "universe": None, "instances": 6,
+            "assignments": 20, "conflicts": 0, "core": 0, "steps": 0,
             "nodes": 0,
         },
     }
+
+
+def test_steering_skips_models_without_a_subformula_connective(capsys):
+    # r-pp-leq's models lack =>, which each sequent has only below its
+    # formulas' heads; the steering once computed their truth rows anyway
+    # and crashed with KeyError
+    for premises, goal in (
+        ("~~~(p => q)", "~(p => q)"),
+        ("~~@(p => q)", "@(p => q)"),
+        ("@(p => q), ~@(p => q)", "r"),
+    ):
+        argv = ["prove", "--calculus", "r-pp-leq", "--premises", premises,
+                "--goal", goal]
+        assert run(argv) == EXIT_POSITIVE
+        out = capsys.readouterr()
+        assert out.out.strip() == "Proved." and not out.err
 
 
 def test_crash_is_not_an_answer(capsys, monkeypatch):

@@ -395,7 +395,7 @@ def test_grounding_edge_cases():
 
 def test_grounding_skips_a_rule_without_compiling_it():
     # no formula of the universe of p, q has a "xor": the rule is left
-    # out before it is compiled; the search route grounds it
+    # out before it is compiled; grounding without a universe builds it
     p, q = var("p"), var("q")
     rule = Rule("xor_only", frozenset({app("xor", p, q)}), frozenset({p}))
     calc = Calculus("xor", [rule], ())
