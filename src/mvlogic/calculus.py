@@ -611,6 +611,12 @@ def _or_spine(f):
 
 
 def _prove_by_simulation(calc, premises, goal, budget_nodes):
+    """Prove the one goal formula g of a transformed calculus by replaying
+    the source's Set-Set proof of it: of g's disjuncts when g is their
+    sorted disjunction, else of g itself.  The proof is condensed, then
+    replayed (see _Simulation) as a chain of Set-Fmla steps, whose nodes
+    stats counts under route "replay"; the source's last answer is passed
+    on when neither is proved."""
     (g,) = goal
     splits = []
     parts = _or_spine(g)
@@ -622,9 +628,8 @@ def _prove_by_simulation(calc, premises, goal, budget_nodes):
     for psis in splits:
         res = prove(calc.source, premises, psis, budget_nodes)
         if isinstance(res, Proved):
-            spec, needed = _condense(calc.source, res.tree, psis)
-            sim = _Simulation(calc, calc.source, psis)
-            steps = sim.run(spec, needed, premises)
+            spec = _condense(calc.source, res.tree, psis)
+            steps = _Simulation(calc, calc.source, psis).run(spec, premises)
             stats = replace(res.stats, route="replay", nodes=len(steps) + 1)
             return Proved(_chain_tree(premises, steps), stats)
     # the last attempt had the goal {g}: the source refuting it refutes g
@@ -634,8 +639,12 @@ def _prove_by_simulation(calc, premises, goal, budget_nodes):
 def _condense(calc, tree, goal):
     """Prune a derivation tree to the steps it actually uses: drop
     expansions whose succedent formula is never consumed and replace a
-    branch by any child that ignores its branch formula.  Returns a
-    (spec, needed) pair; specs are nested tuples."""
+    branch by any child that ignores its branch formula.  Returns the
+    root's spec, a nested tuple: ("closed", goal formula), ("star", rule,
+    subst, antecedent) or ("rule", rule, subst, antecedent, kids), where
+    kids maps each branch formula to its branch's (spec, needed, leaves):
+    needed holds the formulas of the branch's label that its steps use and
+    leaves counts its closed leaves."""
     rules = {r.name: r for r in calc.rules}
     results = {}
     stack = [(tree, False)]
@@ -646,14 +655,14 @@ def _condense(calc, tree, goal):
                 # a closed leaf adds its goal formula, or it is the root
                 # and its premises meet the goal
                 pick = min(node.adds & goal, key=canon_key)
-                results[id(node)] = (("closed", pick), frozenset({pick}))
+                results[id(node)] = (("closed", pick), frozenset({pick}), 1)
                 continue
             if len(node.children) == 1 and node.children[0].star:
                 rule = rules[node.rule]
                 ant = frozenset(
                     substitute(f, node.subst) for f in rule.antecedent
                 )
-                results[id(node)] = (("star", node.rule, node.subst, ant), ant)
+                results[id(node)] = (("star", node.rule, node.subst, ant), ant, 0)
                 continue
             stack.append((node, True))
             for child in node.children:
@@ -661,34 +670,52 @@ def _condense(calc, tree, goal):
             continue
         rule = rules[node.rule]
         ant = frozenset(substitute(f, node.subst) for f in rule.antecedent)
-        kids = []
+        kids = {}
         shortcut = None
         for child in node.children:
-            spec, needed = results.pop(id(child))
             (phi,) = child.adds
-            if phi not in needed and shortcut is None:
+            kids[phi] = results.pop(id(child))
+            if phi not in kids[phi][1] and shortcut is None:
                 # the branch formula went unused: splice the child in
-                shortcut = (spec, needed)
-            kids.append((phi, spec, needed))
+                shortcut = kids[phi]
         if shortcut is not None:
             results[id(node)] = shortcut
             continue
-        needed = ant.union(*(n - {phi} for phi, _, n in kids))
-        results[id(node)] = (("rule", node.rule, node.subst, ant, kids), needed)
-    return results[id(tree)]
+        needed = ant.union(*(n - {phi} for phi, (_, n, _) in kids.items()))
+        leaves = sum(k[2] for k in kids.values())
+        results[id(node)] = (
+            ("rule", node.rule, node.subst, ant, kids), needed, leaves
+        )
+    return results[id(tree)][0]
 
 
 class _Simulation:
-    """Replays a condensed Set-Set derivation of Phi |> Psi as a Set-Fmla
-    derivation of the disjunction of Psi, tracking each open branch as a
-    context disjunct and rearranging with the four base rules."""
+    """Replays a condensed Set-Set derivation of Phi |> Psi as a chain of
+    Set-Fmla steps deriving G, the disjunction of Psi, with the four base
+    rules and the transformed source rules.
+
+    Each branch has a context: a disjunction C that contains G, with the
+    levels that built it from G, each a disjunct w put before (w | C') or
+    after (C' | w) the context C' below it.  The root's context is G, and
+    a branch's target is its context itself.  amap maps each formula chi
+    that the branch needs, premises aside, to a derived chi | C; a premise
+    is weakened into chi | C by one or_intro where it is used.
+
+    A rule step derives (w1 | ... | wn) | C.  At a split (w1 | R) | C one
+    side keeps C and its needed formulas as they are; the other gets C
+    with one more disjunct, w1's side R | C or R's side C | w1, and only
+    its needed formulas are lifted, once each.  C stays on the side whose
+    lifts and closed leaves would cost more steps.  A closed leaf g | C
+    weakens g into G at the head, rebuilds C's levels around it and
+    contracts C | C.  _walk and _split are generators, driven by the loop
+    in run, so that a deep derivation does not recurse in Python."""
 
     def __init__(self, rv, source, psis):
         self.rules = {r.name: r for r in rv.rules}
         self.src_rules = {r.name: r for r in source.rules}
         self.s_name = _fresh_variable(source)
-        self.big_goal = big_or(sorted(psis, key=canon_key))
         self.goal_parts = sorted(psis, key=canon_key)
+        self.big_goal = big_or(self.goal_parts)
         self.steps = []
         self.derived = set()
 
@@ -728,49 +755,36 @@ class _Simulation:
         return self._comm(f)
 
     # -- derived rearrangements --------------------------------------------
-    def _ctx_append(self, f, e):
-        # chi | X  yields  chi | (X | e)
-        return self._unassoc(self._intro(f, e))
+    def _lift(self, f, w, after):
+        # x | C  yields  x | (C | w) when after, else x | (w | C)
+        if after:
+            return self._unassoc(self._intro(f, w))
+        f = self._comm(self._intro(self._comm(f), w))
+        return self._comm(self._assoc(f))
 
-    def _ctx_prepend(self, f, e):
-        # chi | X  yields  chi | (e | X)
-        f = self._comm(f)
-        f = self._unassoc(self._intro(f, e))
-        f = self._comm(f)
-        return self._unassoc(f)
+    def _grow(self, f, w, after):
+        # X | C  yields  (X | w) | C when after, else (w | X) | C
+        if after:
+            return self._assoc(self._lift(f, w, False))
+        return self._assoc(self._comm(self._intro(f, w)))
 
-    def _head_append(self, f, e):
-        # X | C  yields  (X | e) | C
-        f = self._comm(f)
-        f = self._unassoc(self._intro(f, e))
-        return self._comm(f)
-
-    def _head_prepend(self, f, e):
-        # X | C  yields  (e | X) | C
-        f = self._comm(self._intro(f, e))
-        return self._assoc(f)
-
-    def _collapse(self, f):
-        # G | (X | G)  yields  G | X
-        a = self._assoc(f)
-        f = self._intro(a, a.args[0].args[1])
-        f = self._unassoc(f)
-        return self._contract(f)
+    def _have(self, amap, chi, c):
+        # chi | C, from amap or, for a premise, by weakening
+        f = amap.get(chi)
+        return self._intro(chi, c) if f is None else f
 
     # -- the replay ----------------------------------------------------------
-    def run(self, spec, needed, premises):
+    def run(self, spec, premises):
+        """The chain's (formula, rule, substitution) steps, up to the one
+        that derives G."""
         self.derived = set(premises)
         goal = self.big_goal
-        amap = {}
-        for chi in sorted(needed, key=canon_key):
-            amap[chi] = self._intro(chi, goal)
-        stack = [self._walk(spec, goal, amap)]
+        stack = [self._walk(spec, (goal, ()), {})]
         while stack:
             try:
-                stack.append(self._walk(*stack[-1].send(None)))
+                stack.append(stack[-1].send(None))
             except StopIteration:
                 stack.pop()
-        self._contract(app("or", goal, goal))
         steps = self.steps
         for i, (phi, _, _) in enumerate(steps):
             if phi is goal:
@@ -778,89 +792,79 @@ class _Simulation:
         # never derived, so the goal is a premise
         return []
 
-    def _lift(self, f, appended, prefix):
-        for _ in range(appended):
-            f = self._ctx_append(f, self.big_goal)
-        if prefix is not None:
-            f = self._ctx_prepend(f, prefix)
-        return f
-
     def _walk(self, spec, ctx, amap):
-        """Ensure goal | ctx is derived, assuming amap maps every needed
-        formula chi to an already-derived chi | ctx.  A generator: yields
-        (spec, ctx, amap) triples for the driver loop in run to recurse on,
-        keeping the Python stack flat."""
-        goal = self.big_goal
+        """Derive the context C of ctx = (C, levels), given amap for the
+        formulas spec needs.  Yields the generators of the sub-walks, which
+        run finishes first; a C already derived needs nothing."""
+        c, levels = ctx
+        if c in self.derived:
+            return
         kind = spec[0]
         if kind == "closed":
             g = spec[1]
-            f = amap[g]
-            if g is goal:
-                return
+            f = self._have(amap, g, c)
             gs = self.goal_parts
             j = gs.index(g)
             if j + 1 < len(gs):
-                f = self._head_append(f, big_or(gs[j + 1 :]))
-            for i in range(j - 1, -1, -1):
-                f = self._head_prepend(f, gs[i])
+                f = self._grow(f, big_or(gs[j + 1 :]), True)
+            for w in reversed(gs[:j]):
+                f = self._grow(f, w, False)
+            for w, after in levels:
+                f = self._grow(f, w, after)
+            self._contract(f)
             return
+        name, subst, ant = spec[1:4]
+        for chi in sorted(ant, key=canon_key):
+            self._have(amap, chi, c)
         if kind == "star":
-            _, name, subst, ant = spec
-            full = dict(subst)
-            full[self.s_name] = ctx
-            self._emit(ctx, name + "_v", full)
-            f = self._intro(ctx, goal)
-            self._comm(f)
+            self._emit(c, name + "_v", {**subst, self.s_name: c})
             return
-        _, name, subst, ant, kids = spec
+        kids = spec[4]
         if name + "_v" not in self.rules:
-            # axiom kept verbatim by the transform
-            (rule_succ,) = self.rules[name].succedent
-            psi = self._emit(substitute(rule_succ, subst), name, subst)
-            (kid_phi, kid_spec, _) = kids[0]
-            amap2 = dict(amap)
-            amap2[psi] = self._intro(psi, ctx)
-            yield kid_spec, ctx, amap2
+            # an axiom kept verbatim by the transform
+            ((psi, (kid, _, _)),) = kids.items()
+            self._emit(psi, name, subst)
+            yield self._walk(kid, ctx, {**amap, psi: self._intro(psi, c)})
             return
-        rule = self.rules[name + "_v"]
-        full = dict(subst)
-        full[self.s_name] = ctx
-        (rule_succ,) = rule.succedent
+        full = {**subst, self.s_name: c}
+        (rule_succ,) = self.rules[name + "_v"].succedent
         f = self._emit(substitute(rule_succ, full), name + "_v", full)
         ws = [
             substitute(s, subst)
             for s in sorted(self.src_rules[name].succedent, key=canon_key)
         ]
-        by_phi = {phi: (s, n) for phi, s, n in kids}
+        yield from self._split(ws, kids, f, ctx, amap)
+
+    def _split(self, ws, kids, f, ctx, amap):
+        """Derive C from a derived f = W | C, W the disjunction of ws, with
+        kids[w] the (spec, needed, leaves) of w's branch."""
         if len(ws) == 1:
-            amap2 = dict(amap)
-            amap2[ws[0]] = f
-            kid_spec, _ = by_phi[ws[0]]
-            yield kid_spec, ctx, amap2
+            (w,) = ws
+            yield self._walk(kids[w][0], ctx, {**amap, w: f})
             return
-        acc_appends = 0
-        for i, w in enumerate(ws):
-            if i == 0:
-                f = self._unassoc(f)
-            else:
-                f = self._assoc(f)
-                f = self._comm(f)
-                f = self._assoc(f)
-                f = self._comm(f)
-                if i + 1 < len(ws):
-                    f = self._unassoc(f)
-                acc_appends += 1
-            child_ctx = f.args[1]
-            prefix = child_ctx.args[0] if i + 1 < len(ws) else None
-            kid_spec, kid_needed = by_phi[w]
-            amap2 = {}
-            for chi in sorted(kid_needed - {w}, key=canon_key):
-                amap2[chi] = self._lift(amap[chi], acc_appends, prefix)
-            amap2[w] = f
-            yield kid_spec, child_ctx, amap2
-            f = app("or", self.big_goal, child_ctx)
-        for _ in range(len(ws) - 1):
-            f = self._collapse(f)
+        levels = ctx[1]
+        w, rest = ws[0], ws[1:]
+        spec, needed, leaves = kids[w]
+        head = sorted(amap.keys() & (needed - {w}), key=canon_key)
+        tail = amap.keys() & frozenset().union(*(kids[x][1] - {x} for x in rest))
+        tail = sorted(tail, key=canon_key)
+        tail_leaves = sum(kids[x][2] for x in rest)
+        # steps to give w's side R | C, against R's side C | w
+        if 5 + 5 * len(head) + 3 * leaves <= 4 + 6 * len(tail) + 6 * tail_leaves:
+            r = f.args[0].args[1]
+            f = self._unassoc(f)
+            inner = (f.args[1], levels + ((r, False),))
+            sub = {chi: self._lift(amap[chi], r, False) for chi in head}
+            yield self._walk(spec, inner, {**sub, w: f})
+            # that walk derived R | C
+            yield from self._split(rest, kids, inner[0], ctx, amap)
+        else:
+            f = self._comm(self._assoc(self._comm(f)))
+            inner = (f.args[1], levels + ((w, True),))
+            sub = {chi: self._lift(amap[chi], w, True) for chi in tail}
+            yield from self._split(rest, kids, f, inner, sub)
+            # that split derived C | w
+            yield self._walk(spec, ctx, {**amap, w: self._comm(inner[0])})
 
 
 def _chain_tree(premises, steps):
@@ -1113,38 +1117,47 @@ def _subst_text(subst):
     )
 
 
-def tree_to_dot(tree):
-    lines = ["digraph proof {", '  node [shape=box, fontname="monospace"];']
-    counter = [0]
+def _flatten(tree):
+    """The tree's nodes in breadth-first order, root first, and per node
+    the range of its children's positions in that order."""
+    order, kids = [tree], []
+    for node in order:
+        kids.append(range(len(order), len(order) + len(node.children)))
+        order += node.children
+    return order, kids
 
-    def visit(node, label):
-        label = label | node.adds
-        my = counter[0]
-        counter[0] += 1
-        text = "*" if node.star else _label_text(label)
+
+def tree_to_dot(tree):
+    """Graphviz text with one box per node, showing the formulas the node
+    adds, and one edge per child, labelled with the parent's rule step."""
+    lines = ["digraph proof {", '  node [shape=box, fontname="monospace"];']
+    order, kids = _flatten(tree)
+    for i, node in enumerate(order):
+        text = "*" if node.star else _label_text(node.adds)
         if node.closed:
             text += "  [closed]"
-        lines.append('  n%d [label="%s"];' % (my, text.replace('"', "'")))
-        for child in node.children:
-            cid = visit(child, label)
+        lines.append('  n%d [label="%s"];' % (i, text.replace('"', "'")))
+        if node.children:
             edge = node.rule or ""
             st = _subst_text(node.subst)
             if st:
                 edge += " @ " + st
-            lines.append(
-                '  n%d -> n%d [label="%s"];' % (my, cid, edge.replace('"', "'"))
-            )
-        return my
-
-    visit(tree, frozenset())
+            edge = edge.replace('"', "'")
+            for c in kids[i]:
+                lines.append('  n%d -> n%d [label="%s"];' % (i, c, edge))
     lines.append("}")
     return "\n".join(lines)
 
 
 def tree_to_json(tree):
-    def visit(node, label):
-        label = label | node.adds
-        out = {"label": sorted(render_formula(f) for f in label)}
+    """The tree as flat JSON data: "label" is the root's label, its
+    premises, and "nodes" lists every node, root first, each with the
+    formulas it adds, its rule step and the positions of its children in
+    the list.  A node's label is the union of adds on its path."""
+    order, kids = _flatten(tree)
+    nodes = []
+    for node, children in zip(order, kids):
+        out = {"adds": sorted(render_formula(f) for f in node.adds)}
         if node.star:
             out["star"] = True
         if node.closed:
@@ -1154,8 +1167,7 @@ def tree_to_json(tree):
             out["substitution"] = {
                 k: render_formula(v) for k, v in sorted((node.subst or {}).items())
             }
-        if node.children:
-            out["children"] = [visit(c, label) for c in node.children]
-        return out
-
-    return visit(tree, frozenset())
+        if children:
+            out["children"] = list(children)
+        nodes.append(out)
+    return {"label": nodes[0]["adds"], "nodes": nodes}

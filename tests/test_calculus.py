@@ -421,6 +421,49 @@ def test_transformed_proof_is_short_and_exports():
     assert res.tree.closed and not res.tree.children
 
 
+def _ladder(k):
+    names = ["p%d" % i for i in range(1, k + 1)]
+    return "~(%s)" % " & ".join(names), " | ".join("~" + n for n in names)
+
+
+# The previous replay, whose branches derived G | C for every context C,
+# took 12,843, 2, 5 and 17,829 steps on the r-leq sequents and 27, 42, 63,
+# 85, 108 and 132 on the r-b ladder k=2..7.
+REPLAY_CHAIN_NODES = [
+    ("r-leq", "~(p & q)", "~p | ~q", 4_942),
+    ("r-leq", "", "@(p => p)", 2),
+    ("r-leq", "@p, p, ~p", "q", 5),
+    ("r-leq", "~p | ~q", "~(p & q)", 6_776),
+] + [("r-b",) + _ladder(k) + (n,)
+     for k, n in zip(range(2, 8), (17, 29, 45, 62, 80, 99))]
+
+
+@pytest.mark.parametrize("name, prem_text, goal_text, nodes",
+                         REPLAY_CHAIN_NODES)
+def test_replay_chain_lengths(name, prem_text, goal_text, nodes):
+    rv = to_set_fmla_calculus(lookup(KIND_CALCULUS, name).payload)
+    premises = parse_formula_set(prem_text)
+    goal = parse_formula_set(goal_text)
+    res = prove(rv, premises, goal)
+    assert isinstance(res, Proved) and res.stats.route == "replay"
+    assert res.stats.nodes == nodes
+    assert validate_tree(rv, res.tree, premises, goal) is None
+
+
+def test_long_replay_chain_exports():
+    import json
+
+    rv = to_set_fmla_calculus(R_LEQ)
+    premises = parse_formula_set("~(p & q)")
+    res = prove(rv, premises, parse_formula_set("~p | ~q"))
+    data = json.loads(json.dumps(tree_to_json(res.tree)))
+    assert data["label"] == ["~(p & q)"]
+    assert len(data["nodes"]) == res.stats.nodes
+    assert data["nodes"][-1] == {"adds": ["~p | ~q"], "closed": True}
+    dot = tree_to_dot(res.tree)
+    assert dot.count(" [label=") == 2 * res.stats.nodes - 1
+
+
 def test_transformed_calculus_passes_on_refutation():
     rv = to_set_fmla_calculus(R_LEQ)
     premises = parse_formula_set("p")
@@ -478,7 +521,8 @@ def test_tree_exports():
     assert dot.startswith("digraph proof {") and dot.endswith("}")
     data = tree_to_json(tree)
     assert data["label"] == ["~(p & q)"]
-    assert "children" in data
+    assert data["nodes"][0]["adds"] == data["label"]
+    assert data["nodes"][0]["children"]
 
 
 def test_empty_succedent_star_child():

@@ -1,6 +1,9 @@
-"""validate_tree against random proofs and tampered copies of them, and
-the tree search against a brute-force oracle."""
+"""validate_tree against random proofs and tampered copies of them, the
+tree search against a brute-force oracle, Set-Fmla replays of random
+sequents, and the flat tree exports against the trees."""
 
+import json
+import re
 from itertools import product
 
 from hypothesis import given, settings, strategies as st
@@ -12,25 +15,31 @@ from mvlogic.calculus import (
     Rule,
     _Searcher,
     prove,
+    to_set_fmla_calculus,
+    tree_to_dot,
+    tree_to_json,
     validate_tree,
 )
-from mvlogic.formula import app, canon_key, var
+from mvlogic.formula import app, big_or, canon_key, render_formula, var
 from mvlogic.registry import KIND_CALCULUS, lookup
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 CALCULI = [lookup(KIND_CALCULUS, name).payload for name in ("r-b", "r-pp-leq")]
+REPLAYED = [to_set_fmla_calculus(lookup(KIND_CALCULUS, name).payload)
+            for name in ("r-b", "r-pp-leq", "r-leq")]
 
 
 @st.composite
-def proofs(draw):
-    """A Proved tree of a random 2-3-variable sequent, or None.  Most
-    sequents carry a case split or a De Morgan instance over random
+def sequents(draw, calculi, most_variables=3):
+    """A calculus and a random sequent over 2 to most_variables variables.
+    Most sequents carry a case split or a De Morgan instance over random
     formulas, so that many proofs branch."""
-    calc = draw(st.sampled_from(CALCULI))
+    calc = draw(st.sampled_from(calculi))
     rng = draw(st.randoms(use_true_random=False))
-    names = ["p", "q", "r"][: draw(st.integers(2, 3))]
-    conns = dict(calc.models[0].algebra.connectives)
+    names = ["p", "q", "r"][: draw(st.integers(2, most_variables))]
+    models = (calc.source or calc).models
+    conns = dict(models[0].algebra.connectives)
     premises, goal = random_sequent(rng, conns, names)
     a, b = (random_formula(rng, conns, names, 2) for _ in range(2))
     shape = draw(st.integers(0, 3))
@@ -42,6 +51,13 @@ def proofs(draw):
     elif shape == 3:
         premises = premises | {app("or", a, b)}
         goal = goal | {a, b}
+    return calc, premises, goal
+
+
+@st.composite
+def proofs(draw):
+    """A Proved tree of a random 2-3-variable sequent, or None."""
+    calc, premises, goal = draw(sequents(CALCULI))
     res = prove(calc, premises, goal, budget_nodes=10_000)
     if not isinstance(res, Proved):
         return None
@@ -163,3 +179,56 @@ def test_long_branching_chain_builds_without_recursion():
     searcher, tree = _search(instances + [((q[3000],), (g,))], {q[0]}, {g})
     assert tree is not None and not searcher.saturated
     assert (searcher.nodes, searcher.steps) == (6002, 3002)
+
+
+def _dot_nodes(dot):
+    return sum(1 for line in dot.splitlines() if re.match(r"  n\d+ \[", line))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sequents(REPLAYED, most_variables=2))
+def test_replayed_chains_validate_and_export(case):
+    # the goal folded into one disjunction, replayed from the source's proof
+    rv, premises, goal = case
+    goal = {big_or(sorted(goal, key=canon_key))}
+    res = prove(rv, premises, goal, budget_nodes=10_000)
+    if not isinstance(res, Proved):
+        return
+    assert res.stats.route in ("replay", "closed")
+    assert validate_tree(rv, res.tree, premises, goal) is None
+    data = tree_to_json(res.tree)
+    assert json.loads(json.dumps(data)) == data
+    nodes = sum(1 for _ in walk(res.tree))
+    assert len(data["nodes"]) == _dot_nodes(tree_to_dot(res.tree)) == nodes
+    assert res.stats.nodes == nodes
+
+
+@SETTINGS
+@given(proofs())
+def test_flat_json_export_keeps_every_label(proof):
+    if proof is None:
+        return
+    _, tree, premises, _ = proof
+    data = json.loads(json.dumps(tree_to_json(tree)))
+    nodes = data["nodes"]
+    assert data["label"] == sorted(render_formula(f) for f in premises)
+    # each TreeNode's label against its record's: the root's label plus
+    # the adds of the records on the path through the children indices
+    visited = []
+    stack = [(tree, 0, tree.adds, frozenset(data["label"]))]
+    while stack:
+        node, i, label, rebuilt = stack.pop()
+        visited.append(i)
+        record = nodes[i]
+        assert rebuilt == {render_formula(f) for f in label}
+        assert record.get("rule") == node.rule
+        assert record.get("closed", False) == node.closed
+        assert record.get("star", False) == node.star
+        kids = record.get("children", [])
+        assert len(kids) == len(node.children)
+        for child, k in zip(node.children, kids):
+            stack.append(
+                (child, k, label | child.adds, rebuilt | set(nodes[k]["adds"]))
+            )
+    assert sorted(visited) == list(range(len(nodes)))
+    assert _dot_nodes(tree_to_dot(tree)) == len(nodes)
