@@ -88,7 +88,7 @@ def check_identity(alg, lhs, rhs):
         raise TooManyVariables("%d variables exceed the bound %d" % (len(vs), VARIABLE_BOUND))
     kernel.check_signature(alg.multi, subformulas((lhs, rhs)))
     k = kernel.compiled(alg.multi)
-    tables = k.single_valued(k.all)
+    plans = k.single_valued(k.all)
 
     def differ(bitsets):
         left, right = bitsets.row(lhs), bitsets.row(rhs)
@@ -98,7 +98,7 @@ def check_identity(alg, lhs, rhs):
         return bitsets.full & ~same
 
     digits = [tuple(range(k.n))] * len(vs)
-    hit = next(kernel.satisfying(tables, k.n, [var(v) for v in vs], digits, differ), None)
+    hit = next(kernel.satisfying(plans, k.n, [var(v) for v in vs], digits, differ), None)
     if hit is None:
         return None
     return {v: alg.carrier[i] for v, i in zip(vs, hit[1])}

@@ -48,11 +48,14 @@ class Calculus:
     models: list = None
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class TreeNode:
     """A derivation step.  A node's label is the union of `adds` on the
     path from the root: the root adds the premises, each child of a rule
-    step adds its one branch formula, and a star child adds nothing."""
+    step adds its one branch formula, and a star child adds nothing.
+
+    Trees can be thousands of levels deep, so equality walks them with a
+    work list and repr shows the root's step and its number of children."""
 
     adds: frozenset = frozenset()
     rule: str = None
@@ -60,6 +63,26 @@ class TreeNode:
     children: list = field(default_factory=list)
     star: bool = False
     closed: bool = False
+
+    def __eq__(self, other):
+        if not isinstance(other, TreeNode):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if (a.adds, a.rule, a.subst, a.star, a.closed, len(a.children)) != (
+                b.adds, b.rule, b.subst, b.star, b.closed, len(b.children)
+            ):
+                return False
+            pairs.extend(zip(a.children, b.children))
+        return True
+
+    def __repr__(self):
+        return "TreeNode(adds=%r, rule=%r, children=%d)" % (
+            self.adds, self.rule, len(self.children)
+        )
 
 
 @dataclass(frozen=True)
@@ -300,19 +323,23 @@ def _model_truths(calc, base, formulas):
     masks = dict.fromkeys(formulas, 0)
     # a row is computed from the rows of every subformula
     closure = subformulas(formulas)
+    # one Bitsets per algebra, read by every model over it
+    shared = {}
     shift = 0
     for m in models:
         k = kernel.compiled(m.algebra)
-        tables = k.single_valued(k.all)
-        if tables is None:
-            return None
-        try:
-            kernel.check_signature(m.algebra, closure)
-        except SignatureMismatch:
-            return None
-        # at most 20000 assignments: one bitset covers them all
-        digits = [tuple(range(k.n))] * len(vs)
-        bitsets = kernel.Bitsets(tables, k.n, [var(v) for v in vs], digits)
+        bitsets = shared.get(k)
+        if bitsets is None:
+            plans = k.single_valued(k.all)
+            if plans is None:
+                return None
+            try:
+                kernel.check_signature(m.algebra, closure)
+            except SignatureMismatch:
+                return None
+            # at most 20000 assignments: one bitset covers them all
+            digits = [tuple(range(k.n))] * len(vs)
+            bitsets = shared[k] = kernel.Bitsets(plans, k.n, [var(v) for v in vs], digits)
         des = k.mask_of(m.designated)
         for f in formulas:
             masks[f] |= bitsets.where(f, des) << shift

@@ -113,7 +113,7 @@ def valuation_family(phi, shared):
     from .registry import ALG_PP6H
 
     k = kernel.compiled(ALG_PP6H)
-    tables = k.single_valued(k.all)
+    plans = k.single_valued(k.all)
     top = ALG_PP6H.carrier.index("ht")
     phi_vars = sorted(variables(phi))
 
@@ -128,7 +128,7 @@ def valuation_family(phi, shared):
     u = []
     seen = set()
     for _, values in kernel.satisfying(
-        tables, k.n, [var(v) for v in phi_vars], digits, all_top
+        plans, k.n, [var(v) for v in phi_vars], digits, all_top
     ):
         proj = tuple(k.carrier[values[i]] for i in at)
         if proj not in seen:

@@ -10,8 +10,14 @@ table is keyed by index tuples.  Two evaluators share that form.
   assignments are numbered in mixed radix: first variable most significant,
   each variable's digits its allowed values in carrier order.  A formula's
   row holds, per value, one Python int whose bit ``i`` is set when the
-  formula takes that value under assignment ``i``.  A binary node costs one
-  ``&`` and one ``|`` per table entry.
+  formula takes that value under assignment ``i``.  The restriction is
+  compiled once per component into a plan grouped by the arguments but the
+  last (:meth:`Compiled.single_valued`): a binary node takes, per value of
+  its first argument whose row is not empty, one ``&`` per output value,
+  with the second argument's rows for that output summed (they are
+  disjoint), and none when every second value gives the same output.
+  :func:`first_hit` lets several selections, one per matrix over the same
+  component, read the same rows, one chunk of assignments at a time.
 * :meth:`Compiled.combine` applies a connective to set-valued arguments,
   one mask per carrier position, through memoised mask multioperations.
   This is the evaluation of unary profiles.  :func:`enumerate_unary` walks
@@ -175,9 +181,16 @@ class Compiled:
         return self._components
 
     def single_valued(self, comp):
-        """The tables restricted to the values in the mask comp, as index
-        tuple -> output index, or None when an entry keeps other than one
-        value there."""
+        """The tables restricted to the values in the mask comp, in the
+        layout :class:`Bitsets` evaluates them by, or None when an entry
+        keeps other than one value there.
+
+        Per connective, a tuple of (prefix, whole, singles, multis), one per
+        prefix: a tuple of values for every argument but the last.  whole is
+        the output when every value of the last argument gives the same one
+        after that prefix, and None otherwise; then singles pairs each
+        output that one last value gives with that value, and multis each
+        output that several give with the tuple of them."""
         if comp not in self._restricted:
             self._restricted[comp] = self._restrict(comp)
         return self._restricted[comp]
@@ -186,12 +199,23 @@ class Compiled:
         inside = self.members(comp)
         out = {}
         for conn, table in self.tables.items():
-            row = out[conn] = {}
-            for key in product(inside, repeat=self.arity[conn]):
-                got = table[key] & comp
-                if not got or got & (got - 1):
-                    return None
-                row[key] = got.bit_length() - 1
+            arity = self.arity[conn]
+            plan = []
+            for prefix in product(inside, repeat=max(arity - 1, 0)):
+                keys = [prefix + (x,) for x in inside] if arity else [()]
+                groups = {}
+                for key in keys:
+                    got = table[key] & comp
+                    if not got or got & (got - 1):
+                        return None
+                    groups.setdefault(got.bit_length() - 1, []).extend(key[-1:])
+                if len(groups) == 1:
+                    plan.append((prefix, next(iter(groups)), (), ()))
+                    continue
+                singles = tuple((v, xs[0]) for v, xs in groups.items() if len(xs) == 1)
+                multis = tuple((v, tuple(xs)) for v, xs in groups.items() if len(xs) > 1)
+                plan.append((prefix, None, singles, multis))
+            out[conn] = tuple(plan)
         return out
 
 
@@ -373,10 +397,11 @@ def bits(mask):
 
 class Bitsets:
     """Rows of formulas under every assignment of the given digits (one
-    tuple of value indices per variable) to the variables."""
+    tuple of value indices per variable) to the variables, evaluated by the
+    plans of :meth:`Compiled.single_valued`."""
 
-    def __init__(self, tables, n, variables, digits):
-        self.tables = tables
+    def __init__(self, plans, n, variables, digits):
+        self.plans = plans
         self.n = n
         self.digits = digits
         self.size = stride = prod(map(len, digits))
@@ -384,18 +409,19 @@ class Bitsets:
         self.rows = {}
         for x, ds in zip(variables, digits):
             period, stride = stride, stride // len(ds)
-            # one bit at the start of every period, times one block per digit
-            starts = self.full // ((1 << period) - 1)
-            block = (1 << stride) - 1
+            # one bit at the start of every period, times the first digit's
+            # block; each later digit's blocks are those shifted
+            first = self.full // ((1 << period) - 1) * ((1 << stride) - 1)
             row = [0] * n
             for j, d in enumerate(ds):
-                row[d] = (block << (j * stride)) * starts
+                row[d] = first << (j * stride)
             self.rows[x] = row
 
     def row(self, f):
         rows = self.rows
         if f in rows:
             return rows[f]
+        full = self.full
         stack = [f]
         while stack:
             g = stack.pop()
@@ -407,13 +433,23 @@ class Bitsets:
                 stack.append(g)
                 stack.extend(missing)
                 continue
-            args = [rows[a] for a in g.args]
+            head = [rows[a] for a in g.args]
+            last = head.pop() if head else None
             row = [0] * self.n
-            for key, v in self.tables[g.head].items():
-                got = self.full
-                for a, x in zip(args, key):
+            for prefix, whole, singles, multis in self.plans[g.head]:
+                got = full
+                for a, x in zip(head, prefix):
                     got &= a[x]
-                row[v] |= got
+                if not got:
+                    continue
+                if whole is not None:
+                    row[whole] |= got
+                    continue
+                for v, x in singles:
+                    row[v] |= got & last[x]
+                for v, xs in multis:
+                    # a formula's rows are disjoint: their sum is their union
+                    row[v] |= got & sum(map(last.__getitem__, xs))
             rows[g] = row
         return rows[f]
 
@@ -433,10 +469,10 @@ class Bitsets:
         return tuple(reversed(out))
 
 
-def satisfying(tables, n, variables, digits, select):
-    """(rank, values) for every assignment that select(bitsets) marks, by
-    increasing rank in the mixed radix of digits, one chunk of at most
-    CHUNK assignments at a time."""
+def _chunks(digits):
+    """(offset, digits) of each chunk of at most CHUNK assignments, by
+    increasing rank: the leading variables' digits fixed one tuple at a
+    time, in lexicographic order."""
     if not all(digits):
         return
     split, size = len(digits), 1
@@ -444,9 +480,39 @@ def satisfying(tables, n, variables, digits, select):
         split -= 1
         size *= len(digits[split])
     for j, head in enumerate(product(*digits[:split])):
-        chunk = Bitsets(tables, n, variables, [(d,) for d in head] + digits[split:])
+        yield j * size, [(d,) for d in head] + list(digits[split:])
+
+
+def satisfying(plans, n, variables, digits, select):
+    """(rank, values) for every assignment that select(bitsets) marks, by
+    increasing rank in the mixed radix of digits, one chunk of at most
+    CHUNK assignments at a time."""
+    for offset, chunk_digits in _chunks(digits):
+        chunk = Bitsets(plans, n, variables, chunk_digits)
         for i in bits(select(chunk)):
-            yield j * size + i, chunk.decode(i)
+            yield offset + i, chunk.decode(i)
+
+
+def first_hit(plans, n, variables, digits, selects):
+    """The first of the selects, in list order, that marks an assignment,
+    and the lowest-ranked assignment it marks, as (index, rank, values); or
+    None.  Every select reads the same rows, one chunk at a time: a chunk's
+    rows are evaluated once for all of them and dropped before the next
+    chunk's.  Once select i marks an assignment the selects after it are
+    out of play, and the search ends when none before it is left."""
+    live, best = len(selects), None
+    for offset, chunk_digits in _chunks(digits):
+        chunk = Bitsets(plans, n, variables, chunk_digits)
+        for i in range(live):
+            good = selects[i](chunk)
+            if good:
+                low = (good & -good).bit_length() - 1
+                live, best = i, (i, offset + low, chunk.decode(low))
+                break
+        del chunk
+        if not live:
+            break
+    return best
 
 
 def rank(digits, values):

@@ -183,99 +183,123 @@ def total_components(m):
     return [tuple(k.carrier[i] for i in k.members(c)) for c in k.components()]
 
 
-def _restrict_constraints(m, domain, base_constraints, component):
-    comp = frozenset(component)
-    cons = {}
-    for f in domain:
-        c = base_constraints.get(f)
-        cons[f] = comp if c is None else (comp & c)
-    return cons
+class _Visit:
+    """One total component (a mask) of one matrix, as check_consequence
+    visits it.  masks maps each premise and conclusion to the mask of the
+    values the matrix lets it take; digits are the values each variable may
+    take on the component, in carrier order, and size is the number of
+    their assignments.  plans is None when some table keeps other than one
+    value on the component."""
 
+    def __init__(self, idx, m, comp, masks, variables):
+        k = kernel.compiled(m.algebra)
+        self.idx, self.m, self.k, self.comp, self.masks = idx, m, k, comp, masks
+        self.plans = k.single_valued(comp)
+        self.digits = tuple(
+            tuple(k.members(comp & masks.get(x, comp))) for x in variables
+        )
+        self.size = prod(map(len, self.digits))
+        self.wanted = [(f, mask) for f, mask in masks.items() if not f.is_var]
 
-def _first_valuation(m, order, variables, base, comp, tables):
-    """solve_valuations(..., limit=1) on a component (a mask) where every
-    table restricts to single values: the lowest-ranked variable assignment
-    meeting the constraints, found with bitsets, and the assignments
-    decided."""
-    k = kernel.compiled(m.algebra)
-    digits = [
-        tuple(k.members(comp & k.mask_of(base.get(x, k.carrier))))
-        for x in variables
-    ]
-    wanted = [
-        (f, k.mask_of(c)) for f, c in base.items() if not f.is_var
-    ]
-
-    def select(bitsets):
+    def select(self, bitsets):
+        """The assignments meeting every constraint."""
         good = bitsets.full
-        for f, allowed in wanted:
+        for f, allowed in self.wanted:
             good &= bitsets.where(f, allowed)
             if not good:
                 break
         return good
 
-    hit = next(kernel.satisfying(tables, k.n, variables, digits, select), None)
-    if hit is None:
-        return None, prod(map(len, digits))
-    rank, values = hit
-    index = dict(zip(variables, values))
-    witness = {}
-    for f in order:
-        if not f.is_var:
-            index[f] = tables[f.head][tuple(index[a] for a in f.args)]
-        witness[f] = m.carrier[index[f]]
-    return witness, rank + 1
+    def witness(self, order, variables, values):
+        """The valuation of order's formulas extending the variables'
+        values (indices), through the tables restricted to the component."""
+        k = self.k
+        index = dict(zip(variables, values))
+        out = {}
+        for f in order:
+            if not f.is_var:
+                got = k.tables[f.head][tuple(index[a] for a in f.args)] & self.comp
+                index[f] = got.bit_length() - 1
+            out[f] = k.carrier[index[f]]
+        return out
 
-
-def _backtrack(m, domain, variables, base, comp):
-    cons = _restrict_constraints(m, domain, base, comp)
-    found = solve_valuations(m, domain, cons, limit=1)
-    k = kernel.compiled(m.algebra)
-    digits = [tuple(k.members(k.mask_of(cons[x]))) for x in variables]
-    if not found:
-        return None, prod(map(len, digits))
-    values = [k.carrier.index(found[0][x]) for x in variables]
-    return found[0], kernel.rank(digits, values) + 1
+    def backtrack(self, domain, variables):
+        """The first valuation solve_valuations finds on the component and
+        the rank of its variables' values, or (None, None)."""
+        k, comp = self.k, self.comp
+        cons = {f: k.values(comp & self.masks.get(f, comp)) for f in domain}
+        found = solve_valuations(self.m, domain, cons, limit=1)
+        if not found:
+            return None, None
+        values = [k.carrier.index(found[0][x]) for x in variables]
+        return found[0], kernel.rank(self.digits, values)
 
 
 def check_consequence(problem):
     """Set-Set (or Set-Fmla) consequence over the problem's matrices: Holds,
     or Fails with the first matrix and the first valuation, in
     solve_valuations' order, that designates every premise and no
-    conclusion.  Components whose tables restrict to single values are
-    decided by the bitset kernel, the others by solve_valuations."""
+    conclusion.
+
+    Each matrix is searched on its total components in turn.  Components
+    whose tables restrict to single values are decided by the bitset
+    kernel, the others by solve_valuations.  Matrices over one algebra
+    whose component and variable digits agree (a class of filters on one
+    algebra) read the same rows: each formula is evaluated once per chunk
+    of assignments, and each matrix only selects the values it wants."""
     premises = frozenset(problem.premises)
     conclusions = frozenset(problem.conclusions)
     if problem.mode == SET_FMLA and len(conclusions) != 1:
         raise FrameworkMismatch("Set-Fmla problems need exactly one conclusion")
     domain = subformulas(premises | conclusions)
-    for m in problem.models:
-        kernel.check_signature(m.algebra, domain)
+    for alg in dict.fromkeys(m.algebra for m in problem.models):
+        kernel.check_signature(alg, domain)
     order = sorted(domain, key=canon_key)
     variables = [f for f in order if f.is_var]
-    path, visited, covered = "bitset", 0, 0
+    visits = []
     for idx, m in enumerate(problem.models):
-        base = {}
-        for f in premises:
-            base[f] = m.designated
-        undes = frozenset(m.carrier) - m.designated
-        for f in conclusions:
-            base[f] = base.get(f, frozenset(m.carrier)) & undes
-        if any(not c for c in base.values()):
-            continue
         k = kernel.compiled(m.algebra)
-        for comp in k.components():
-            visited += 1
-            tables = k.single_valued(comp)
-            if tables is None:
-                path = "backtrack"
-                witness, n = _backtrack(m, domain, variables, base, k.values(comp))
-            else:
-                witness, n = _first_valuation(m, order, variables, base, comp, tables)
-            covered += n
+        des = k.mask_of(m.designated)
+        masks = dict.fromkeys(premises, des)
+        for f in conclusions:
+            masks[f] = masks.get(f, k.all) & ~des
+        if not all(masks.values()):
+            continue
+        visits.extend(_Visit(idx, m, comp, masks, variables) for comp in k.components())
+    # the visits that read the same rows, by position
+    shared = {}
+    for i, v in enumerate(visits):
+        if v.plans is not None:
+            shared.setdefault((v.k, v.comp, v.digits), []).append(i)
+    # the earliest visit with a witness: (position, witness, rank)
+    hit = None
+    for i, v in enumerate(visits):
+        if hit is not None and i >= hit[0]:
+            break
+        if v.plans is None:
+            witness, rank = v.backtrack(domain, variables)
             if witness is not None:
-                return Fails(idx, witness, CheckStats(path, visited, covered))
-    return Holds(CheckStats(path, visited, covered))
+                hit = i, witness, rank
+            continue
+        # a group is searched at its first visit, for its visits before hit
+        group = [j for j in shared.pop((v.k, v.comp, v.digits), ())
+                 if hit is None or j < hit[0]]
+        if not group:
+            continue
+        found = kernel.first_hit(
+            v.plans, v.k.n, variables, v.digits, [visits[j].select for j in group]
+        )
+        if found is not None:
+            j, rank, values = found
+            hit = group[j], visits[group[j]].witness(order, variables, values), rank
+    decided = visits if hit is None else visits[:hit[0] + 1]
+    path = "bitset"
+    if any(v.plans is None for v in decided):
+        path = "backtrack"
+    if hit is None:
+        return Holds(CheckStats(path, len(decided), sum(v.size for v in decided)))
+    covered = sum(v.size for v in decided[:-1]) + hit[2] + 1
+    return Fails(decided[-1].idx, hit[1], CheckStats(path, len(decided), covered))
 
 
 def check_rule_soundness(rule, models):

@@ -60,16 +60,20 @@ def make_rng(seed):
 
 
 def copy_tree(node):
-    """Fresh TreeNode structure; the added formulas stay shared since
-    they are immutable."""
-    return TreeNode(
-        node.adds,
-        node.rule,
-        node.subst,
-        [copy_tree(c) for c in node.children],
-        node.star,
-        node.closed,
-    )
+    """Fresh TreeNode structure, built with a work list; the added formulas
+    stay shared since they are immutable."""
+    def fresh(n):
+        return TreeNode(n.adds, n.rule, n.subst, [], n.star, n.closed)
+
+    root = fresh(node)
+    stack = [(node, root)]
+    while stack:
+        old, new = stack.pop()
+        for child in old.children:
+            copy = fresh(child)
+            new.children.append(copy)
+            stack.append((child, copy))
+    return root
 
 
 def materialized(ground):

@@ -464,6 +464,24 @@ def test_long_replay_chain_exports():
     assert dot.count(" [label=") == 2 * res.stats.nodes - 1
 
 
+def test_long_replay_chain_compares_copies_and_prints():
+    # TreeNode's equality and repr, and copy_tree, once recursed per level
+    rv = to_set_fmla_calculus(R_LEQ)
+    premises, goal = parse_formula_set("~(p & q)"), parse_formula_set("~p | ~q")
+    res = prove(rv, premises, goal)
+    assert res.stats.nodes == 4_942
+    assert "TreeNode(" in repr(res)
+    assert res == prove(rv, premises, goal)
+    copy = copy_tree(res.tree)
+    assert copy == res.tree and copy is not res.tree
+    # a difference at the foot of the chain
+    leaf = copy
+    while leaf.children:
+        leaf = leaf.children[-1]
+    leaf.closed = not leaf.closed
+    assert copy != res.tree
+
+
 def test_transformed_calculus_passes_on_refutation():
     rv = to_set_fmla_calculus(R_LEQ)
     premises = parse_formula_set("p")

@@ -3,8 +3,10 @@ solve_valuations for consequence, set-valued recursion for unary profiles,
 and FiniteAlgebra.eval_formula for assignments; and the prover's rule
 grounding against the plain product-and-filter grounding."""
 
+import weakref
 from collections import Counter
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,7 @@ from mvlogic.formula import (
 )
 from mvlogic.registry import MAT_PP6H, lookup, names, resolve_models
 from mvlogic.semantics import (
+    CheckStats,
     ConsequenceProblem,
     Fails,
     Holds,
@@ -56,9 +59,17 @@ def problems(draw, model_names=MODEL_NAMES, max_vars=3):
 
 
 def reference_check(problem):
-    """check_consequence by backtracking alone."""
+    """check_consequence by backtracking alone, with its CheckStats worked
+    out apart: the components visited up to the answer, each counting the
+    assignments of its variables' allowed values in carrier order, in
+    full, or up to and including the witness's (its mixed-radix rank + 1,
+    first variable in canonical order most significant); the path is
+    "backtrack" once a visited component has a table entry that keeps
+    other than one value there."""
     premises, conclusions = problem.premises, problem.conclusions
     domain = subformulas(premises | conclusions)
+    variables = sorted((f for f in domain if f.is_var), key=canon_key)
+    path, visited, covered = "bitset", 0, 0
     for idx, m in enumerate(problem.models):
         carrier = frozenset(m.carrier)
         base = {f: m.designated for f in premises}
@@ -67,19 +78,52 @@ def reference_check(problem):
         if any(not c for c in base.values()):
             continue
         for comp in total_components(m):
-            comp = frozenset(comp)
-            cons = {f: comp & base.get(f, comp) for f in domain}
+            visited += 1
+            inside = frozenset(comp)
+            if any(
+                len(out & inside) != 1
+                for table in m.algebra.interp.values()
+                for key, out in table.items()
+                if inside.issuperset(key)
+            ):
+                path = "backtrack"
+            cons = {f: inside & base.get(f, inside) for f in domain}
+            digits = [[v for v in comp if v in cons[x]] for x in variables]
             found = solve_valuations(m, domain, cons, limit=1)
             if found:
-                return Fails(idx, found[0])
-    return Holds()
+                rank = 0
+                for x, ds in zip(variables, digits):
+                    rank = rank * len(ds) + ds.index(found[0][x])
+                stats = CheckStats(path, visited, covered + rank + 1)
+                return Fails(idx, found[0], stats)
+            covered += prod(map(len, digits))
+    return Holds(CheckStats(path, visited, covered))
 
 
 def assert_same_answer(problem):
     got, want = check_consequence(problem), reference_check(problem)
     assert got == want
+    assert got.stats == want.stats
     if isinstance(want, Fails):
         assert list(got.witness.items()) == list(want.witness.items())
+    return got
+
+
+def watch_bitsets(mp):
+    """Patch kernel.Bitsets to record the size of each one built and to
+    fail when one is built while an earlier one is still alive; returns
+    the list of sizes."""
+    sizes, alive = [], []
+
+    class Watched(kernel.Bitsets):
+        def __init__(self, *args):
+            assert not any(ref() is not None for ref in alive)
+            super().__init__(*args)
+            sizes.append(self.size)
+            alive.append(weakref.ref(self))
+
+    mp.setattr(kernel, "Bitsets", Watched)
+    return sizes
 
 
 @SETTINGS
@@ -95,7 +139,43 @@ def test_chunked_enumeration_matches_backtracking(problem):
     # the bitset
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "CHUNK", 7)
+        watch_bitsets(mp)
         assert_same_answer(problem)
+
+
+def _ladder(k):
+    names = ["p%d" % i for i in range(1, k + 1)]
+    return (parse_formula_set("~(%s)" % " & ".join(names)),
+            parse_formula_set(" | ".join("~" + n for n in names)))
+
+
+@pytest.mark.parametrize("chunk, sizes", [(kernel.CHUNK, [6**4]), (36, [36] * 36)])
+def test_class_evaluates_each_chunk_once(chunk, sizes):
+    # the three pp6h-order matrices share pp6h's one component and the
+    # variables' digits: each chunk's rows are built once for all three
+    problem = ConsequenceProblem(resolve_models(["pp6h-order"]), *_ladder(4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "CHUNK", chunk)
+        sizes_built = watch_bitsets(mp)
+        got = assert_same_answer(problem)
+    assert sizes_built == sizes
+    assert got.stats == CheckStats("bitset", 3, 3 * 6**4)
+
+
+def test_first_matrix_failing_in_a_later_chunk_than_the_others():
+    # on pp6h-order the lowest witnesses lie at ranks 180, 13 and 7: the
+    # later matrices fail in the first chunk of 36, pp6h-uf in the sixth,
+    # and the search goes on until that one is decided
+    problem = ConsequenceProblem(
+        resolve_models(["pp6h-order"]), frozenset(),
+        parse_formula_set("~(q | p), (q => r) => q"),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "CHUNK", 36)
+        sizes = watch_bitsets(mp)
+        got = assert_same_answer(problem)
+    assert (got.matrix_index, got.stats.assignments) == (0, 181)
+    assert sizes == [36] * 6
 
 
 def test_first_witness_past_the_first_chunk():
