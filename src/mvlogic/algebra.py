@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 from . import kernel
 from .errors import CarrierTooLarge, MissingConnective, NotALattice, TooManyVariables
-from .formula import app, parse_formula, subformulas, var, variables
+from .formula import app, delta_, parse_formula, subformulas, var, variables
 from .semantics import MultiAlgebra, PNMatrix
 
 # identities over more variables, or algebras over more values, are refused:
@@ -46,26 +46,12 @@ class FiniteAlgebra:
         return self.op("and", a, b) == a
 
     def _check_lattice(self):
-        """and/or are a lattice's meet and join (commutative, associative
-        and absorptive) and top/bot, when present, bound its order: the
-        up-set filters and the Heyting identities rely on it."""
-        meet, join = self.ops["and"], self.ops["or"]
-        carrier = self.carrier
-        for a, b in product(carrier, repeat=2):
-            if meet[a, b] != meet[b, a] or join[a, b] != join[b, a]:
-                raise NotALattice("lattice operations are not commutative")
-            if meet[a, join[a, b]] != a or join[a, meet[a, b]] != a:
-                raise NotALattice("absorption fails")
-        for a, b, c in product(carrier, repeat=3):
-            if meet[a, meet[b, c]] != meet[meet[a, b], c] or (
-                join[a, join[b, c]] != join[join[a, b], c]
-            ):
-                raise NotALattice("lattice operations are not associative")
-        for a in carrier:
-            if (self.has("bot") and not self.leq(self.op("bot"), a)) or (
-                self.has("top") and not self.leq(a, self.op("top"))
-            ):
-                raise NotALattice("top/bot are not lattice bounds")
+        """and/or are a lattice's meet and join (commutative, absorptive and
+        associative) and top/bot, when present, bound its order: the up-set
+        filters and the Heyting identities rely on it."""
+        for law, required, error in _LATTICE_LAWS:
+            if self.has(*required) and not _holds(self, law):
+                raise NotALattice(error)
 
     def eval_formula(self, f, assignment):
         if f.is_var:
@@ -97,11 +83,11 @@ def check_identity(alg, lhs, rhs):
             same |= a & b
         return bitsets.full & ~same
 
-    digits = [tuple(range(k.n))] * len(vs)
-    hit = next(kernel.satisfying(plans, k.n, [var(v) for v in vs], digits, differ), None)
+    xs = [var(v) for v in vs]
+    hit = kernel.first_hit(plans, k.n, xs, [tuple(range(k.n))] * len(vs), [differ], xs)
     if hit is None:
         return None
-    return {v: alg.carrier[i] for v, i in zip(vs, hit[1])}
+    return {v: alg.carrier[i] for v, i in zip(vs, hit[2])}
 
 
 def check_inequality(alg, lhs, rhs):
@@ -127,15 +113,32 @@ def residuum_of_meet(alg):
 
 def _delta_map(alg):
     """The unary Δ term function: x∧∘x when ∘ is present, else ¬∼x with
-    ¬x = x⇒∼(x⇒x)."""
+    ¬x = x⇒∼(x⇒x), the delta macro."""
+    x = var("x")
     if alg.has("circ", "and"):
-        return {a: alg.op("and", a, alg.op("circ", a)) for a in alg.carrier}
-    if alg.has("imp", "neg"):
-        def hneg(x):
-            return alg.op("imp", x, alg.op("neg", alg.op("imp", x, x)))
-        return {a: hneg(alg.op("neg", a)) for a in alg.carrier}
-    raise MissingConnective("Δ needs ∘/∧ or ⇒/∼")
+        delta = app("and", x, app("circ", x))
+    elif alg.has("imp", "neg"):
+        delta = delta_(x)
+    else:
+        raise MissingConnective("Δ needs ∘/∧ or ⇒/∼")
+    k = kernel.compiled(alg.multi)
+    rows = kernel.Bitsets(k.single_valued(k.all), k.n, [x], [tuple(range(k.n))])
+    values = rows.values(delta, rows.full)
+    return {a: alg.carrier[values[i]] for i, a in enumerate(alg.carrier)}
 
+
+# The lattice laws FiniteAlgebra checks when and/or are present, in order:
+# (law, the constants it needs, the error its failure raises).
+_LATTICE_LAWS = [
+    ("x & y == y & x", (), "lattice operations are not commutative"),
+    ("x | y == y | x", (), "lattice operations are not commutative"),
+    ("x & (x | y) == x", (), "absorption fails"),
+    ("x | (x & y) == x", (), "absorption fails"),
+    ("x & (y & z) == (x & y) & z", (), "lattice operations are not associative"),
+    ("x | (y | z) == (x | y) | z", (), "lattice operations are not associative"),
+    ("bot & x == bot", ("bot",), "top/bot are not lattice bounds"),
+    ("x & top == x", ("top",), "top/bot are not lattice bounds"),
+]
 
 # The paper's equational bases: (name, connectives required, laws), each law
 # an identity "l == r" or an inequality "l <= r" valid in every algebra of

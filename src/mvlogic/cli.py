@@ -261,6 +261,7 @@ def cmd_algebra(args):
         FILTER_PRINCIPAL,
         FILTER_REGULAR,
         check_identity,
+        check_inequality,
         congruences,
         filters,
         subalgebras,
@@ -296,12 +297,16 @@ def cmd_algebra(args):
         _print(args, {"algebra": alg.name, "profile": prof}, ", ".join(prof))
         return EXIT_POSITIVE
     if what == "check":
+        wants = "'lhs == rhs' or 'lhs <= rhs'"
         if not args.identity:
-            raise UsageError("algebra check needs --identity 'lhs == rhs'")
-        lhs, sep, rhs = args.identity.partition("==")
-        if not sep:
-            raise UsageError("--identity wants 'lhs == rhs'")
-        wit = check_identity(alg, lhs.strip(), rhs.strip())
+            raise UsageError("algebra check needs --identity " + wants)
+        for sep, check in (("==", check_identity), ("<=", check_inequality)):
+            lhs, found, rhs = args.identity.partition(sep)
+            if found:
+                break
+        else:
+            raise UsageError("--identity wants " + wants)
+        wit = check(alg, lhs.strip(), rhs.strip())
         if wit is None:
             _print(args, {"result": "valid"}, "Valid.")
             return EXIT_POSITIVE
@@ -423,7 +428,7 @@ def build_parser():
     p.add_argument("--algebra", required=True)
     p.add_argument("--flavor", default="lattice",
                    choices=["lattice", "principal", "prime", "regular"])
-    p.add_argument("--identity")
+    p.add_argument("--identity", help="for check: 'lhs == rhs' or 'lhs <= rhs'")
     common(p)
     p.set_defaults(func=cmd_algebra)
 

@@ -161,9 +161,12 @@ def _tokenize(text):
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            if text[pos:].strip() == "":
+            rest = text[pos:].lstrip()
+            if not rest:
                 break
-            raise FormulaSyntaxError("unexpected character %r" % text[pos], pos)
+            raise FormulaSyntaxError(
+                "unexpected character %r" % rest[0], len(text) - len(rest)
+            )
         tokens.append((m.group(1), m.start(1)))
         pos = m.end()
     tokens.append((None, len(text)))

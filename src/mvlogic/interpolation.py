@@ -124,13 +124,13 @@ def valuation_family(phi, shared):
         return good
 
     digits = [tuple(range(k.n))] * len(phi_vars)
-    at = [phi_vars.index(v) for v in shared]
+    xs = [var(v) for v in phi_vars]
     u = []
     seen = set()
     for _, values in kernel.satisfying(
-        plans, k.n, [var(v) for v in phi_vars], digits, all_top
+        plans, k.n, xs, digits, all_top, [var(v) for v in shared]
     ):
-        proj = tuple(k.carrier[values[i]] for i in at)
+        proj = tuple(k.carrier[i] for i in values)
         if proj not in seen:
             seen.add(proj)
             u.append(proj)

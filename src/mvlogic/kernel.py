@@ -17,16 +17,22 @@ table is keyed by index tuples.  Two evaluators share that form.
   with the second argument's rows for that output summed (they are
   disjoint), and none when every second value gives the same output.
   :func:`first_hit` lets several selections, one per matrix over the same
-  component, read the same rows, one chunk of assignments at a time.
-* :meth:`Compiled.combine` applies a connective to set-valued arguments,
-  one mask per carrier position, through memoised mask multioperations.
-  This is the evaluation of unary profiles.  :func:`enumerate_unary` walks
-  the unary clone with each profile cut into blocks of ``BLOCK``
-  consecutive carrier positions.  A block's value (its tuple of masks) is
-  interned once per walk, a profile is its short tuple of block ids, and a
-  candidate profile is one memo lookup per block, filled on a miss from
-  :meth:`Compiled.row`, the same multioperations with every argument but
-  the last fixed.
+  component, read the same rows, one chunk of assignments at a time, and
+  :func:`satisfying` lists what one selection marks.  Both read the values
+  they return (a witness, an assignment) off the rows with
+  :meth:`Bitsets.values`, and drop a chunk's rows before the next chunk's
+  are built.
+* :meth:`Compiled.row` is the one set-valued memo: a connective with the
+  masks of every argument but the last fixed, at one carrier position,
+  maps the last argument's mask to the mask of every output on argument
+  values drawn from the masks, computed from the table on a miss.
+  :meth:`Compiled.combine` applies a connective to set-valued arguments,
+  one mask per carrier position, through those rows; this is the
+  evaluation of unary profiles.  :func:`enumerate_unary` walks the unary
+  clone with each profile cut into blocks of ``BLOCK`` consecutive carrier
+  positions.  A block's value (its tuple of masks) is interned once per
+  walk, a profile is its short tuple of block ids, and a candidate profile
+  is one memo lookup per block, filled on a miss from the rows.
 
 :meth:`Compiled.components` gives the maximal total components as masks.
 """
@@ -60,36 +66,24 @@ CHUNK = 1 << 16
 BLOCK = 4
 
 
-class _MaskOp(dict):
-    """Memo of one set-valued connective: a tuple of argument masks maps to
-    the mask of every output on argument values drawn from them."""
+class _Row(dict):
+    """One connective at one carrier position with every argument but the
+    last fixed: the last argument's mask maps to the mask of every output
+    on argument values drawn from the masks."""
 
-    def __init__(self, table, members):
+    __slots__ = ("table", "members", "fixed")
+
+    def __init__(self, table, members, fixed):
         super().__init__()
         self.table = table
         self.members = members
-
-    def __missing__(self, masks):
-        out = 0
-        for combo in product(*(self.members(m) for m in masks)):
-            out |= self.table[combo]
-        self[masks] = out
-        return out
-
-
-class _Row(dict):
-    """One connective at one carrier position with every argument but the
-    last fixed: the last argument's mask maps to the output mask."""
-
-    __slots__ = ("op", "fixed")
-
-    def __init__(self, op, fixed):
-        super().__init__()
-        self.op = op
         self.fixed = fixed
 
     def __missing__(self, mask):
-        out = self[mask] = self.op[self.fixed + (mask,)]
+        out = 0
+        for key in product(*map(self.members, self.fixed + (mask,))):
+            out |= self.table[key]
+        self[mask] = out
         return out
 
 
@@ -116,7 +110,6 @@ class Compiled:
         }
         self.all = (1 << self.n) - 1
         self.identity = tuple(1 << i for i in range(self.n))
-        self._ops = {}
         self._rows = {}
         self._restricted = {}
         self._components = None
@@ -137,29 +130,21 @@ class Compiled:
     def values(self, mask):
         return frozenset(self.carrier[i] for i in self.members(mask))
 
-    def op(self, conn):
-        """The memoised mask multioperation of conn."""
-        op = self._ops.get(conn)
-        if op is None:
-            op = self._ops[conn] = _MaskOp(self.tables[conn], self.members)
-        return op
-
     def row(self, conn, fixed):
         """The memoised row of conn with its arguments but the last fixed to
         the masks in the tuple fixed: the last argument's mask maps to the
         output mask."""
         row = self._rows.get((conn, fixed))
         if row is None:
-            row = self._rows[conn, fixed] = _Row(self.op(conn), fixed)
+            row = self._rows[conn, fixed] = _Row(self.tables[conn], self.members, fixed)
         return row
 
     def combine(self, conn, profiles):
         """Set-valued application of conn, position by position, to argument
-        profiles (one mask per carrier value each)."""
-        op = self.op(conn)
+        profiles (one mask per carrier value each), read off its rows."""
         if not profiles:
-            return (op[()],) * self.n
-        return tuple(map(op.__getitem__, zip(*profiles)))
+            return (self.tables[conn][()],) * self.n
+        return tuple(self.row(conn, args[:-1])[args[-1]] for args in zip(*profiles))
 
     def components(self):
         """Maximal masks on which every table entry over their members keeps
@@ -403,7 +388,6 @@ class Bitsets:
     def __init__(self, plans, n, variables, digits):
         self.plans = plans
         self.n = n
-        self.digits = digits
         self.size = stride = prod(map(len, digits))
         self.full = (1 << stride) - 1
         self.rows = {}
@@ -461,12 +445,14 @@ class Bitsets:
             out |= row[v]
         return out
 
-    def decode(self, i):
-        out = []
-        for ds in reversed(self.digits):
-            i, r = divmod(i, len(ds))
-            out.append(ds[r])
-        return tuple(reversed(out))
+    def values(self, f, mask):
+        """The value index f takes under each assignment in mask, keyed by
+        the assignment."""
+        out = {}
+        for v, row in enumerate(self.row(f)):
+            if row & mask:
+                out.update(dict.fromkeys(bits(row & mask), v))
+        return out
 
 
 def _chunks(digits):
@@ -483,31 +469,42 @@ def _chunks(digits):
         yield j * size, [(d,) for d in head] + list(digits[split:])
 
 
-def satisfying(plans, n, variables, digits, select):
+def satisfying(plans, n, variables, digits, select, formulas):
     """(rank, values) for every assignment that select(bitsets) marks, by
-    increasing rank in the mixed radix of digits, one chunk of at most
-    CHUNK assignments at a time."""
+    increasing rank in the mixed radix of digits, values the value indices
+    of the formulas there.  Like :func:`first_hit`, it reads the values off
+    the rows of one chunk of at most CHUNK assignments at a time and drops
+    the chunk's rows before the next chunk's are built."""
     for offset, chunk_digits in _chunks(digits):
         chunk = Bitsets(plans, n, variables, chunk_digits)
-        for i in bits(select(chunk)):
-            yield offset + i, chunk.decode(i)
+        good = select(chunk)
+        ranks = list(bits(good))
+        columns = [map(chunk.values(f, good).__getitem__, ranks) for f in formulas]
+        found = list(zip(ranks, *columns))
+        del chunk
+        for hit in found:
+            yield offset + hit[0], hit[1:]
 
 
-def first_hit(plans, n, variables, digits, selects):
+def first_hit(plans, n, variables, digits, selects, formulas):
     """The first of the selects, in list order, that marks an assignment,
-    and the lowest-ranked assignment it marks, as (index, rank, values); or
-    None.  Every select reads the same rows, one chunk at a time: a chunk's
-    rows are evaluated once for all of them and dropped before the next
-    chunk's.  Once select i marks an assignment the selects after it are
-    out of play, and the search ends when none before it is left."""
+    the lowest-ranked assignment it marks and the value indices of the
+    formulas there, as (index, rank, values); or None.  Every select reads
+    the same rows, one chunk at a time: a chunk's rows are evaluated once
+    for all of them, and the values read off them, before the rows are
+    dropped and the next chunk's built.  Once select i marks an assignment
+    the selects after it are out of play, and the search ends when none
+    before it is left."""
     live, best = len(selects), None
     for offset, chunk_digits in _chunks(digits):
         chunk = Bitsets(plans, n, variables, chunk_digits)
         for i in range(live):
             good = selects[i](chunk)
             if good:
-                low = (good & -good).bit_length() - 1
-                live, best = i, (i, offset + low, chunk.decode(low))
+                low = good & -good
+                at = low.bit_length() - 1
+                values = tuple(chunk.values(f, low)[at] for f in formulas)
+                live, best = i, (i, offset + at, values)
                 break
         del chunk
         if not live:

@@ -30,14 +30,18 @@ def leq6(a, b):
     return b in _LEQ6[a]
 
 
-def meet6(a, b):
-    lower = [c for c in V6 if leq6(c, a) and leq6(c, b)]
-    return max(lower, key=lambda c: sum(1 for d in V6 if leq6(d, c)))
-
-
-def join6(a, b):
-    upper = [c for c in V6 if leq6(a, c) and leq6(b, c)]
-    return min(upper, key=lambda c: sum(1 for d in V6 if leq6(d, c)))
+def _lattice_tables(carrier, up):
+    """The "and" and "or" tables of the lattice on carrier in which up[a]
+    holds the values at or above a: of the common lower bounds the meet has
+    the fewest values above it, of the common upper bounds the join the
+    most."""
+    meet, join = {}, {}
+    for a, b in product(carrier, repeat=2):
+        lower = [c for c in carrier if a in up[c] and b in up[c]]
+        upper = [c for c in carrier if c in up[a] and c in up[b]]
+        meet[a, b] = {min(lower, key=lambda c: len(up[c]))}
+        join[a, b] = {max(upper, key=lambda c: len(up[c]))}
+    return {"and": meet, "or": join}
 
 
 NEG6 = {"hf": "ht", "f": "t", "n": "n", "b": "b", "t": "f", "ht": "hf"}
@@ -77,8 +81,7 @@ def _binary_table(fn, carrier):
 
 def _pp6_interp(with_imp=None):
     interp = {
-        "and": _binary_table(lambda a, b: {meet6(a, b)}, V6),
-        "or": _binary_table(lambda a, b: {join6(a, b)}, V6),
+        **_lattice_tables(V6, _LEQ6),
         "neg": _unary_table(NEG6),
         "circ": _unary_table(CIRC6),
         "top": {(): {"ht"}},
@@ -105,24 +108,13 @@ V4 = ("f", "n", "b", "t")
 _LEQ4 = {"f": set(V4), "n": {"n", "t"}, "b": {"b", "t"}, "t": {"t"}}
 
 
-def _meet4(a, b):
-    lower = [c for c in V4 if a in _LEQ4[c] and b in _LEQ4[c]]
-    return max(lower, key=lambda c: 4 - len(_LEQ4[c]))
-
-
-def _join4(a, b):
-    upper = [c for c in V4 if c in _LEQ4[a] and c in _LEQ4[b]]
-    return min(upper, key=lambda c: 4 - len(_LEQ4[c]))
-
-
 NEG4 = {"f": "t", "n": "n", "b": "b", "t": "f"}
 
 ALG_DM4 = MultiAlgebra(
     "dm4",
     V4,
     {
-        "and": _binary_table(lambda a, b: {_meet4(a, b)}, V4),
-        "or": _binary_table(lambda a, b: {_join4(a, b)}, V4),
+        **_lattice_tables(V4, _LEQ4),
         "neg": _unary_table(NEG4),
         "top": {(): {"t"}},
         "bot": {(): {"f"}},

@@ -210,19 +210,6 @@ class _Visit:
                 break
         return good
 
-    def witness(self, order, variables, values):
-        """The valuation of order's formulas extending the variables'
-        values (indices), through the tables restricted to the component."""
-        k = self.k
-        index = dict(zip(variables, values))
-        out = {}
-        for f in order:
-            if not f.is_var:
-                got = k.tables[f.head][tuple(index[a] for a in f.args)] & self.comp
-                index[f] = got.bit_length() - 1
-            out[f] = k.carrier[index[f]]
-        return out
-
     def backtrack(self, domain, variables):
         """The first valuation solve_valuations finds on the component and
         the rank of its variables' values, or (None, None)."""
@@ -286,12 +273,11 @@ def check_consequence(problem):
                  if hit is None or j < hit[0]]
         if not group:
             continue
-        found = kernel.first_hit(
-            v.plans, v.k.n, variables, v.digits, [visits[j].select for j in group]
-        )
+        selects = [visits[j].select for j in group]
+        found = kernel.first_hit(v.plans, v.k.n, variables, v.digits, selects, order)
         if found is not None:
             j, rank, values = found
-            hit = group[j], visits[group[j]].witness(order, variables, values), rank
+            hit = group[j], dict(zip(order, map(v.k.carrier.__getitem__, values))), rank
     decided = visits if hit is None else visits[:hit[0] + 1]
     path = "bitset"
     if any(v.plans is None for v in decided):

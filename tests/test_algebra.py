@@ -50,6 +50,7 @@ from mvlogic.registry import (
     MAT_PP6H,
     MAT_PP6_UB,
     V6,
+    lookup,
 )
 from mvlogic.semantics import (
     ConsequenceProblem,
@@ -840,3 +841,46 @@ def test_non_lattice_algebras_are_input_errors(tmp_path, capsys):
         path.write_text(json.dumps(data))
         assert run(["algebra", "profile", "--algebra", "@%s" % path]) == EXIT_USAGE
         assert why in capsys.readouterr().err
+
+
+def test_lattice_law_failures():
+    chain = ("o", "i")
+
+    def algebra(meet, join, **constants):
+        interp = {
+            "and": {(a, b): {meet[a + b]} for a, b in product(chain, repeat=2)},
+            "or": {(a, b): {join[a + b]} for a, b in product(chain, repeat=2)},
+        }
+        interp.update({c: {(): {v}} for c, v in constants.items()})
+        return MultiAlgebra("bad", chain, interp)
+
+    low = {"oo": "o", "oi": "o", "io": "o", "ii": "i"}
+    high = {"oo": "o", "oi": "i", "io": "i", "ii": "i"}
+    FiniteAlgebra(algebra(low, high, top="i", bot="o"))
+    with pytest.raises(NotALattice, match="absorption fails"):
+        FiniteAlgebra(algebra(low, low))
+    for bound in ({"top": "o"}, {"bot": "i"}):
+        with pytest.raises(NotALattice, match="not lattice bounds"):
+            FiniteAlgebra(algebra(low, high, **bound))
+    # absorption fails at (o, o) and commutativity at (o, i): the laws are
+    # checked one at a time, commutativity first
+    skew = {"oo": "i", "oi": "o", "io": "i", "ii": "i"}
+    with pytest.raises(NotALattice, match="not commutative"):
+        FiniteAlgebra(algebra(skew, high))
+
+
+@pytest.mark.parametrize("name", ["letk", "pp2h", "pp6", "pp6h", "pp6h-no-circ"])
+def test_delta_map_matches_eval_formula(name):
+    # x & @x where @ is present, else ~x => ~(~x => ~x)
+    if name == "pp6h-no-circ":
+        interp = {c: t for c, t in ALG_PP6H.interp.items() if c != "circ"}
+        alg = FiniteAlgebra(MultiAlgebra(name, ALG_PP6H.carrier, interp))
+        term = parse_formula("~x => ~(~x => ~x)")
+    else:
+        alg = FiniteAlgebra(lookup("algebra", name).payload)
+        term = parse_formula("x & @x")
+    assert _delta_map(alg) == {
+        a: alg.eval_formula(term, {"x": a}) for a in alg.carrier
+    }
+    with pytest.raises(MissingConnective):
+        _delta_map(FiniteAlgebra(ALG_DM4))

@@ -233,6 +233,27 @@ def test_algebra_check(capsys):
     assert code == EXIT_USAGE
 
 
+def test_algebra_check_inequality(capsys):
+    code = run([
+        "algebra", "check", "--algebra", "pp6h", "--identity", "x & y <= x",
+    ])
+    assert code == EXIT_POSITIVE
+    assert capsys.readouterr().out == "Valid.\n"
+    code = run([
+        "algebra", "check", "--algebra", "pp6h", "--identity", "x <= y",
+    ])
+    assert code == EXIT_NEGATIVE
+    assert capsys.readouterr().out == "Counterexample: {'x': 'f', 'y': 'hf'}\n"
+
+
+def test_algebra_check_syntax_error_position(capsys):
+    code = run([
+        "algebra", "check", "--algebra", "pp6h", "--identity", "x == y == z",
+    ])
+    assert code == EXIT_USAGE
+    assert "unexpected character '=' (at position 2)" in capsys.readouterr().err
+
+
 def test_algebra_not_deterministic_is_usage_error(capsys):
     # pp6a1 is registered, but the algebra toolbox takes only deterministic
     # total algebras

@@ -102,6 +102,13 @@ def test_parse_errors():
         parse_formula("wimp(p)")
 
 
+def test_parse_error_names_the_character_after_whitespace():
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula("p == q")
+    assert str(err.value) == "unexpected character '=' (at position 2)"
+    assert err.value.position == 2
+
+
 def test_nesting_bound():
     # at the bound parsing, rendering and substituting fit in the default
     # recursion limit; one level past it is a syntax error, not a crash

@@ -32,6 +32,7 @@ from mvlogic.formula import (
     var,
     variables,
 )
+from mvlogic.interpolation import valuation_family
 from mvlogic.registry import MAT_PP6H, lookup, names, resolve_models
 from mvlogic.semantics import (
     CheckStats,
@@ -192,6 +193,23 @@ def test_first_witness_past_the_first_chunk():
     assert res.stats.assignments == 5 * 6**6 + 1 > kernel.CHUNK
 
 
+def test_chunks_are_built_one_at_a_time():
+    # check_identity and valuation_family read each chunk's values off its
+    # rows and drop them before the next chunk's are built
+    pp6h = FiniteAlgebra(lookup("algebra", "pp6h").payload)
+    p, q, r = map(var, "pqr")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "CHUNK", 36)
+        sizes = watch_bitsets(mp)
+        assert check_identity(pp6h, "x & (y | z)", "(x & y) | (x & z)") is None
+        assert sizes == [36] * 6
+        del sizes[:]
+        assert valuation_family([app("and", app("and", p, q), r)], ["p"]) == [("ht",)]
+        assert sizes == [36] * 6
+    # no shared variable: every assignment projects to the one empty tuple
+    assert valuation_family([p], []) == [()]
+
+
 def set_valued_profile(m, f):
     interp = m.algebra.interp
 
@@ -233,8 +251,8 @@ def test_enumerated_profiles_match_set_valued_evaluation(name):
 
 
 def reference_enumerate_unary(alg, max_depth=None):
-    """enumerate_unary as one profile evaluation per argument tuple, every
-    tuple of the depth's product in order, with no row memos, no skipped
+    """enumerate_unary as one Compiled.combine per argument tuple, every
+    tuple of the depth's product in order, with no block memos, no skipped
     heads and no symmetry."""
     k = kernel.compiled(alg)
     conns = sorted(k.arity, key=lambda c: (k.arity[c], c))
@@ -258,12 +276,11 @@ def reference_enumerate_unary(alg, max_depth=None):
             arity = k.arity[conn]
             if arity == 0:
                 continue
-            get = k.op(conn).__getitem__
             for head in product(range(size), repeat=arity - 1):
                 first = [profiles[i] for i in head]
                 low = 0 if head and max(head) >= start else start
                 for last in range(low, size):
-                    profile = tuple(map(get, zip(*first, profiles[last])))
+                    profile = k.combine(conn, first + [profiles[last]])
                     if profile in seen:
                         continue
                     seen.add(profile)
