@@ -54,6 +54,10 @@ class TreeNode:
     path from the root: the root adds the premises, each child of a rule
     step adds its one branch formula, and a star child adds nothing.
 
+    The tree of a Proved answer may share subtrees: a node that closes by
+    the same steps as an earlier one holds that node's children list.  It
+    is then a DAG, and every walk (validation, export, equality, node
+    counts) unfolds it into a tree.
     Trees can be thousands of levels deep, so equality walks them with a
     work list and repr shows the root's step and its number of children."""
 
@@ -94,8 +98,10 @@ class ProveStats:
     closes before any grounding, so every count is 0 but the one node.
     universe is None without an analyticity set or work; core counts the
     instances in the minimal unsatisfiable core, steps the tree search's
-    steps and nodes the proof tree's nodes.  assignments (those of the
-    core's minimization included) plus steps count against budget_nodes."""
+    steps, nodes the proof tree's nodes (its unfolding, when subtrees are
+    shared) and reused the branch children closed by a subtree the search
+    had closed before.  assignments (those of the core's minimization
+    included) plus steps count against budget_nodes."""
 
     route: str
     universe: int
@@ -105,6 +111,7 @@ class ProveStats:
     core: int = 0
     steps: int = 0
     nodes: int = 0
+    reused: int = 0
 
 
 @dataclass
@@ -347,6 +354,21 @@ def _model_truths(calc, base, formulas):
     return masks
 
 
+class _Subtree:
+    """A subtree of the search while it grows: its top node (the root, or
+    a branch child), the subtree it lies in, the bits of the antecedents of
+    the instances applied in it, the bits of the formulas added below its
+    top, its number of nodes below its top, and the open children it still
+    waits for, plus one while its own top grows."""
+
+    __slots__ = ("top", "parent", "ants", "adds", "nodes", "open")
+
+    def __init__(self, top, parent):
+        self.top, self.parent = top, parent
+        self.ants = self.adds = self.nodes = 0
+        self.open = 1
+
+
 class _Searcher:
     """Depth-first search for a proof tree from ground instances, built top
     down in one work-list loop and never backtracking.  Each node first
@@ -359,13 +381,26 @@ class _Searcher:
 
     The search runs on bitsets: the instances' formulas are numbered, a
     label is an int with the bits of its formulas, and instance i applies
-    to a label when ant[i] & ~label and succ[i] & label are both 0."""
+    to a label when ant[i] & ~label and succ[i] & label are both 0.
+
+    Closed subtrees are reused (global caching, Goré & Nguyen, TABLEAUX
+    2007, keyed on the formulas used as in Horrocks & Patel-Schneider, JLC
+    1999).  When a branch child's subtree closes, the formulas of its label
+    that the subtree's steps use (needed: the antecedents applied in it,
+    less the formulas added in it) and those added in it are kept.  A later
+    branch child whose label holds every needed formula and no added one
+    closes by the same steps, so it takes that child's rule, substitution
+    and children list instead of a search; reused counts such children.
+    The tree is then a DAG whose unfolding is a tree.  An entry is filed
+    under each of its needed formulas, and a child looks only under its own
+    branch formula."""
 
     def __init__(self, instances, goal, budget, truths=None):
         self.budget = budget
         self.truths = truths
         self.steps = 0
         self.nodes = 0
+        self.reused = 0
         self.saturated = False
         self.names = [i[0] for i in instances]
         self.substs = [i[1] for i in instances]
@@ -399,7 +434,8 @@ class _Searcher:
     def run(self, premises):
         """The proof tree of premises that do not meet the goal, or None
         when the budget ran out or a branch saturated.  nodes counts the
-        tree's nodes, and stays 0 without a tree."""
+        tree's nodes, unfolded, and stays 0 without a tree; steps counts
+        the searched steps only, so a reused subtree costs no budget."""
         ants, succs, adds, in_goal = self.ant, self.succ, self.adds, self.in_goal
         label = 0
         for f in premises:
@@ -420,14 +456,51 @@ class _Searcher:
             rows = [self.truths[f] for f in self.formulas]
         root = TreeNode(frozenset(premises))
         nodes = 1
+        # per formula bit, the closed subtrees (needed, added, nodes below
+        # the top, top) whose needed formulas include it
+        cache = [[] for _ in self.formulas]
+
+        def finish(sub):
+            # sub's top, or one of its open children, has closed: file each
+            # subtree that this closes and pass its work up
+            while True:
+                sub.open -= 1
+                if sub.open or sub.parent is None:
+                    return
+                needed = sub.ants & ~sub.adds
+                entry = (needed, sub.adds, sub.nodes, sub.top)
+                while needed:
+                    low = needed & -needed
+                    cache[low.bit_length() - 1].append(entry)
+                    needed ^= low
+                up = sub.parent
+                up.ants |= sub.ants
+                up.adds |= sub.adds
+                up.nodes += sub.nodes
+                sub = up
+
         # a node to grow, the bit of the formula it adds to its parent's
-        # state, and that state; a branch's children share it.  The root's
-        # own state comes with no formula to add.
-        work = [(root, -1, (label, alive, queue, []))]
+        # state, that state, and the subtree of its parent; a branch's
+        # children share the last two.  The root's own state comes with no
+        # formula to add.
+        work = [(root, -1, (label, alive, queue, []), None)]
         while work:
-            node, b, (label, alive, queue, pending) = work.pop()
+            node, b, (label, alive, queue, pending), up = work.pop()
             if b >= 0:
                 label |= 1 << b
+                for needed, added, below, top in cache[b]:
+                    if not needed & ~label and not added & label:
+                        node.rule, node.subst = top.rule, top.subst
+                        node.children = top.children
+                        nodes += below
+                        self.reused += 1
+                        up.ants |= needed
+                        up.adds |= added
+                        up.nodes += below
+                        finish(up)
+                        break
+                if node.children:  # taken from a closed subtree
+                    continue
                 alive &= rows[b]
                 queue = [
                     i for i in self.by_ant[b]
@@ -437,6 +510,8 @@ class _Searcher:
                     i for i in pending
                     if not ants[i] & ~label and not succs[i] & label
                 ]
+            sub = _Subtree(node, up)
+            start, used, before = label, 0, nodes
             self.steps += 1
             if self.steps > self.budget:
                 return None
@@ -450,6 +525,7 @@ class _Searcher:
                     pending.append(i)
                     continue
                 node.rule, node.subst = self.names[i], self.substs[i]
+                used |= ants[i]
                 nodes += 1
                 if not succ:
                     node.children = [TreeNode(star=True)]
@@ -469,7 +545,9 @@ class _Searcher:
                 if in_goal[b]:
                     node.closed = True
                     break
+            sub.ants, sub.adds, sub.nodes = used, label & ~start, nodes - before
             if node.closed or node.children:
+                finish(sub)
                 continue
             # phase 2: branch on the candidate first in order of its
             # children that some truth row of the label still designates (a
@@ -502,11 +580,16 @@ class _Searcher:
             succ = self.succ_sorted[best]
             node.children = [TreeNode(adds[b], closed=in_goal[b]) for b in succ]
             nodes += len(succ)
+            sub.ants |= ants[best]
+            sub.adds |= succs[best]
+            sub.nodes += len(succ)
             state = (label, alive, None, pending)
             # reversed, so that the first open child is grown first
             for child, b in zip(node.children[::-1], succ[::-1]):
                 if not child.closed:
-                    work.append((child, b, state))
+                    sub.open += 1
+                    work.append((child, b, state, sub))
+            finish(sub)
         self.nodes = nodes
         return root
 
@@ -623,7 +706,8 @@ def _decide(calc, premises, goal, universe, ground, budget_nodes):
     # a label closed under the core's instances would satisfy the core
     assert not searcher.saturated
     stats = replace(
-        stats, core=len(core), steps=searcher.steps, nodes=searcher.nodes
+        stats, core=len(core), steps=searcher.steps, nodes=searcher.nodes,
+        reused=searcher.reused,
     )
     return OutOfBudget(stats) if tree is None else Proved(tree, stats)
 
@@ -671,13 +755,16 @@ def _condense(calc, tree, goal):
     subst, antecedent) or ("rule", rule, subst, antecedent, kids), where
     kids maps each branch formula to its branch's (spec, needed, leaves):
     needed holds the formulas of the branch's label that its steps use and
-    leaves counts its closed leaves."""
+    leaves counts its closed leaves.  A node shared by several parents is
+    condensed once: results keeps each node's spec under its id."""
     rules = {r.name: r for r in calc.rules}
     results = {}
     stack = [(tree, False)]
     while stack:
         node, expanded = stack.pop()
         if not expanded:
+            if id(node) in results:
+                continue
             if not node.children:
                 # a closed leaf adds its goal formula, or it is the root
                 # and its premises meet the goal
@@ -701,7 +788,7 @@ def _condense(calc, tree, goal):
         shortcut = None
         for child in node.children:
             (phi,) = child.adds
-            kids[phi] = results.pop(id(child))
+            kids[phi] = results[id(child)]
             if phi not in kids[phi][1] and shortcut is None:
                 # the branch formula went unused: splice the child in
                 shortcut = kids[phi]
@@ -910,7 +997,9 @@ def validate_tree(calc, tree, premises, goal):
     """None if the tree derives goal from premises, else the first node
     found at fault.  One label set serves the whole walk: a node's adds
     join it on entry and leave it on exit, and every child is checked to
-    add exactly one new formula before it is entered.
+    add exactly one new formula before it is entered.  A shared subtree is
+    checked once per path to it, in the label of that path, so the walk
+    covers the tree's unfolding.
 
     Nodes made from one ground instance share its substitution dict, so a
     dict's substituted sides are kept under its id once a second node

@@ -5,6 +5,7 @@ logic, and a machine certificate that the order-preserving logic lacks CIP."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import kernel, semantics
 from .errors import NoSharedVariables, PremiseNotEntailed
@@ -192,14 +193,24 @@ def cip_witness():
     return phi, goal
 
 
+@lru_cache(maxsize=1)
+def _pp6h_algebra():
+    """PP6⇒H as a FiniteAlgebra, its lattice laws checked once per process:
+    the registered algebra never changes."""
+    from .algebra import FiniteAlgebra
+    from .registry import ALG_PP6H
+
+    return FiniteAlgebra(ALG_PP6H)
+
+
 def cip_failure_certificate():
     """Certificate that no single-variable interpolant exists for the fixed
     witness entailment: sweeps the full unary clone, evaluating both required
     entailments at the valuation dictated by the separation argument."""
-    from .algebra import FiniteAlgebra, unary_term_functions
-    from .registry import ALG_PP6H, ORDER_CLASS
+    from .algebra import unary_term_functions
+    from .registry import ORDER_CLASS
 
-    alg = FiniteAlgebra(ALG_PP6H)
+    alg = _pp6h_algebra()
     phi, goal = cip_witness()
     confirmed = entails(ORDER_PRESERVING, {phi}, goal)
     clone = unary_term_functions(alg)

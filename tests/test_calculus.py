@@ -43,6 +43,7 @@ from mvlogic.formula import (
     parse_formula,
     parse_formula_set,
     subformulas,
+    substitute,
     var,
 )
 from mvlogic.registry import ALG_PP6H, KIND_CALCULUS, MAT_PP6H, lookup, names
@@ -246,12 +247,12 @@ def test_tree_nodes_store_only_what_they_add():
     import mvlogic.calculus
 
     assert not hasattr(mvlogic.calculus, "_ChainLabel")
-    # the full search needs about 45,000 nodes on the k=2 De Morgan ladder
+    # the full search needs about 26,000 nodes on the k=2 De Morgan ladder
     # on r-leq, the search over the minimal unsatisfiable core about 1,200
     premises = parse_formula_set("~(p1 & p2)")
     goal = parse_formula_set("~p1 | ~p2")
-    for tree, want in ((_full_search(R_LEQ, premises, goal), 44_899),
-                       (prove(R_LEQ, premises, goal).tree, 1_211)):
+    for tree, want in ((_full_search(R_LEQ, premises, goal), 25_727),
+                       (prove(R_LEQ, premises, goal).tree, 1_166)):
         assert tree.adds == premises
         nodes = stars = total = 0
         stack = list(tree.children)
@@ -278,12 +279,12 @@ def test_steered_ladder_node_count():
     premises = parse_formula_set("~(p1 & p2)")
     goal = parse_formula_set("~p1 | ~p2")
     tree = _full_search(calc, premises, goal)
-    assert _count(tree) == 47_394
+    assert _count(tree) == 26_374
     assert validate_tree(calc, tree, premises, goal) is None
     # the core's instances, and so the tree, also depend on the solver's
     # choices and the core it extracts
     res = prove(calc, premises, goal)
-    assert _count(res.tree) == res.stats.nodes == 1_286
+    assert _count(res.tree) == res.stats.nodes == 1_217
     assert (res.stats.route, res.stats.core) == ("cdcl", 51)
     assert validate_tree(calc, res.tree, premises, goal) is None
 
@@ -296,13 +297,14 @@ def test_wider_ladder_within_the_benchmark_budget():
     res = prove(R_LEQ, premises, goal, budget_nodes=50_000)
     assert isinstance(res, Proved)
     stats = res.stats
-    assert (stats.core, stats.nodes) == (73, 20_164)
+    assert (stats.core, stats.nodes) == (73, 17_646)
     # the deletion trials rotate their models, so many solves are spared
     assert stats.assignments == 9_849
     assert stats.assignments + stats.steps <= 50_000
     assert validate_tree(R_LEQ, res.tree, premises, goal) is None
-    # short of the budget the decided sequent still has no certificate
-    res = prove(R_LEQ, premises, goal, budget_nodes=20_000)
+    # one node short of assignments + steps, the decided sequent still has
+    # no certificate
+    res = prove(R_LEQ, premises, goal, budget_nodes=11_411)
     assert isinstance(res, OutOfBudget)
 
 
@@ -317,11 +319,45 @@ def test_r_up_wider_ladder_within_the_benchmark_budget():
     assert isinstance(res, Proved)
     stats = res.stats
     assert (stats.core, stats.steps, stats.nodes, stats.assignments) == (
-        95, 36_273, 39_954, 13_379
+        95, 1_769, 32_391, 13_379
     )
     assert stats.assignments + stats.steps <= 50_000
     assert _count(res.tree) == stats.nodes
     assert validate_tree(calc, res.tree, premises, goal) is None
+
+
+def test_k4_ladder_reuses_closed_subtrees():
+    # the k=4 ladder on r-leq: the search reuses closed subtrees, so the
+    # tree's unfolding of about 480,000 nodes costs about 13,000 steps
+    premises, goal = (parse_formula_set(t) for t in _ladder(4))
+    res = prove(R_LEQ, premises, goal, budget_nodes=200_000)
+    assert isinstance(res, Proved)
+    assert res.stats.reused > 0
+    assert res.stats.assignments + res.stats.steps <= 200_000
+    assert _count(res.tree) == res.stats.nodes
+    assert validate_tree(R_LEQ, res.tree, premises, goal) is None
+
+
+def test_condense_shares_the_specs_of_shared_subtrees(monkeypatch):
+    # the r-up k=2 tree shares subtrees: condensed once per distinct node,
+    # it gives the spec of its unfolded copy
+    import mvlogic.calculus as calculus
+
+    calc = lookup(KIND_CALCULUS, "r-up").payload
+    premises, goal = (parse_formula_set(t) for t in _ladder(2))
+    res = prove(calc, premises, goal)
+    assert res.stats.reused > 0
+    calls = []
+
+    def counted(f, subst):
+        calls.append(f)
+        return substitute(f, subst)
+
+    monkeypatch.setattr(calculus, "substitute", counted)
+    shared = calculus._condense(calc, res.tree, goal)
+    on_shared = len(calls)
+    assert shared == calculus._condense(calc, copy_tree(res.tree), goal)
+    assert on_shared < len(calls) - on_shared
 
 
 def test_refutation_needs_interpreted_connectives():
@@ -433,7 +469,7 @@ REPLAY_CHAIN_NODES = [
     ("r-leq", "~(p & q)", "~p | ~q", 4_942),
     ("r-leq", "", "@(p => p)", 2),
     ("r-leq", "@p, p, ~p", "q", 5),
-    ("r-leq", "~p | ~q", "~(p & q)", 6_776),
+    ("r-leq", "~p | ~q", "~(p & q)", 6_843),
 ] + [("r-b",) + _ladder(k) + (n,)
      for k, n in zip(range(2, 8), (17, 29, 45, 62, 80, 99))]
 

@@ -57,7 +57,7 @@ def test_prove_json_stats(capsys):
     stats = json.loads(capsys.readouterr().out)["stats"]
     assert stats == {
         "route": "cdcl", "universe": 18, "instances": 18, "assignments": 8,
-        "conflicts": 1, "core": 3, "steps": 5, "nodes": 5,
+        "conflicts": 1, "core": 3, "steps": 5, "nodes": 5, "reused": 0,
     }
     argv = ["prove", "--calculus", "r-leq", "--goal", "(p | q) => p, q",
             "--json"]
@@ -95,7 +95,7 @@ def test_prove_inconclusive(capsys):
         "stats": {
             "route": "cdcl", "universe": None, "instances": 6,
             "assignments": 20, "conflicts": 0, "core": 0, "steps": 0,
-            "nodes": 0,
+            "nodes": 0, "reused": 0,
         },
     }
 

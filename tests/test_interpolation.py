@@ -158,3 +158,21 @@ def test_cip_certificate_takes_filters_from_the_matrices(monkeypatch):
     ]
     monkeypatch.setattr(registry, "ORDER_CLASS", renamed)
     assert cip_failure_certificate() == want
+
+
+def test_cip_certificate_builds_its_algebra_once(monkeypatch):
+    # the lattice laws of PP6=>H are checked when its FiniteAlgebra is
+    # built; a second certificate sweeps the clone of the same one
+    import mvlogic.algebra
+
+    seen = []
+    sweep = mvlogic.algebra.unary_term_functions
+
+    def recorded(alg):
+        seen.append(alg)
+        return sweep(alg)
+
+    monkeypatch.setattr(mvlogic.algebra, "unary_term_functions", recorded)
+    assert cip_failure_certificate() == cip_failure_certificate()
+    first, second = seen
+    assert first is second

@@ -181,6 +181,53 @@ def test_long_branching_chain_builds_without_recursion():
     assert (searcher.nodes, searcher.steps) == (6002, 3002)
 
 
+def test_closed_subtree_is_reused():
+    a, b, c, d, e, g, p = (var(x) for x in "abcdegp")
+    # c's subtree under a needs only c, and d's only d: b's children c and
+    # d close by the same steps
+    searcher, tree = _search(
+        [((p,), (a, b)), ((a,), (c, d)), ((b,), (c, d)), ((c,), (e,)),
+         ((e,), (g,)), ((d,), (g,))],
+        {p}, {g},
+    )
+    under_a, under_b = tree.children
+    for old, new in zip(under_a.children, under_b.children):
+        assert new is not old and new.children is old.children
+        assert (new.rule, new.subst) == (old.rule, old.subst)
+    assert searcher.reused == 2
+    # root, a, c, e, g, d, g, b, then steps for neither of b's children
+    assert (searcher.steps, searcher.nodes) == (8, 13)
+
+
+def test_closed_subtree_is_not_reused_when_its_adds_meet_the_label():
+    a, b, c, d, e, g, p = (var(x) for x in "abcdegp")
+    # under a, c's subtree adds e; under b, e comes before c does
+    searcher, tree = _search(
+        [((p,), (a, b)), ((a,), (c, d)), ((b,), (c, d)), ((c,), (e,)),
+         ((c, e), (g,)), ((d,), (g,)), ((b,), (e,))],
+        {p}, {g},
+    )
+    under_a, under_b = tree.children
+    c_under_b = under_b.children[0].children[0]
+    assert c_under_b.adds == {c} and c_under_b.rule == "i4"
+    assert c_under_b.children is not under_a.children[0].children
+    assert searcher.reused == 1
+
+
+def test_closed_subtree_is_not_reused_without_its_needed_formulas():
+    a, b, c, d, g, p = (var(x) for x in "abcdgp")
+    # c's subtree under a needs a, which b's label lacks
+    searcher, tree = _search(
+        [((p,), (a, b)), ((a,), (c, d)), ((b,), (c, d)), ((a, c), (g,)),
+         ((b, c), (g,)), ((d,), (g,))],
+        {p}, {g},
+    )
+    under_a, under_b = tree.children
+    assert under_b.children[0].rule == "i4"
+    assert under_b.children[1].children is under_a.children[1].children
+    assert searcher.reused == 1
+
+
 def _dot_nodes(dot):
     return sum(1 for line in dot.splitlines() if re.match(r"  n\d+ \[", line))
 
