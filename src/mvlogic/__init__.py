@@ -34,6 +34,7 @@ from .calculus import (
     Refuted,
     Rule,
     SaturatedPartition,
+    countermodel,
     countermodel_from_partition,
     prove,
     to_set_fmla_calculus,

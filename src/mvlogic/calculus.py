@@ -1,6 +1,7 @@
 """Set-Set Hilbert calculi, proving by clause learning and proof search,
-countermodel extraction from saturated partitions, and the Set-Fmla
-disjunction transform."""
+countermodels for saturated partitions (a model's valuation that designates
+exactly Ω among the sequent's subformulas, found by check_consequence), and
+the Set-Fmla disjunction transform."""
 
 from __future__ import annotations
 
@@ -23,12 +24,16 @@ from .formula import (
     render_formula,
     subformulas,
     substitute,
-    up_,
-    down_,
     var,
     variables,
 )
-from .semantics import SET_FMLA, SET_SET
+from .semantics import (
+    SET_FMLA,
+    SET_SET,
+    ConsequenceProblem,
+    Holds,
+    check_consequence,
+)
 
 
 @dataclass(frozen=True)
@@ -1066,93 +1071,32 @@ VARIANT_UP = "up"
 VARIANT_LEQ = "leq"
 
 
-def classify_partition(part):
-    """Assign each formula of Λ = sub(base) its six-valued class from the
-    saturated partition, using the ∘/↑/↓/∘(·⇒·) membership tests."""
-    omega = part.omega
-    lam = sorted(subformulas(part.base), key=canon_key)
-    classes = {}
-    mid = []
-    for phi in lam:
-        circ = app("circ", phi)
-        if circ in omega:
-            classes[phi] = "ht" if phi in omega else "hf"
-            continue
-        u = up_(phi)
-        d = down_(phi)
-        in_u = u in omega
-        in_d = d in omega
-        if not in_u and not in_d:
-            raise ClassificationError(
-                "neither up nor down of %r is designated" % phi
-            )
-        if not in_u:
-            classes[phi] = "f"
-        elif not in_d:
-            classes[phi] = "t"
-        else:
-            mid.append(phi)
-    # split the middle formulas into at most two equivalence classes
-    groups = []
-    for phi in mid:
-        placed = False
-        for g in groups:
-            rep = g[0]
-            if (
-                app("circ", app("imp", phi, rep)) in omega
-                and app("circ", app("imp", rep, phi)) in omega
-            ):
-                g.append(phi)
-                placed = True
-                break
-        if placed:
-            continue
-        groups.append([phi])
-    if len(groups) > 2:
-        raise ClassificationError("more than two incomparable middle classes")
-    return classes, groups
+def countermodel(models, part):
+    """The matrix and valuation that realize a saturated partition: on the
+    first of models that has one, the lowest-ranked valuation designating
+    exactly Ω's formulas in Λ = sub(base), which check_consequence finds as
+    the witness against Ω ∩ Λ ⊢ Λ ∖ Ω.  Raises ClassificationError when no
+    model realizes the partition."""
+    lam = subformulas(part.base)
+    res = check_consequence(
+        ConsequenceProblem(models, part.omega & lam, lam - part.omega)
+    )
+    if isinstance(res, Holds):
+        raise ClassificationError("no model realizes the saturated partition")
+    return models[res.matrix_index], res.witness
 
 
 def countermodel_from_partition(part, variant):
-    """Extract a PP6⇒H valuation on Λ and a principal filter separating the
-    saturated partition; for the `leq` variant the filter never sits at t."""
-    from .registry import ALG_PP6H, MAT_PP6H
+    """A PP6⇒H valuation on Λ realizing an r-up or r-leq partition, and the
+    value a whose principal filter designates it: a countermodel on the
+    calculus's models, so for the `leq` variant a is never t."""
+    from .registry import MAT_PP6H, ORDER_CLASS, UP_CLASS
 
-    tables = ALG_PP6H.interp
-    classes, groups = classify_partition(part)
-    lam = sorted(set(classes) | {phi for g in groups for phi in g}, key=canon_key)
-    omega_lam = part.omega & set(lam)
-    filter_values = ["f", "n", "b", "t", "ht"]
-    if variant == VARIANT_LEQ:
-        filter_values.remove("t")
-    labelings = []
-    if len(groups) == 0:
-        labelings.append({})
-    elif len(groups) == 1:
-        labelings.append({0: "b"})
-        labelings.append({0: "n"})
-    else:
-        labelings.append({0: "b", 1: "n"})
-        labelings.append({0: "n", 1: "b"})
-    for labeling in labelings:
-        assign = dict(classes)
-        for gi, value in labeling.items():
-            for phi in groups[gi]:
-                assign[phi] = value
-        for a in filter_values:
-            upset = MAT_PP6H[a].designated
-            if any((assign[phi] in upset) != (phi in omega_lam) for phi in lam):
-                continue
-            # ALG_PP6H is deterministic: the classes are a valuation when
-            # each compound takes the value its table gives its arguments'
-            if any(
-                assign[phi] not in tables[phi.head][tuple(assign[x] for x in phi.args)]
-                for phi in lam
-                if not phi.is_var
-            ):
-                raise ClassificationError("classification is not a legal valuation")
-            return {phi: assign[phi] for phi in lam}, a
-    raise ClassificationError("no separating principal filter exists")
+    classes = {VARIANT_UP: UP_CLASS, VARIANT_LEQ: ORDER_CLASS}
+    if variant not in classes:
+        raise ValueError("variant must be %r or %r" % (VARIANT_UP, VARIANT_LEQ))
+    m, valuation = countermodel(classes[variant], part)
+    return valuation, next(a for a, x in MAT_PP6H.items() if x is m)
 
 
 # --- Set-Fmla transform --------------------------------------------------

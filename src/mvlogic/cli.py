@@ -7,6 +7,13 @@ and no refutation, which no budget changes: the calculus does not derive
 the sequent, and either its models do not interpret it, or the calculus
 has no analyticity set, so that a model of its ground instances is no
 countermodel).
+
+A refutation's certificate is its saturated set Ω and, when the calculus
+has models, a countermodel above it: on the first model that has one, a
+valuation of the sequent's subformulas that designates exactly those in Ω,
+one `φ = v` line each (`countermodel` with `matrix` and `valuation` in the
+JSON).  A calculus none of whose models realizes Ω is not complete for
+them, which is reported as an input error.
 """
 
 from __future__ import annotations
@@ -106,6 +113,7 @@ def cmd_prove(args):
         Inconclusive,
         Proved,
         Refuted,
+        countermodel,
         prove,
         tree_to_dot,
         tree_to_json,
@@ -128,11 +136,16 @@ def cmd_prove(args):
         return EXIT_POSITIVE
     if isinstance(res, Refuted):
         omega = sorted(render_formula(f) for f in res.partition.omega)
-        _print(
-            args,
-            {"result": "refuted", "omega": omega, "stats": stats},
-            "Refuted. Saturated set:\n  " + "\n  ".join(omega),
-        )
+        data = {"result": "refuted", "omega": omega, "stats": stats}
+        text = "Refuted. "
+        if calc.models:
+            m, valuation = countermodel(calc.models, res.partition)
+            witness = _witness_json(valuation)
+            data["countermodel"] = {"matrix": m.name, "valuation": witness}
+            text += "Countermodel on %s:\n" % m.name + "".join(
+                "  %s = %s\n" % kv for kv in witness.items()
+            )
+        _print(args, data, text + "Saturated set:\n  " + "\n  ".join(omega))
         return EXIT_NEGATIVE
     if isinstance(res, Inconclusive):
         _print(args, {"result": "inconclusive", "stats": stats}, "Inconclusive.")

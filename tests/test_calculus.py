@@ -22,6 +22,7 @@ from mvlogic.calculus import (
     _build_instances,
     _decide,
     _model_truths,
+    countermodel,
     countermodel_from_partition,
     prove,
     to_set_fmla_calculus,
@@ -46,7 +47,14 @@ from mvlogic.formula import (
     substitute,
     var,
 )
-from mvlogic.registry import ALG_PP6H, KIND_CALCULUS, MAT_PP6H, lookup, names
+from mvlogic.registry import (
+    ALG_PP6H,
+    KIND_CALCULUS,
+    KIND_MATRIX_CLASS,
+    MAT_PP6H,
+    lookup,
+    names,
+)
 from mvlogic.semantics import (
     SET_FMLA,
     ConsequenceProblem,
@@ -151,20 +159,18 @@ def test_countermodel_reads_tables_without_search(monkeypatch):
     assert countermodel_from_partition(res.partition, "leq") == want
 
 
-def test_countermodel_rejects_illegal_classification(monkeypatch):
-    p, q = var("p"), var("q")
-    part = SimpleNamespace(omega=frozenset())
-    for value, legal in (("t", True), ("f", False)):
-        classes = {p: "t", q: "t", app("and", p, q): value}
-        monkeypatch.setattr(
-            "mvlogic.calculus.classify_partition", lambda _: (classes, [])
-        )
-        if legal:
-            # nothing is in omega, so only the filter at ht separates
-            assert countermodel_from_partition(part, "up") == (classes, "ht")
-        else:
-            with pytest.raises(ClassificationError, match="not a legal valuation"):
-                countermodel_from_partition(part, "up")
+def test_countermodel_rejects_an_unrealizable_partition():
+    # p designated forces p | q designated on every filter of the order
+    p = var("p")
+    base = frozenset({app("or", p, var("q"))})
+    part = SimpleNamespace(omega=frozenset({p}), base=base)
+    with pytest.raises(ClassificationError, match="no model realizes"):
+        countermodel(lookup(KIND_MATRIX_CLASS, "pp6h-order").payload, part)
+
+
+def test_countermodel_rejects_an_unknown_variant():
+    with pytest.raises(ValueError, match="variant"):
+        countermodel_from_partition(SimpleNamespace(), "down")
 
 
 def test_validate_tree_rejects_tampering():
@@ -692,8 +698,23 @@ def test_clause_route_without_analyticity_matches_full_search(name, data):
 VARIANT = {"r-up": "up", "r-leq": "leq"}
 
 
+def assert_realizes(matrix, valuation, part, premises, goal):
+    """Check a countermodel by table lookups: it is a valuation of
+    Λ = sub(base) that designates exactly Ω's formulas in Λ, every premise
+    and no goal formula."""
+    lam = subformulas(part.base)
+    assert set(valuation) == lam
+    designated = {f for f in lam if valuation[f] in matrix.designated}
+    assert designated == part.omega & lam
+    assert premises <= designated and not designated & goal
+    tables = matrix.algebra.interp
+    for f in lam:
+        if not f.is_var:
+            assert valuation[f] in tables[f.head][tuple(valuation[x] for x in f.args)]
+
+
 @pytest.mark.parametrize(
-    "name", ["r-b", "r-pp-leq", "r-m-a1", "r-leq", "r-up"]
+    "name", ["r-b", "r-pp-leq", "r-m-a1", "r-h-ub", "r-leq", "r-up", "letk-nine"]
 )
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -721,14 +742,12 @@ def test_every_answer_is_certified(name, data):
     ground = _build_instances(calc, targets, part.universe)
     for _, _, ant, succ in materialized(ground):
         assert not ant <= omega or succ & omega
+    matrix, valuation = countermodel(calc.models, part)
+    assert_realizes(matrix, valuation, part, premises, goal)
     if name in VARIANT:
         valuation, a = countermodel_from_partition(part, VARIANT[name])
         assert name != "r-leq" or a != "t"
-        matrix = MAT_PP6H[a]
-        assert all(valuation[f] in matrix.designated for f in premises)
-        assert all(valuation[f] not in matrix.designated for f in goal)
-        cons = {f: frozenset({v}) for f, v in valuation.items()}
-        assert solve_valuations(matrix, set(valuation), cons, limit=1)
+        assert_realizes(MAT_PP6H[a], valuation, part, premises, goal)
 
 
 _REPEAT_SCRIPT = """

@@ -42,6 +42,25 @@ def test_prove_refuted(capsys):
     assert "Refuted" in capsys.readouterr().out
 
 
+def test_prove_refutation_prints_its_countermodel(capsys):
+    argv = ["prove", "--calculus", "r-b", "--premises", "q", "--goal", "p"]
+    assert run(argv) == EXIT_NEGATIVE
+    assert capsys.readouterr().out == (
+        "Refuted. Countermodel on dm4-bt:\n  p = f\n  q = b\n"
+        "Saturated set:\n  q\n"
+    )
+    argv = ["prove", "--calculus", "r-leq", "--goal", "(p | q) => p, q",
+            "--json"]
+    assert run(argv) == EXIT_NEGATIVE
+    data = json.loads(capsys.readouterr().out)
+    assert data["countermodel"] == {
+        "matrix": "pp6h-ub",
+        "valuation": {"p": "hf", "q": "f", "p | q": "f", "p | q => p": "hf"},
+    }
+    # no value is in pp6h-ub's filter, and Ω has none of these formulas
+    assert not set(data["countermodel"]["valuation"]) & set(data["omega"])
+
+
 def test_prove_budget(capsys):
     code = run([
         "prove", "--calculus", "r-leq",
@@ -333,6 +352,20 @@ def test_exports_read_back_through_file_arguments(tmp_path, capsys):
         code, out = _same_output(capsys, ["algebra", what, "--algebra", "NAME"],
                                  "letk", refined)
         assert code == EXIT_POSITIVE and out
+
+
+def test_prove_calculus_incomplete_for_its_models_is_input_error(tmp_path, capsys):
+    # without rules every partition is saturated, but no dm4-bt valuation
+    # designates p & q and not p
+    assert run(["export", "--kind", "calculus", "--name", "r-b"]) == EXIT_POSITIVE
+    data = json.loads(capsys.readouterr().out)
+    data["rules"] = []
+    path = tmp_path / "norules.json"
+    path.write_text(json.dumps(data))
+    argv = ["prove", "--calculus", "@%s" % path, "--premises", "p & q",
+            "--goal", "p"]
+    assert run(argv) == EXIT_USAGE
+    assert "no model realizes" in capsys.readouterr().err
 
 
 def test_malformed_file_argument_is_usage_error(tmp_path, capsys):
