@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 
-from . import kernel
+from . import kernel, semantics
 from .errors import (
     ClassificationError,
     FrameworkMismatch,
@@ -96,17 +96,21 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class ProveStats:
-    """The work behind a prove answer.  route is "cdcl" when the clause set
-    of the ground instances was solved (and a proof tree searched over its
-    unsatisfiable core), "replay" when a Set-Fmla answer came from the
-    source calculus, and "closed" when the premises meet the goal: the root
-    closes before any grounding, so every count is 0 but the one node.
+    """The work behind a prove answer.  route is "model" when a valuation
+    of the calculus's models refuted the sequent before any grounding,
+    "cdcl" when the clause set of the ground instances was solved (and a
+    proof tree searched over its unsatisfiable core), "replay" when a
+    Set-Fmla answer came from the source calculus, and "closed" when the
+    premises meet the goal: the root closes before any grounding, so every
+    count is 0 but the one node.
     universe is None without an analyticity set or work; core counts the
     instances in the minimal unsatisfiable core, steps the tree search's
     steps, nodes the proof tree's nodes (its unfolding, when subtrees are
     shared) and reused the branch children closed by a subtree the search
     had closed before.  assignments (those of the core's minimization
-    included) plus steps count against budget_nodes."""
+    included) plus steps count against budget_nodes.  valuations counts
+    the valuations the check on the models decided, up to the witness,
+    and is 0 when that check was skipped; it counts against no budget."""
 
     route: str
     universe: int
@@ -117,6 +121,7 @@ class ProveStats:
     steps: int = 0
     nodes: int = 0
     reused: int = 0
+    valuations: int = 0
 
 
 @dataclass
@@ -135,8 +140,14 @@ class SaturatedPartition:
 
 @dataclass
 class Refuted:
+    """A refutation: the saturated partition and, on route "model", the
+    countermodel (matrix, valuation of the sequent's subformulas) that Ω
+    was read off, the one countermodel(models, partition) returns.  It is
+    None on the other routes."""
+
     partition: SaturatedPartition
     stats: ProveStats = field(default=None, compare=False)
+    countermodel: tuple = field(default=None, compare=False)
 
 
 @dataclass
@@ -261,6 +272,19 @@ def _rule_heads(rule):
         f.head for f in subformulas(rule.antecedent | rule.succedent)
         if f.args is not None
     )
+
+
+@lru_cache(maxsize=64)
+def _sound(rules, models):
+    """Whether every rule holds in the models; a rule with a connective
+    they do not interpret does not."""
+    try:
+        return all(
+            isinstance(semantics.check_rule_soundness(r, models), Holds)
+            for r in rules
+        )
+    except SignatureMismatch:
+        return False
 
 
 def _build_instances(calc, targets, universe):
@@ -604,7 +628,14 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     Inconclusive, or OutOfBudget; `stats` records the route and its work.
     Premises that meet the goal close the root at once, on every route.
 
-    The sequent is decided as a clause set: each ground instance Γ ▷ Δ is
+    An analytic calculus first checks the sequent on its models (see
+    _refute_on_models): a valuation that designates the premises and no
+    goal formula, on a calculus sound for its models, is returned at once
+    as the Refuted on route "model", carrying that valuation as its
+    countermodel, before any grounding.  Its valuations count against no
+    budget.
+
+    Every other sequent is decided as a clause set: each ground instance Γ ▷ Δ is
     the clause ¬Γ ∨ Δ, premises are true and goal formulas false, so the
     models are exactly the saturated partitions.  The rules' variables range
     over the subformulas of the sequent; with an analyticity set an
@@ -637,10 +668,16 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     base = premises | goal
     targets = sorted(subformulas(base), key=canon_key)
     universe = None
+    valuations = 0
     if calc.xi is not None:
         universe = frozenset(generalized_subformulas(base, calc.xi))
+        res, valuations = _refute_on_models(
+            calc, premises, goal, targets, universe, budget_nodes
+        )
+        if res is not None:
+            return res
     ground = _build_instances(calc, targets, universe)
-    res = _decide(calc, premises, goal, universe, ground, budget_nodes)
+    res = _decide(calc, premises, goal, universe, ground, budget_nodes, valuations)
     if calc.source is None or isinstance(res, Proved):
         return res
     replayed = _prove_by_simulation(calc, premises, goal, budget_nodes)
@@ -651,13 +688,57 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     return OutOfBudget(res.stats)
 
 
-def _decide(calc, premises, goal, universe, ground, budget_nodes):
+def _refute_on_models(calc, premises, goal, targets, universe, budget_nodes):
+    """The refutation of a sequent by a valuation of the calculus's models,
+    or None, and the number of valuations the check decided (0 when it was
+    skipped).  The check runs when every model is single-valued, so that a
+    valuation of the sequent's subformulas fixes the value of every
+    formula, when the models interpret every connective of the sequent and
+    of the analyticity set, and when their valuations of the sequent's
+    variables fit budget_nodes.  A witness refutes when every rule holds in
+    the models: the formulas of the universe it designates then satisfy
+    every ground instance, with the premises in and the goal out.  They are
+    read off the kernel's rows, which start from the witness's values."""
+    models = calc.models
+    if not models:
+        return None, 0
+    compiled = [kernel.compiled(m.algebra) for m in models]
+    if any(k.single_valued(k.all) is None for k in compiled):
+        return None, 0
+    vs = [f for f in targets if f.is_var]
+    if sum(k.n ** len(vs) for k in compiled) > budget_nodes:
+        return None, 0
+    xi = subformulas(calc.xi)
+    try:
+        for alg in dict.fromkeys(m.algebra for m in models):
+            kernel.check_signature(alg, targets)
+            kernel.check_signature(alg, xi)
+    except SignatureMismatch:
+        return None, 0
+    res = semantics.check_consequence(ConsequenceProblem(models, premises, goal))
+    valuations = res.stats.assignments
+    if isinstance(res, Holds) or not _sound(tuple(calc.rules), tuple(models)):
+        return None, valuations
+    m, k = models[res.matrix_index], compiled[res.matrix_index]
+    lam = list(res.witness)
+    digits = [(k.carrier.index(res.witness[f]),) for f in lam]
+    rows = kernel.Bitsets(k.single_valued(k.all), k.n, lam, digits)
+    des = k.mask_of(m.designated)
+    omega = frozenset(f for f in universe if rows.where(f, des))
+    part = SaturatedPartition(omega, universe - omega, premises | goal, universe)
+    stats = ProveStats("model", len(universe), 0, valuations=valuations)
+    return Refuted(part, stats, (m, res.witness)), valuations
+
+
+def _decide(calc, premises, goal, universe, ground, budget_nodes, valuations=0):
     """Solve the clause set of a sequent's ground instances; search for the
     proof tree over a minimal unsatisfiable core.  The clauses are the
     instances' own, on ids that are the SAT variables (the universe's
     formulas, or every numbered formula without a universe), in the
     instances' order, so runs repeat; the premises' and goal's unit clauses
-    follow.  Only the core's instances are turned back into formulas."""
+    follow.  Only the core's instances are turned back into formulas.
+    valuations is the count of the check on the models before, for the
+    stats."""
     from . import sat
 
     order = ground.formulas
@@ -670,7 +751,7 @@ def _decide(calc, premises, goal, universe, ground, budget_nodes):
     out = sat.solve(len(order), clauses, budget_nodes)
     stats = ProveStats(
         "cdcl", None if universe is None else len(universe), len(ground),
-        out.assignments, out.conflicts,
+        out.assignments, out.conflicts, valuations=valuations,
     )
     base = premises | goal
     if out.model is not None:

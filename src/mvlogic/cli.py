@@ -12,8 +12,10 @@ A refutation's certificate is its saturated set Ω and, when the calculus
 has models, a countermodel above it: on the first model that has one, a
 valuation of the sequent's subformulas that designates exactly those in Ω,
 one `φ = v` line each (`countermodel` with `matrix` and `valuation` in the
-JSON).  A calculus none of whose models realizes Ω is not complete for
-them, which is reported as an input error.
+JSON).  A refutation on the models carries that countermodel, and it is
+printed as it is; for one from the clause set it is searched for, and a
+calculus none of whose models realizes Ω is not complete for them, which
+is reported as an input error.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ def cmd_prove(args):
         data = {"result": "refuted", "omega": omega, "stats": stats}
         text = "Refuted. "
         if calc.models:
-            m, valuation = countermodel(calc.models, res.partition)
+            m, valuation = res.countermodel or countermodel(calc.models, res.partition)
             witness = _witness_json(valuation)
             data["countermodel"] = {"matrix": m.name, "valuation": witness}
             text += "Countermodel on %s:\n" % m.name + "".join(

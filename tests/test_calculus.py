@@ -573,6 +573,85 @@ def test_prove_out_of_budget():
     assert isinstance(res, OutOfBudget)
 
 
+def test_refutation_on_models_before_grounding(monkeypatch):
+    # r-leq's three models refute the sequent with 8 valuations; Ω is every
+    # universe formula the witness designates, and no rule is grounded
+    def no_grounding(calc, targets, universe):
+        raise AssertionError("grounded %s" % calc.name)
+
+    monkeypatch.setattr("mvlogic.calculus._build_instances", no_grounding)
+    goal = parse_formula_set("(p | q) => p, q")
+    res = prove(R_LEQ, frozenset(), goal)
+    assert isinstance(res, Refuted)
+    assert res.stats == ProveStats("model", 31, 0, valuations=8)
+    part = res.partition
+    assert len(part.omega) == 23 and part.omega | part.omega_bar == part.universe
+    assert res.countermodel == countermodel(R_LEQ.models, part)
+    matrix, valuation = res.countermodel
+    assert matrix.name == "pp6h-ub"
+    assert_realizes(matrix, valuation, part, frozenset(), goal)
+
+
+def test_model_check_only_within_the_budget():
+    # r-leq has three six-valued models: 3 * 6**2 = 108 valuations of p, q
+    goal = parse_formula_set("(p | q) => p, q")
+    res = prove(R_LEQ, frozenset(), goal, budget_nodes=108)
+    assert res.stats.route == "model"
+    res = prove(R_LEQ, frozenset(), goal, budget_nodes=107)
+    assert isinstance(res, Refuted) and res.countermodel is None
+    assert (res.stats.route, res.stats.valuations) == ("cdcl", 0)
+    # 3 * 6**9 valuations exceed the default budget: the clause set refutes
+    premises = parse_formula_set(" & ".join("p%d" % i for i in range(1, 9)))
+    res = prove(R_LEQ, premises, parse_formula_set("q"))
+    assert isinstance(res, Refuted) and res.countermodel is None
+    assert (res.stats.route, res.stats.valuations) == ("cdcl", 0)
+
+
+def test_unsound_calculus_is_not_refuted_on_its_models(monkeypatch):
+    # r-b's rules with an analyticity set dm4-bt interprets, so that its
+    # models are checked; the unsound rule p |> q proves p |- q although
+    # dm4-bt refutes it, so the calculus's refutations come from its clauses
+    from mvlogic import calculus, semantics
+
+    checked = []
+
+    def counted(rule, models):
+        checked.append(rule.name)
+        return semantics.check_consequence(
+            ConsequenceProblem(models, rule.antecedent, rule.succedent)
+        )
+
+    monkeypatch.setattr(semantics, "check_rule_soundness", counted)
+    calculus._sound.cache_clear()
+    xi = (var("p"), app("neg", var("p")))
+    sound = replace(R_B, xi=xi)
+    bad = Rule("bad", frozenset({var("p")}), frozenset({var("q")}))
+    unsound = replace(R_B, rules=R_B.rules + [bad], xi=xi)
+    # every check holds: no sweep
+    for calc in (sound, unsound):
+        res = prove(calc, parse_formula_set("p & q"), parse_formula_set("q"))
+        assert isinstance(res, Proved) and res.stats.valuations == 8
+    assert checked == []
+    res = prove(sound, parse_formula_set("p"), parse_formula_set("q"))
+    assert isinstance(res, Refuted) and res.stats.route == "model"
+    sweep = len(checked)
+    assert sweep == len(R_B.rules)
+    premises, goal = parse_formula_set("p"), parse_formula_set("q")
+    res = prove(unsound, premises, goal)
+    assert isinstance(res, Proved) and res.stats.route == "cdcl"
+    assert validate_tree(unsound, res.tree, premises, goal) is None
+    assert checked[sweep:] == [r.name for r in unsound.rules]
+    for text in ("q", "~~q"):
+        res = prove(unsound, frozenset(), parse_formula_set(text))
+        assert isinstance(res, Refuted) and res.countermodel is None
+        assert res.stats.route == "cdcl" and res.stats.valuations > 0
+    # one sweep per (rules, models), on every calculus that has them
+    assert len(checked) == sweep + len(unsound.rules)
+    res = prove(replace(unsound, name="copy"), frozenset(), parse_formula_set("q"))
+    assert res.stats.route == "cdcl"
+    assert len(checked) == sweep + len(unsound.rules)
+
+
 def test_tree_exports():
     premises = parse_formula_set("~(p & q)")
     goal = parse_formula_set("~p | ~q")
@@ -744,6 +823,10 @@ def test_every_answer_is_certified(name, data):
         assert not ant <= omega or succ & omega
     matrix, valuation = countermodel(calc.models, part)
     assert_realizes(matrix, valuation, part, premises, goal)
+    # a refutation on the models carries the same countermodel
+    if res.countermodel is not None:
+        assert res.stats.route == "model"
+        assert res.countermodel == (matrix, valuation)
     if name in VARIANT:
         valuation, a = countermodel_from_partition(part, VARIANT[name])
         assert name != "r-leq" or a != "t"

@@ -61,6 +61,42 @@ def test_prove_refutation_prints_its_countermodel(capsys):
     assert not set(data["countermodel"]["valuation"]) & set(data["omega"])
 
 
+def test_prove_prints_the_refutations_own_countermodel(monkeypatch, capsys):
+    # a refutation on the models carries its countermodel; only one from
+    # the clause set is searched for again
+    def searched(models, part):
+        raise AssertionError("searched for a countermodel")
+
+    monkeypatch.setattr("mvlogic.calculus.countermodel", searched)
+    argv = ["prove", "--calculus", "r-leq", "--goal", "(p | q) => p, q",
+            "--json"]
+    assert run(argv) == EXIT_NEGATIVE
+    data = json.loads(capsys.readouterr().out)
+    assert data["stats"]["route"] == "model"
+    assert data["countermodel"]["matrix"] == "pp6h-ub"
+
+
+def test_prove_unsound_calculus_file_uses_the_clause_route(tmp_path, capsys):
+    # r-b's rules plus the unsound p |> q, with an analyticity set that
+    # dm4-bt interprets: its models refute p |- q, the calculus proves it
+    assert run(["export", "--kind", "calculus", "--name", "r-b"]) == EXIT_POSITIVE
+    data = json.loads(capsys.readouterr().out)
+    data["rules"].append({"name": "bad", "premises": ["p"], "conclusions": ["q"]})
+    data["xi"] = ["p", "~p"]
+    path = tmp_path / "unsound.json"
+    path.write_text(json.dumps(data))
+    calc = "@%s" % path
+    assert run(["prove", "--calculus", calc, "--premises", "p", "--goal", "q"]) == (
+        EXIT_POSITIVE
+    )
+    capsys.readouterr()
+    argv = ["prove", "--calculus", calc, "--goal", "q", "--json"]
+    assert run(argv) == EXIT_NEGATIVE
+    out = json.loads(capsys.readouterr().out)
+    assert out["stats"]["route"] == "cdcl" and out["stats"]["valuations"] == 1
+    assert out["countermodel"] == {"matrix": "dm4-bt", "valuation": {"q": "f"}}
+
+
 def test_prove_budget(capsys):
     code = run([
         "prove", "--calculus", "r-leq",
@@ -77,14 +113,21 @@ def test_prove_json_stats(capsys):
     assert stats == {
         "route": "cdcl", "universe": 18, "instances": 18, "assignments": 8,
         "conflicts": 1, "core": 3, "steps": 5, "nodes": 5, "reused": 0,
+        "valuations": 0,
     }
+    # refuted on pp6h-order before any grounding: Ω is every formula of the
+    # universe that the witness designates
     argv = ["prove", "--calculus", "r-leq", "--goal", "(p | q) => p, q",
             "--json"]
     assert run(argv) == EXIT_NEGATIVE
     data = json.loads(capsys.readouterr().out)
     assert data["result"] == "refuted"
-    assert data["stats"]["route"] == "cdcl"
-    assert data["stats"]["assignments"] == data["stats"]["universe"] == 31
+    assert data["stats"] == {
+        "route": "model", "universe": 31, "instances": 0, "assignments": 0,
+        "conflicts": 0, "core": 0, "steps": 0, "nodes": 0, "reused": 0,
+        "valuations": 8,
+    }
+    assert len(data["omega"]) == 23
 
 
 def test_prove_refutation_without_countermodel(capsys):
@@ -114,7 +157,7 @@ def test_prove_inconclusive(capsys):
         "stats": {
             "route": "cdcl", "universe": None, "instances": 6,
             "assignments": 20, "conflicts": 0, "core": 0, "steps": 0,
-            "nodes": 0, "reused": 0,
+            "nodes": 0, "reused": 0, "valuations": 0,
         },
     }
 
