@@ -383,21 +383,6 @@ def _model_truths(calc, base, formulas):
     return masks
 
 
-class _Subtree:
-    """A subtree of the search while it grows: its top node (the root, or
-    a branch child), the subtree it lies in, the bits of the antecedents of
-    the instances applied in it, the bits of the formulas added below its
-    top, its number of nodes below its top, and the open children it still
-    waits for, plus one while its own top grows."""
-
-    __slots__ = ("top", "parent", "ants", "adds", "nodes", "open")
-
-    def __init__(self, top, parent):
-        self.top, self.parent = top, parent
-        self.ants = self.adds = self.nodes = 0
-        self.open = 1
-
-
 class _Searcher:
     """Depth-first search for a proof tree from ground instances, built top
     down in one work-list loop and never backtracking.  Each node first
@@ -422,7 +407,16 @@ class _Searcher:
     and children list instead of a search; reused counts such children.
     The tree is then a DAG whose unfolding is a tree.  An entry is filed
     under each of its needed formulas, and a child looks only under its own
-    branch formula."""
+    branch formula.
+
+    Growing the top of a subtree (the root or a branch child) puts an end
+    marker on the work list below the children the subtree branches into,
+    so the marker comes off once all of them have closed, or at once when
+    the top's unit steps close it.  The subtree's record, on the path of
+    open records, holds its top, the antecedents applied in it, the
+    formulas added below its top and the node count before it.  At the
+    marker the subtree is filed, and its antecedents and added formulas
+    join its parent's record."""
 
     def __init__(self, instances, goal, budget, truths=None):
         self.budget = budget
@@ -435,18 +429,23 @@ class _Searcher:
         self.substs = [i[1] for i in instances]
         self.number = {}
         self.formulas = []
+        # per antecedent bit, the instances with at most one succedent
+        # formula, which phase 1 applies
         self.by_ant = []
         self.ant = []
         self.succ = []
         self.succ_sorted = []
         for idx, (_, _, ant, succ) in enumerate(instances):
-            bits = [self._bit(f) for f in ant]
-            for b in bits:
-                self.by_ant[b].append(idx)
-            self.ant.append(sum(1 << b for b in bits))
-            bits = [self._bit(f) for f in sorted(succ, key=canon_key)]
-            self.succ.append(sum(1 << b for b in bits))
-            self.succ_sorted.append(bits)
+            ant = [self._bit(f) for f in ant]
+            succ = [self._bit(f) for f in sorted(succ, key=canon_key)]
+            self.ant.append(sum(1 << b for b in ant))
+            self.succ.append(sum(1 << b for b in succ))
+            self.succ_sorted.append(succ)
+            if len(succ) < 2:
+                for b in ant:
+                    self.by_ant[b].append(idx)
+        self.units = [i for i, s in enumerate(self.succ_sorted) if len(s) < 2]
+        self.branching = [i for i, s in enumerate(self.succ_sorted) if len(s) > 1]
         # per number: the formula as a node's adds, and whether it is a
         # goal formula
         self.adds = [frozenset({f}) for f in self.formulas]
@@ -470,10 +469,6 @@ class _Searcher:
         for f in premises:
             if f in self.number:
                 label |= 1 << self.number[f]
-        queue = [
-            i for i in range(len(ants))
-            if not ants[i] & ~label and not succs[i] & label
-        ]
         # the truth rows designating every formula of the label, carried
         # down the tree: -1 (every row) for an empty label, and 0 without
         # truth rows, where every formula's rows are 0 too
@@ -488,34 +483,32 @@ class _Searcher:
         # per formula bit, the closed subtrees (needed, added, nodes below
         # the top, top) whose needed formulas include it
         cache = [[] for _ in self.formulas]
-
-        def finish(sub):
-            # sub's top, or one of its open children, has closed: file each
-            # subtree that this closes and pass its work up
-            while True:
-                sub.open -= 1
-                if sub.open or sub.parent is None:
-                    return
-                needed = sub.ants & ~sub.adds
-                entry = (needed, sub.adds, sub.nodes, sub.top)
+        # the records of the open subtrees on the path to the node grown,
+        # the root's parent first: the subtree's top, the bits of the
+        # antecedents applied in it and of the formulas added below its
+        # top, and the node count before its top was grown
+        path = [[None, 0, 0, 0]]
+        # a node to grow, the bit of the formula it adds to its parent's
+        # label (none for the root), that label and its truth rows; or
+        # None, the end marker of the subtree of path[-1]
+        work = [(root, -1, label, alive)]
+        while work:
+            item = work.pop()
+            if item is None:
+                top, used, added, before = path.pop()
+                needed = used & ~added
+                entry = (needed, added, nodes - before, top)
                 while needed:
                     low = needed & -needed
                     cache[low.bit_length() - 1].append(entry)
                     needed ^= low
-                up = sub.parent
-                up.ants |= sub.ants
-                up.adds |= sub.adds
-                up.nodes += sub.nodes
-                sub = up
-
-        # a node to grow, the bit of the formula it adds to its parent's
-        # state, that state, and the subtree of its parent; a branch's
-        # children share the last two.  The root's own state comes with no
-        # formula to add.
-        work = [(root, -1, (label, alive, queue, []), None)]
-        while work:
-            node, b, (label, alive, queue, pending), up = work.pop()
-            if b >= 0:
+                path[-1][1] |= used
+                path[-1][2] |= added
+                continue
+            node, b, label, alive = item
+            if b < 0:
+                queue = self.units[:]
+            else:
                 label |= 1 << b
                 for needed, added, below, top in cache[b]:
                     if not needed & ~label and not added & label:
@@ -523,49 +516,34 @@ class _Searcher:
                         node.children = top.children
                         nodes += below
                         self.reused += 1
-                        up.ants |= needed
-                        up.adds |= added
-                        up.nodes += below
-                        finish(up)
+                        path[-1][1] |= needed
+                        path[-1][2] |= added
                         break
                 if node.children:  # taken from a closed subtree
                     continue
                 alive &= rows[b]
-                queue = [
-                    i for i in self.by_ant[b]
-                    if not ants[i] & ~label and not succs[i] & label
-                ]
-                pending = [
-                    i for i in pending
-                    if not ants[i] & ~label and not succs[i] & label
-                ]
-            sub = _Subtree(node, up)
-            start, used, before = label, 0, nodes
+                queue = self.by_ant[b][:]
+            top, start, used, before = node, label, 0, nodes
+            work.append(None)
             self.steps += 1
             if self.steps > self.budget:
                 return None
-            # phase 1: close under non-branching applicable instances
+            # phase 1: close under the applicable unit instances
             while queue:
                 i = queue.pop()
                 if succs[i] & label or ants[i] & ~label:
                     continue
-                succ = self.succ_sorted[i]
-                if len(succ) > 1:
-                    pending.append(i)
-                    continue
                 node.rule, node.subst = self.names[i], self.substs[i]
                 used |= ants[i]
                 nodes += 1
+                succ = self.succ_sorted[i]
                 if not succ:
                     node.children = [TreeNode(star=True)]
                     break
                 b = succ[0]
                 label |= 1 << b
                 alive &= rows[b]
-                queue += [
-                    i for i in self.by_ant[b]
-                    if not ants[i] & ~label and not succs[i] & label
-                ]
+                queue += self.by_ant[b]
                 node.children = [TreeNode(adds[b])]
                 node = node.children[0]
                 self.steps += 1
@@ -574,9 +552,8 @@ class _Searcher:
                 if in_goal[b]:
                     node.closed = True
                     break
-            sub.ants, sub.adds, sub.nodes = used, label & ~start, nodes - before
+            path.append([top, used, label & ~start, before])
             if node.closed or node.children:
-                finish(sub)
                 continue
             # phase 2: branch on the candidate first in order of its
             # children that some truth row of the label still designates (a
@@ -584,7 +561,7 @@ class _Searcher:
             # weight, the formulas it adds, and its index; without truth
             # rows, or with no row left, the first two are 0
             candidates = [
-                i for i in pending
+                i for i in self.branching
                 if not ants[i] & ~label and not succs[i] & label
             ]
             if not candidates:
@@ -609,16 +586,12 @@ class _Searcher:
             succ = self.succ_sorted[best]
             node.children = [TreeNode(adds[b], closed=in_goal[b]) for b in succ]
             nodes += len(succ)
-            sub.ants |= ants[best]
-            sub.adds |= succs[best]
-            sub.nodes += len(succ)
-            state = (label, alive, None, pending)
+            path[-1][1] |= ants[best]
+            path[-1][2] |= succs[best]
             # reversed, so that the first open child is grown first
             for child, b in zip(node.children[::-1], succ[::-1]):
                 if not child.closed:
-                    sub.open += 1
-                    work.append((child, b, state, sub))
-            finish(sub)
+                    work.append((child, b, label, alive))
         self.nodes = nodes
         return root
 
@@ -989,8 +962,6 @@ class _Simulation:
         for i, (phi, _, _) in enumerate(steps):
             if phi is goal:
                 return steps[: i + 1]
-        # never derived, so the goal is a premise
-        return []
 
     def _walk(self, spec, ctx, amap):
         """Derive the context C of ctx = (C, levels), given amap for the
@@ -1083,7 +1054,10 @@ def validate_tree(calc, tree, premises, goal):
     """None if the tree derives goal from premises, else the first node
     found at fault.  One label set serves the whole walk: a node's adds
     join it on entry and leave it on exit, and every child is checked to
-    add exactly one new formula before it is entered.  A shared subtree is
+    add exactly one new formula before it is entered.  A leaf must be
+    closed, with a goal formula in its label.  A star node is legal only as
+    the one child of a step whose instance has no succedent formula: that
+    step checks it and does not enter it.  A shared subtree is
     checked once per path to it, in the label of that path, so the walk
     covers the tree's unfolding.
 
@@ -1109,8 +1083,6 @@ def validate_tree(calc, tree, premises, goal):
         label |= node.adds
         stack.append((node, True))
         if not node.children:
-            if node.star:
-                continue
             if node.closed and not label.isdisjoint(goal):
                 continue
             return node

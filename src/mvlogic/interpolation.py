@@ -208,15 +208,19 @@ def cip_failure_certificate():
     witness entailment: sweeps the full unary clone, evaluating both required
     entailments at the valuation dictated by the separation argument."""
     from .algebra import unary_term_functions
-    from .registry import ORDER_CLASS
+    from .registry import ALG_PP6H, ORDER_CLASS
 
     alg = _pp6h_algebra()
     phi, goal = cip_witness()
     confirmed = entails(ORDER_PRESERVING, {phi}, goal)
     clone = unary_term_functions(alg)
     fixed = {"p": "b", "q": "n", "r": "b", "s": "hf"}
-    phi_val = alg.eval_formula(phi, fixed)
-    goal_val = alg.eval_formula(goal, fixed)
+    # the kernel's rows under the one assignment fixed
+    k = kernel.compiled(ALG_PP6H)
+    xs = [var(x) for x in fixed]
+    digits = [(k.carrier.index(a),) for a in fixed.values()]
+    rows = kernel.Bitsets(k.single_valued(k.all), k.n, xs, digits)
+    phi_val, goal_val = (k.carrier[rows.values(f, 1)[0]] for f in (phi, goal))
     filters = [m.designated for m in ORDER_CLASS]
     s_index = alg.carrier.index(fixed["s"])
     report = CipReport(confirmed, len(clone))

@@ -18,6 +18,7 @@ from mvlogic.calculus import (
     Refuted,
     Rule,
     SET_SET,
+    TreeNode,
     _Searcher,
     _build_instances,
     _decide,
@@ -198,6 +199,28 @@ def test_validate_tree_rejects_tampering():
         node = node.children[0]
     assert validate_tree(R_B, pruned, premises, goal) is not None
 
+    # a star node is legal only as the one child of an empty-succedent step
+    p, q = parse_formula_set("p"), parse_formula_set("q")
+    star_root = TreeNode(frozenset(p), star=True)
+    assert validate_tree(R_B, star_root, p, q) is star_root
+
+    starred = copy_tree(tree)
+    branch = next(n for n in _walk(starred) if len(n.children) > 1)
+    child = next(c for c in branch.children if not c.closed)
+    child.children, child.star = [], True
+    assert validate_tree(R_B, starred, premises, goal) is child
+
+    unclosed = copy_tree(tree)
+    leaf = next(n for n in _walk(unclosed) if n.closed)
+    leaf.closed = False
+    assert validate_tree(R_B, unclosed, premises, goal) is leaf
+
+    # the root may hold fewer than the premises, but the first step's
+    # antecedent is then missing from the label
+    bare = copy_tree(tree)
+    bare.adds = frozenset()
+    assert validate_tree(R_B, bare, premises, goal) is bare
+
 
 def _walk(tree):
     """The nodes in validate_tree's order."""
@@ -330,6 +353,30 @@ def test_r_up_wider_ladder_within_the_benchmark_budget():
     assert stats.assignments + stats.steps <= 50_000
     assert _count(res.tree) == stats.nodes
     assert validate_tree(calc, res.tree, premises, goal) is None
+
+
+def test_budget_spent_in_the_core_minimization(monkeypatch):
+    # the r-up k=3 ladder's first solve takes 1,557 assignments: a budget
+    # that covers it but not the core's minimization leaves the sequent
+    # decided but OutOfBudget, with no core and no search
+    calc = lookup(KIND_CALCULUS, "r-up").payload
+    premises, goal = (parse_formula_set(t) for t in _ladder(3))
+    minimized = []
+    minimize = sat.minimize
+
+    def spy(*args):
+        minimized.append(minimize(*args))
+        return minimized[-1]
+
+    monkeypatch.setattr(sat, "minimize", spy)
+    res = prove(calc, premises, goal, budget_nodes=5_000)
+    assert isinstance(res, OutOfBudget)
+    (least,) = minimized
+    assert least.core is None
+    stats = res.stats
+    assert stats.assignments - least.assignments == 1_557
+    assert stats.assignments > 5_000
+    assert (stats.route, stats.core, stats.steps) == ("cdcl", 0, 0)
 
 
 def test_k4_ladder_reuses_closed_subtrees():

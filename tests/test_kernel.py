@@ -1,12 +1,15 @@
 """The bitset and mask kernel against the reference evaluators it replaced:
 solve_valuations for consequence, set-valued recursion for unary profiles,
-and FiniteAlgebra.eval_formula for assignments; and the prover's rule
-grounding against the plain product-and-filter grounding."""
+and FiniteAlgebra.eval_formula for assignments; a scan that keeps those
+evaluators out of the product's code; and the prover's rule grounding
+against the plain product-and-filter grounding."""
 
+import ast
 import weakref
 from collections import Counter
 from itertools import product
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -598,3 +601,44 @@ def test_check_identity_first_counterexample(pair):
             break
     assert check_identity(PP6H, lhs, rhs) == want
 
+
+
+# the reference evaluators, and the one product function allowed to call
+# each besides its own definition: semantics falls back on solve_valuations
+# for components that are not single-valued
+REFERENCE_EVALUATORS = {
+    "eval_formula": None,
+    "unary_profile": None,
+    "solve_valuations": ("semantics", "backtrack"),
+}
+
+
+def _evaluator_calls(path):
+    """(function, callee) for each call of a reference evaluator in the
+    module at path, function the innermost def around the call."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in REFERENCE_EVALUATORS:
+                found.append((inside, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_product_code_calls_no_reference_evaluator():
+    src = Path(kernel.__file__).parent
+    calls = {}
+    for path in sorted(src.glob("*.py")):
+        for inside, name in _evaluator_calls(path):
+            allowed = REFERENCE_EVALUATORS[name]
+            if inside != name and (path.stem, inside) != allowed:
+                calls.setdefault(path.stem, []).append((inside, name))
+    assert calls == {}

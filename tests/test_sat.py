@@ -162,3 +162,35 @@ def test_rotation_spares_the_solves_of_a_chain():
     assert (least.assignments, least.conflicts) == (
         first.assignments, first.conflicts
     )
+
+
+def test_activity_rescale_keeps_the_verdicts(monkeypatch):
+    # activities are scaled down once one passes 1e100, which takes some
+    # 4,500 conflicts from an increment of 1; started near 1e100, every
+    # run with two conflicts rescales, and its heap is rebuilt mid-search
+    solvers = []
+    init = sat._Solver.__init__
+
+    def start_high(self, nvars, clauses):
+        init(self, nvars, clauses)
+        self.inc = 1e100
+        solvers.append(self)
+
+    monkeypatch.setattr(sat._Solver, "__init__", start_high)
+    rescaled = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        nvars = rng.randrange(4, 9)
+        clauses = [
+            sorted(2 * v + rng.randrange(2) for v in rng.sample(range(nvars), 3))
+            for _ in range(rng.randrange(10, 50))
+        ]
+        solvers.clear()
+        out = solve(nvars, clauses, 10**6)
+        rescaled += solvers[0].inc < 1e50
+        if brute_sat(nvars, clauses):
+            assert out.core is None and satisfies(out.model, clauses)
+        else:
+            assert out.model is None
+            assert not brute_sat(nvars, [clauses[i] for i in out.core])
+    assert rescaled > 20
