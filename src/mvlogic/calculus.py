@@ -12,6 +12,7 @@ from itertools import product
 from . import kernel, semantics
 from .errors import (
     ClassificationError,
+    DuplicateRuleName,
     FrameworkMismatch,
     MissingDisjunction,
     SignatureMismatch,
@@ -51,6 +52,14 @@ class Calculus:
     framework: str = SET_SET
     source: "Calculus" = None
     models: list = None
+
+    def __post_init__(self):
+        # instances, proof trees and their checks look a rule up by name
+        seen = set()
+        for r in self.rules:
+            if r.name in seen:
+                raise DuplicateRuleName("%s has two rules named %r" % (self.name, r.name))
+            seen.add(r.name)
 
 
 @dataclass(slots=True, eq=False, repr=False)
@@ -341,41 +350,54 @@ def _build_instances(calc, targets, universe):
     return out
 
 
+def _single_valued(models):
+    """The compiled algebra of each model, or None when a model's tables
+    keep other than one value at some entry."""
+    compiled = [kernel.compiled(m.algebra) for m in models]
+    if any(k.single_valued(k.all) is None for k in compiled):
+        return None
+    return compiled
+
+
+def _interprets(models, *formula_sets):
+    """Whether every model interprets every connective of the formula sets
+    at the arity it is applied with."""
+    try:
+        for m in models:
+            for formulas in formula_sets:
+                kernel.check_signature(m.algebra, formulas)
+    except SignatureMismatch:
+        return False
+    return True
+
+
 def _model_truths(calc, base, formulas):
     """Per formula, the truth rows where it is designated, as a bitmask: a
     row is a (deterministic model, assignment to the variables of base)
     pair, and each model's rows follow the previous models' rows.  Used to
     steer branch selection; None without models, when a model is not
     single-valued or does not interpret every formula and subformula, or
-    when there are too many rows."""
+    when all models' rows together are more than one kernel chunk."""
     models = calc.models
-    if not models:
+    compiled = models and _single_valued(models)
+    if not compiled:
         return None
-    vs = sorted(variables(base))
-    if len(vs) > 4:
+    vs = [var(v) for v in sorted(variables(base))]
+    if sum(k.n ** len(vs) for k in compiled) > kernel.CHUNK:
         return None
-    if sum(len(m.carrier) ** len(vs) for m in models) > 20000:
+    # a row is computed from the rows of every subformula
+    if not _interprets(models, subformulas(formulas)):
         return None
     masks = dict.fromkeys(formulas, 0)
-    # a row is computed from the rows of every subformula
-    closure = subformulas(formulas)
     # one Bitsets per algebra, read by every model over it
     shared = {}
     shift = 0
-    for m in models:
-        k = kernel.compiled(m.algebra)
+    for m, k in zip(models, compiled):
         bitsets = shared.get(k)
         if bitsets is None:
-            plans = k.single_valued(k.all)
-            if plans is None:
-                return None
-            try:
-                kernel.check_signature(m.algebra, closure)
-            except SignatureMismatch:
-                return None
-            # at most 20000 assignments: one bitset covers them all
+            # at most CHUNK assignments: one bitset covers them all
             digits = [tuple(range(k.n))] * len(vs)
-            bitsets = shared[k] = kernel.Bitsets(plans, k.n, [var(v) for v in vs], digits)
+            bitsets = shared[k] = kernel.Bitsets(k.single_valued(k.all), k.n, vs, digits)
         des = k.mask_of(m.designated)
         for f in formulas:
             masks[f] |= bitsets.where(f, des) << shift
@@ -673,20 +695,13 @@ def _refute_on_models(calc, premises, goal, targets, universe, budget_nodes):
     every ground instance, with the premises in and the goal out.  They are
     read off the kernel's rows, which start from the witness's values."""
     models = calc.models
-    if not models:
-        return None, 0
-    compiled = [kernel.compiled(m.algebra) for m in models]
-    if any(k.single_valued(k.all) is None for k in compiled):
+    compiled = models and _single_valued(models)
+    if not compiled:
         return None, 0
     vs = [f for f in targets if f.is_var]
     if sum(k.n ** len(vs) for k in compiled) > budget_nodes:
         return None, 0
-    xi = subformulas(calc.xi)
-    try:
-        for alg in dict.fromkeys(m.algebra for m in models):
-            kernel.check_signature(alg, targets)
-            kernel.check_signature(alg, xi)
-    except SignatureMismatch:
+    if not _interprets(models, targets, subformulas(calc.xi)):
         return None, 0
     res = semantics.check_consequence(ConsequenceProblem(models, premises, goal))
     valuations = res.stats.assignments
@@ -729,12 +744,7 @@ def _decide(calc, premises, goal, universe, ground, budget_nodes, valuations=0):
     base = premises | goal
     if out.model is not None:
         # without analyticity a model of these instances is no countermodel
-        if universe is None:
-            return Inconclusive(stats)
-        try:
-            for m in calc.models or ():
-                kernel.check_signature(m.algebra, subformulas(base))
-        except SignatureMismatch:
+        if universe is None or not _interprets(calc.models or (), ground.targets):
             return Inconclusive(stats)
         omega = frozenset(f for f, true in zip(order, out.model) if true)
         return Refuted(
@@ -1143,12 +1153,11 @@ def countermodel_from_partition(part, variant):
     """A PP6⇒H valuation on Λ realizing an r-up or r-leq partition, and the
     value a whose principal filter designates it: a countermodel on the
     calculus's models, so for the `leq` variant a is never t."""
-    from .registry import MAT_PP6H, ORDER_CLASS, UP_CLASS
+    from .registry import MAT_PP6H, VARIANT_CLASS
 
-    classes = {VARIANT_UP: UP_CLASS, VARIANT_LEQ: ORDER_CLASS}
-    if variant not in classes:
+    if variant not in VARIANT_CLASS:
         raise ValueError("variant must be %r or %r" % (VARIANT_UP, VARIANT_LEQ))
-    m, valuation = countermodel(classes[variant], part)
+    m, valuation = countermodel(VARIANT_CLASS[variant], part)
     return valuation, next(a for a, x in MAT_PP6H.items() if x is m)
 
 

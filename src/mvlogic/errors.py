@@ -43,6 +43,10 @@ class FrameworkMismatch(MvlError):
     pass
 
 
+class DuplicateRuleName(MvlError):
+    pass
+
+
 class ClassificationError(MvlError):
     pass
 

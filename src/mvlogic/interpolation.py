@@ -27,23 +27,13 @@ ORDER_PRESERVING = "order"
 ASSERTIONAL = "assertional"
 
 
-def _order_class():
-    from .registry import ORDER_CLASS
-
-    return ORDER_CLASS
-
-
-def _assertional_class():
-    from .registry import MAT_PP6H
-
-    return [MAT_PP6H["ht"]]
-
-
 def _models(logic):
+    from .registry import MAT_PP6H, ORDER_CLASS
+
     if logic == ORDER_PRESERVING:
-        return _order_class()
+        return ORDER_CLASS
     if logic == ASSERTIONAL:
-        return _assertional_class()
+        return [MAT_PP6H["ht"]]
     raise ValueError("unknown logic %r" % logic)
 
 
@@ -208,7 +198,7 @@ def cip_failure_certificate():
     witness entailment: sweeps the full unary clone, evaluating both required
     entailments at the valuation dictated by the separation argument."""
     from .algebra import unary_term_functions
-    from .registry import ALG_PP6H, ORDER_CLASS
+    from .registry import ALG_PP6H
 
     alg = _pp6h_algebra()
     phi, goal = cip_witness()
@@ -221,7 +211,7 @@ def cip_failure_certificate():
     digits = [(k.carrier.index(a),) for a in fixed.values()]
     rows = kernel.Bitsets(k.single_valued(k.all), k.n, xs, digits)
     phi_val, goal_val = (k.carrier[rows.values(f, 1)[0]] for f in (phi, goal))
-    filters = [m.designated for m in ORDER_CLASS]
+    filters = [m.designated for m in _models(ORDER_PRESERVING)]
     s_index = alg.carrier.index(fixed["s"])
     report = CipReport(confirmed, len(clone))
     for func, witness in sorted(clone.items(), key=lambda kv: canon_key(kv[1])):

@@ -137,7 +137,21 @@ ALG_PP2H = _subalgebra(ALG_PP6H, {"hf", "ht"}, "pp2h")
 ALG_PP3H = _subalgebra(ALG_PP6H, {"hf", "n", "ht"}, "pp3h")
 ALG_PP4H = _subalgebra(ALG_PP6H, {"hf", "f", "t", "ht"}, "pp4h")
 
-# --- ten-valued PNmatrices ----------------------------------------------
+# --- PP6⇒H matrix classes and ten-valued PNmatrices ----------------------
+
+def _upset6(a):
+    return frozenset(v for v in V6 if leq6(a, v))
+
+
+# One PP6⇒H matrix per principal filter, and per variant of the analytic
+# calculi the class of them it is sound and complete for: the `leq` variant
+# excludes the filter generated by t.
+MAT_PP6H = {
+    a: PNMatrix("pp6h-u%s" % a, ALG_PP6H, _upset6(a)) for a in ("f", "n", "b", "t", "ht")
+}
+ORDER_CLASS = [MAT_PP6H["f"], MAT_PP6H["b"], MAT_PP6H["ht"]]
+UP_CLASS = ORDER_CLASS + [MAT_PP6H["t"]]
+VARIANT_CLASS = {VARIANT_UP: UP_CLASS, VARIANT_LEQ: ORDER_CLASS}
 
 V10 = ("hf", "fm", "nm", "bm", "tm", "fp", "np", "bp", "tp", "ht")
 D10 = frozenset({"fp", "np", "bp", "tp", "ht"})
@@ -156,16 +170,11 @@ G10 = {
 }
 
 
-# A sign pattern over V10 is compatible exactly when some principal filter
-# of the six-valued algebra realizes it: a value d carries + iff d lies in
-# the filter.  The `leq` variant excludes the filter generated by t.
-_INC_FILTERS_UP = ("f", "b", "t", "ht")
-_INC_FILTERS_LEQ = ("f", "b", "ht")
-
-
+# A sign pattern over V10 is compatible exactly when the filter of some
+# matrix in the variant's class realizes it: a value d carries + iff d lies
+# in the filter.
 def _inc(variant):
-    filters = _INC_FILTERS_UP if variant == VARIANT_UP else _INC_FILTERS_LEQ
-    upsets = [frozenset(v for v in V6 if leq6(a, v)) for a in filters]
+    upsets = [m.designated for m in VARIANT_CLASS[variant]]
 
     def pred(values):
         signed = [(G10[c], c.endswith("p")) for c in values if c not in ("hf", "ht")]
@@ -178,7 +187,7 @@ def _inc(variant):
 
 
 def build_ten_valued(variant):
-    if variant not in (VARIANT_UP, VARIANT_LEQ):
+    if variant not in VARIANT_CLASS:
         raise ValueError("variant must be %r or %r" % (VARIANT_UP, VARIANT_LEQ))
     inc = _inc(variant)
     interp = {}
@@ -462,10 +471,6 @@ PP_TOP_DISTINGUISHING = [
 ]
 
 
-def _upset6(a):
-    return frozenset(v for v in V6 if leq6(a, v))
-
-
 KIND_ALGEBRA = "algebra"
 KIND_MATRIX = "matrix"
 KIND_MATRIX_CLASS = "matrix-class"
@@ -480,22 +485,12 @@ class RegistryEntry:
         self.payload = payload
 
 
-def _matrix(name, alg, designated):
-    return PNMatrix(name, alg, designated)
-
-
-MAT_DM4 = _matrix("dm4-bt", ALG_DM4, {"b", "t"})
-MAT_PP6_UB = _matrix("pp6-ub", ALG_PP6, _upset6("b"))
-MAT_PP6H = {
-    a: _matrix("pp6h-u%s" % a, ALG_PP6H, _upset6(a)) for a in ("f", "n", "b", "t", "ht")
-}
-MAT_PP6A1_UB = _matrix("pp6a1-ub", ALG_PP6A1, UP_B)
-MAT_LETK_UB = _matrix("letk-ub", ALG_LETK, UP_B)
+MAT_DM4 = PNMatrix("dm4-bt", ALG_DM4, {"b", "t"})
+MAT_PP6_UB = PNMatrix("pp6-ub", ALG_PP6, _upset6("b"))
+MAT_PP6A1_UB = PNMatrix("pp6a1-ub", ALG_PP6A1, UP_B)
+MAT_LETK_UB = PNMatrix("letk-ub", ALG_LETK, UP_B)
 MAT_M_UP = build_ten_valued(VARIANT_UP)
 MAT_M_LEQ = build_ten_valued(VARIANT_LEQ)
-
-ORDER_CLASS = [MAT_PP6H["f"], MAT_PP6H["b"], MAT_PP6H["ht"]]
-UP_CLASS = ORDER_CLASS + [MAT_PP6H["t"]]
 
 _REGISTRY = {}
 

@@ -355,6 +355,33 @@ def test_r_up_wider_ladder_within_the_benchmark_budget():
     assert validate_tree(calc, res.tree, premises, goal) is None
 
 
+def test_steering_rows_fit_one_kernel_chunk(monkeypatch):
+    from mvlogic import kernel
+
+    premises, goal = map(parse_formula_set, _ladder(2))
+    base = premises | goal
+    rows = sum(len(m.carrier) ** 2 for m in R_LEQ.models)  # 3 models, 108
+    monkeypatch.setattr(kernel, "CHUNK", rows)
+    truths = _model_truths(R_LEQ, base, subformulas(base))
+    # p1 is designated, per model, in 6 rows per designated value
+    designated = sum(len(m.designated) for m in R_LEQ.models)
+    assert truths[var("p1")].bit_count() == 6 * designated
+    assert max(truths.values()).bit_length() <= rows
+    monkeypatch.setattr(kernel, "CHUNK", rows - 1)
+    assert _model_truths(R_LEQ, base, base) is None
+
+
+def test_five_variable_ladder_is_steered():
+    # 3 models x 6**5 assignments = 23,328 rows, within one kernel chunk
+    premises, goal = map(parse_formula_set, _ladder(5))
+    base = premises | goal
+    truths = _model_truths(R_LEQ, base, base)
+    assert truths is not None
+    (prem,), (conc,) = premises, goal
+    # the premise is designated in some row, and the goal in each of them
+    assert truths[prem] and not truths[prem] & ~truths[conc]
+
+
 def test_budget_spent_in_the_core_minimization(monkeypatch):
     # the r-up k=3 ladder's first solve takes 1,557 assignments: a budget
     # that covers it but not the core's minimization leaves the sequent
@@ -423,6 +450,25 @@ def test_refutation_needs_interpreted_connectives():
     res = prove(R_B, premises, goal)
     assert isinstance(res, Proved)
     assert validate_tree(R_B, res.tree, premises, goal) is None
+
+
+def test_duplicate_rule_names_are_rejected():
+    from mvlogic.errors import DuplicateRuleName
+
+    p, q = var("p"), var("q")
+    twice = [Rule("dup", frozenset({p}), frozenset({q})),
+             Rule("dup", frozenset({q}), frozenset({p}))]
+    with pytest.raises(DuplicateRuleName, match="two rules named 'dup'") as exc:
+        Calculus("twice", twice)
+    assert isinstance(exc.value, MvlError)
+    with pytest.raises(DuplicateRuleName):
+        replace(R_B, rules=R_B.rules + R_B.rules[:1])
+    # the transform names an axiom's copy as the source does, and every
+    # other rule's copy with the suffix _v
+    source = Calculus("clash", [Rule("a", frozenset({p}), frozenset({q})),
+                                Rule("a_v", frozenset(), frozenset({p}))])
+    with pytest.raises(DuplicateRuleName, match="'a_v'"):
+        to_set_fmla_calculus(source)
 
 
 def test_prove_set_fmla_needs_single_goal():

@@ -411,6 +411,24 @@ def test_prove_calculus_incomplete_for_its_models_is_input_error(tmp_path, capsy
     assert "no model realizes" in capsys.readouterr().err
 
 
+def test_prove_calculus_with_duplicate_rule_names_is_input_error(tmp_path, capsys):
+    # a tree names its steps' rules, so two rules sharing a name would let
+    # one rule's step be checked against the other
+    assert run(["export", "--kind", "calculus", "--name", "r-b"]) == EXIT_POSITIVE
+    data = json.loads(capsys.readouterr().out)
+    for rule in data["rules"]:
+        if rule["name"] in ("r6", "r13"):  # ~~p / p and p / p | q
+            rule["name"] = "dup"
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(data))
+    for premises, goal in (("~~p", "p | q"), ("~~p", "p")):
+        argv = ["prove", "--calculus", "@%s" % path, "--premises", premises,
+                "--goal", goal, "--json"]
+        assert run(argv) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert not out.out and "two rules named 'dup'" in out.err
+
+
 def test_malformed_file_argument_is_usage_error(tmp_path, capsys):
     cases = [
         ("broken.json", '{"name": ', ["prove", "--goal", "p", "--calculus"]),
