@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from . import kernel, semantics
 from .errors import (
@@ -177,69 +177,120 @@ class Inconclusive:
 @lru_cache(maxsize=1024)
 def _compiled_rule(rule):
     """A rule's variables, sorted, and its grounding function, generated
-    once.  ground(get, tids, size, seen, clauses, records, name) binds the
-    variables in order, each in one nested loop over the target ids and
-    their positions.  A subterm's id is get((head, argument ids)), with -1
-    for a missing argument; it is looked up as soon as its variables are
-    bound, smaller subterms first, and a subterm of one variable once per
-    target, before the loops.  An id of None, or one of a formula of the
-    rule not below size, drops the assignment with all its extensions.  An
-    instance whose sides meet is dropped too; otherwise its clause, the
+    once.  ground(tids, size, seen, seen_add, emit, record, name, *tables)
+    takes the rule's connectives' tables (see _build_instances) in
+    _rule_heads order and binds the variables in order, one nested loop
+    each over the target ids and their positions.  A constant's table is
+    its id; a unary subterm's id is table.get(argument id), a binary one's
+    row.get(second argument id), its row table.get(first argument id)
+    fetched in the loop that binds the first argument, so a loop that
+    binds only the second does one lookup and builds no key.  A lookup
+    runs as soon as its variables are bound: before the loops, once per
+    target before them for one variable (whose loop then runs over the
+    targets that passed), else in the loop of its last variable, in
+    canon_key order.  A missing id or row, or a rule formula's id not below
+    size (a missing one reads as size), drops the assignment and its
+    extensions, as does an instance whose sides meet (only formulas of
+    the two sides that unify are compared).  Otherwise its clause, the
     sorted literals 2*id + 1 of its antecedent and 2*id of its succedent,
-    is appended to clauses and (name, target positions) to records, unless
-    seen holds the clause already.  The source splices in only generated
-    names, ints and the repr of connective names."""
+    each once, goes to emit and (name, target positions) to record, unless
+    seen holds it already.  Two literals are ordered by one comparison; a
+    longer clause is a list sorted in place that goes through a set only
+    when two formulas of one side that unify have taken one id.  The source
+    splices in only generated names."""
     sides = rule.antecedent | rule.succedent
     vs = sorted(variables(sides))
-    index = {v: i for i, v in enumerate(vs)}
-    ordered = sorted(subformulas(sides), key=canon_key)
-    local = {g: "x%d" % k for k, g in enumerate(ordered)}
-    own = {g: variables(g) for g in ordered if g.args is not None}
+    level = {v: j for j, v in enumerate(vs)}
+    table = {h: "t%d" % k for k, h in enumerate(_rule_heads(rule))}
+    local, rows, free = {}, {}, {}  # free: each subterm's variables
+    pre, solo, deep = [], [[] for _ in vs], [[] for _ in vs]
+
+    def place(name, test, needs):  # needs: the variables test reads
+        if not needs:
+            pre.append(test)
+        elif len(needs) == 1:
+            solo[level[min(needs)]].append((name, test))
+        else:
+            deep[max(map(level.get, needs))].append(test)
+
+    for g in sorted(subformulas(sides), key=canon_key):
+        if g.args is None:
+            local[g], free[g] = "x%d" % level[g.head], {g.head}
+            continue
+        free[g] = set().union(*map(free.get, g.args))
+        node = table[(g.head, len(g.args))]
+        for k in range(1, len(g.args)):
+            key = (g.head, len(g.args), g.args[:k])
+            if key not in rows:
+                rows[key] = "r%d" % len(rows)
+                place(rows[key], "(%s := %s.get(%s)) is None" % (
+                    rows[key], node, local[g.args[k - 1]]
+                ), set().union(*map(free.get, g.args[:k])))
+            node = rows[key]
+        if not g.args:
+            local[g] = node
+            if g in sides:
+                place(None, "%s >= size" % node, ())
+            continue
+        local[g] = name = "y%d" % len(local)
+        if g in sides:  # a missing id reads as size
+            test = "(%s := %s.get(%s, size)) >= size"
+        else:
+            test = "(%s := %s.get(%s)) is None"
+        test %= (name, node, local[g.args[-1]])
+        place(name, test, free[g])
     lines = [
-        "def ground(get, tids, size, seen, clauses, records, name):",
-        "    seen_add, emit, record = seen.add, clauses.append, records.append",
+        "def ground(%s):" % ", ".join(
+            ["tids", "size", "seen", "seen_add", "emit", "record", "name"]
+            + list(table.values())
+        ),
     ]
-
-    def look_up(g, pad, skip):
-        a, b = [local[y] for y in g.args] + ["-1"] * (2 - len(g.args))
-        lines.append("%s%s = get((%r, %s, %s))" % (pad, local[g], g.head, a, b))
-        test = "%s is None" % local[g]
-        if g in sides:
-            test += " or %s >= size" % local[g]
-        lines.append("%sif %s: %s" % (pad, test, skip))
-
-    for g, gv in own.items():
-        if not gv:
-            look_up(g, "    ", "return")
+    lines += ["    if %s: return" % test for test in pre]
     loops = []
-    for j, v in enumerate(vs):
-        x = local[var(v)]
-        solo = [g for g, gv in own.items() if gv == {v}]
-        names = ", ".join(["i%d" % j, x] + [local[g] for g in solo])
-        lines += ["    c%d = []" % j, "    for i%d, %s in enumerate(tids):" % (j, x)]
-        for g in solo:
-            look_up(g, "        ", "continue")
+    for j, stage in enumerate(solo):
+        names = ", ".join(["i%d" % j, "x%d" % j] + [n for n, _ in stage])
+        if not stage:
+            loops.append("for %s in enumerate(tids):" % names)
+            continue
+        lines += ["    c%d = []" % j, "    for i%d, x%d in enumerate(tids):" % (j, j)]
+        lines += ["        if %s: continue" % test for _, test in stage]
         lines.append("        c%d.append((%s))" % (j, names))
         loops.append("for %s in c%d:" % (names, j))
     pad, skip = "    ", "return"
-    for j, v in enumerate(vs):
-        lines.append(pad + loops[j])
+    for j, loop in enumerate(loops):
+        lines.append(pad + loop)
         pad, skip = pad + "    ", "continue"
-        for g, gv in own.items():
-            if len(gv) > 1 and max(map(index.get, gv)) == j:
-                look_up(g, pad, skip)
-    ant = [local[f] for f in rule.antecedent]
-    succ = [local[f] for f in rule.succedent]
-    meets = ["%s == %s" % (a, s) for a in ant for s in succ]
+        lines += ["%sif %s: %s" % (pad, test, skip) for test in deep[j]]
+    meets = [
+        "%s == %s" % (local[a], local[s])
+        for a in rule.antecedent for s in rule.succedent if _unifiable(a, s)
+    ]
     if meets:
         lines.append("%sif %s: %s" % (pad, " or ".join(meets), skip))
-    lits = ["2 * %s + 1" % a for a in ant] + ["2 * %s" % s for s in succ]
+    lits = [(local[f], "2 * %s + 1" % local[f]) for f in rule.antecedent]
+    lits += [(local[f], "2 * %s" % local[f]) for f in rule.succedent]
+    merges = [
+        "%s == %s" % (local[f], local[g])
+        for side in (rule.antecedent, rule.succedent)
+        for f, g in combinations(side, 2) if _unifiable(f, g)
+    ]
+    if len(lits) == 2:
+        (x, a), (y, b) = lits
+        key = "(%s, %s) if %s < %s else (%s, %s)" % (a, b, x, y, b, a)
+        if merges:
+            key += " if %s < %s else (%s,)" % (y, x, a)
+        lines.append(pad + "key = " + key)
+    elif len(lits) < 2:
+        lines.append(pad + "key = (%s)" % "".join(lit + "," for _, lit in lits))
+    else:
+        lines.append(pad + "clause = [%s]" % ", ".join(lit for _, lit in lits))
+        if merges:
+            lines.append("%sif %s: clause = [*{*clause}]" % (pad, " or ".join(merges)))
+        lines += [pad + "clause.sort()", pad + "key = tuple(clause)"]
     lines += [
-        pad + "clause = " + ("sorted({%s})" % ", ".join(lits) if lits else "[]"),
-        pad + "key = tuple(clause)",
         pad + "if key in seen: %s" % skip,
         pad + "seen_add(key)",
-        pad + "emit(clause)",
+        pad + ("emit(clause)" if len(lits) > 2 else "emit([*key])"),
         pad + "record((name, (%s)))" % "".join("i%d, " % j for j in range(len(vs))),
     ]
     scope = {}
@@ -250,10 +301,12 @@ def _compiled_rule(rule):
 class _Ground(list):
     """Ground instances: self[k] is instance k's (rule name, target
     positions of the rule's sorted variables) and clauses[k] its clause,
-    the sorted literals 2*id + 1 of its antecedent and 2*id of its
-    succedent.  formulas[i] is the formula with id i; a universe's formulas
+    a list of the sorted literals 2*id + 1 of its antecedent and 2*id of
+    its succedent, each once (see _compiled_rule for when that takes a
+    set).  formulas[i] is the formula with id i; a universe's formulas
     come first, in canon_key order, so an id below its size is the
-    formula's SAT variable; without a universe every id is one."""
+    formula's SAT variable; without a universe every id is one, and the
+    formulas the tables build on lookup come after the closure."""
 
     def __init__(self, targets, formulas):
         super().__init__()
@@ -276,11 +329,71 @@ class _Ground(list):
 
 @lru_cache(maxsize=1024)
 def _rule_heads(rule):
-    """The connectives of a rule's formulas."""
-    return frozenset(
-        f.head for f in subformulas(rule.antecedent | rule.succedent)
-        if f.args is not None
-    )
+    """The connectives of a rule's formulas as (name, arity), in the
+    canon_key order of the first formula each heads."""
+    heads = {}
+    for f in sorted(subformulas(rule.antecedent | rule.succedent), key=canon_key):
+        if f.args is not None:
+            heads.setdefault((f.head, len(f.args)))
+    return tuple(heads)
+
+
+def _unifiable(f, g):
+    """Whether some substitution of formulas for the variables makes f and
+    g one formula."""
+    env, pairs = {}, [(f, g)]
+    while pairs:
+        a, b = pairs.pop()
+        while a.args is None and a.head in env:
+            a = env[a.head]
+        while b.args is None and b.head in env:
+            b = env[b.head]
+        if b.args is None:
+            a, b = b, a
+        if a is b:
+            continue
+        if a.args is not None:
+            if a.head != b.head or len(a.args) != len(b.args):
+                return False
+            pairs.extend(zip(a.args, b.args))
+            continue
+        stack = [b]  # a variable bound to a formula containing it
+        while stack:
+            t = stack.pop()
+            if t.args is not None:
+                stack.extend(t.args)
+            elif t.head == a.head:
+                return False
+            elif t.head in env:
+                stack.append(env[t.head])
+        env[a.head] = b
+    return True
+
+
+class _Built(dict):
+    """The tables of _build_instances without a universe: a lookup that
+    misses numbers the formula it names, or makes the row, and returns it.
+    The top level (head None) is keyed by (connective, arity), a row by the
+    id of its connective's next argument."""
+
+    def get(self, key, default=None):
+        return self[key]
+
+    def __init__(self, formulas, head=None, arity=0, prefix=()):
+        super().__init__()
+        self.formulas, self.head, self.arity, self.prefix = formulas, head, arity, prefix
+
+    def __missing__(self, key):
+        head, arity, args = self.head, self.arity, self.prefix + (key,)
+        if head is None:
+            (head, arity), args = key, ()
+        if len(args) < arity:
+            made = _Built(self.formulas, head, arity, args)
+        else:
+            made = len(self.formulas)
+            self.formulas.append(app(head, *[self.formulas[i] for i in args]))
+        self[key] = made
+        return made
 
 
 @lru_cache(maxsize=64)
@@ -301,52 +414,43 @@ def _build_instances(calc, targets, universe):
     of `universe`, when given); keep an instance only if all of its
     formulas stay inside the universe, and return them as a _Ground.
     Grounding runs on ids and interns no formula then: the universe, then
-    the rest of its subformula closure, is numbered, and a table gives the
-    id of (head, argument ids).  Each rule's generated loops (see
-    _compiled_rule) look subterms up in the table; one missing lies outside
-    the universe, so the loops drop its prefix with all its extensions.  A
-    rule with a connective that heads no numbered formula has no instance
-    inside the universe, and is skipped before it is compiled.  Without a
-    universe the lookup builds and numbers the subterm instead.
-    The assignments come out in product order, and each kept instance
-    emits its clause straight from the ids."""
+    the rest of its subformula closure, is numbered, with one table per
+    connective and arity: a constant's is its id, a unary connective's maps
+    an argument id to an id, and a binary one's the first argument's id to
+    a row that maps the second's to an id.  The generated loops (see
+    _compiled_rule) drop a prefix whose subterm is missing, since it lies
+    outside the universe.  A rule with a connective and arity that heads
+    no numbered formula has no instance, and is skipped before it is
+    compiled.  Without a universe the tables are _Built, whose lookups
+    build and number a missing subterm.  Assignments come out in product
+    order, and each kept instance emits its clause straight from the ids."""
     formulas = sorted(targets if universe is None else universe, key=canon_key)
     ids = {f: i for i, f in enumerate(formulas)}
-    table = {}
+    build = universe is None
+    tables = _Built(formulas) if build else {}
     for i, f in enumerate(formulas):  # also visits the closure appended
-        if f.args is not None:
-            key = [f.head]
-            for a in f.args:
-                if a not in ids:
-                    ids[a] = len(formulas)
-                    formulas.append(a)
-                key.append(ids[a])
-            table[tuple(key + [-1] * (3 - len(key)))] = i
-    if universe is None:
-        size = float("inf")
-
-        def get(key):
-            g = table.get(key)
-            if g is None:
-                g = table[key] = len(formulas)
-                head, a, b = key
-                args = [formulas[i] for i in (a, b) if i >= 0]
-                formulas.append(app(head, *args))
-            return g
-    else:
-        size, get = len(universe), table.get
-    heads = None
-    if universe is not None:
-        heads = {f.head for f in formulas if f.args is not None}
+        if f.args is None:
+            continue
+        node, key = tables, (f.head, len(f.args))
+        for a in f.args:
+            if a not in ids:
+                ids[a] = len(formulas)
+                formulas.append(a)
+            node, key = node[key] if build else node.setdefault(key, {}), ids[a]
+        node[key] = i
+    size = float("inf") if build else len(universe)
     tids = [ids[t] for t in targets]
     out = _Ground(targets, formulas)
     seen = set()
+    add, emit = seen.add, out.clauses.append
+    has, table = tables.__contains__, tables.__getitem__
     for rule in calc.rules:
-        if heads is not None and not _rule_heads(rule) <= heads:
+        heads = _rule_heads(rule)
+        if not build and not all(map(has, heads)):
             continue
         vs, ground = _compiled_rule(rule)
         out.rule_variables[rule.name] = vs
-        ground(get, tids, size, seen, out.clauses, out, rule.name)
+        ground(tids, size, seen, add, emit, out.append, rule.name, *map(table, heads))
     return out
 
 
@@ -692,8 +796,9 @@ def _refute_on_models(calc, premises, goal, targets, universe, budget_nodes):
     of the analyticity set, and when their valuations of the sequent's
     variables fit budget_nodes.  A witness refutes when every rule holds in
     the models: the formulas of the universe it designates then satisfy
-    every ground instance, with the premises in and the goal out.  They are
-    read off the kernel's rows, which start from the witness's values."""
+    every ground instance, with the premises in and the goal out.  Each
+    formula's value is read off the model's tables, from the witness's
+    values up."""
     models = calc.models
     compiled = models and _single_valued(models)
     if not compiled:
@@ -708,11 +813,16 @@ def _refute_on_models(calc, premises, goal, targets, universe, budget_nodes):
     if isinstance(res, Holds) or not _sound(tuple(calc.rules), tuple(models)):
         return None, valuations
     m, k = models[res.matrix_index], compiled[res.matrix_index]
-    lam = list(res.witness)
-    digits = [(k.carrier.index(res.witness[f]),) for f in lam]
-    rows = kernel.Bitsets(k.single_valued(k.all), k.n, lam, digits)
+    value = {f: k.carrier.index(v) for f, v in res.witness.items()}
+
+    def val(f):  # a single-valued table's mask has one bit
+        v = value.get(f)
+        if v is None:
+            v = value[f] = k.tables[f.head][tuple(map(val, f.args))].bit_length() - 1
+        return v
+
     des = k.mask_of(m.designated)
-    omega = frozenset(f for f in universe if rows.where(f, des))
+    omega = frozenset(f for f in universe if des >> val(f) & 1)
     part = SaturatedPartition(omega, universe - omega, premises | goal, universe)
     stats = ProveStats("model", len(universe), 0, valuations=valuations)
     return Refuted(part, stats, (m, res.witness)), valuations

@@ -265,7 +265,9 @@ def cmd_axiomatize(args):
     if args.simplify:
         rules = subsume_simplify(rules)
     calc = Calculus("%s-to-%s" % (base.name, refined.name), rules, None, SET_SET)
-    print(registry.calculus_to_json(calc))
+    text = registry.calculus_to_json(calc)
+    found = {"explored": d.explored, "depth": d.depth, "candidates": d.candidates}
+    _print(args, dict(json.loads(text), discriminator=found), text)
     return EXIT_POSITIVE
 
 

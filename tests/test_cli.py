@@ -581,3 +581,25 @@ def test_deep_input_is_an_input_error(capsys):
         else:
             assert code == EXIT_USAGE
             assert "nested more than %d levels deep" % n in err
+
+
+def test_axiomatize_json_reports_the_discriminator(tmp_path, capsys):
+    # the separator found at depth 1, as on the negative answers; the text
+    # output stays the calculus alone, and both read back as a calculus
+    argv = ["axiomatize", "--base", "pp6a1-ub", "--refined", "letk-ub",
+            "--max-depth", "1"]
+    assert run(argv) == EXIT_POSITIVE
+    text = capsys.readouterr().out
+    assert run(argv + ["--json"]) == EXIT_POSITIVE
+    out = capsys.readouterr().out
+    data = json.loads(out)
+    assert data.pop("discriminator") == {
+        "explored": 5, "depth": 1, "candidates": 6,
+    }
+    assert data == json.loads(text)
+    assert calculus_from_json(out).rules == calculus_from_json(text).rules
+    path = tmp_path / "refinement.json"
+    path.write_text(out)
+    argv = ["prove", "--calculus", "@%s" % path, "--premises", "p", "--goal", "p"]
+    assert run(argv) == EXIT_POSITIVE
+    assert "Proved" in capsys.readouterr().out

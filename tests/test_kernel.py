@@ -30,6 +30,7 @@ from mvlogic.formula import (
     canon_key,
     generalized_subformulas,
     parse_formula_set,
+    render_formula,
     subformulas,
     substitute,
     var,
@@ -432,9 +433,15 @@ def reference_instances(calc, targets, universe):
 
 def _edge_calculus():
     """Variable-free formulas, an instance always meeting its own
-    succedent, duplicates within a rule and across rules, and a formula
-    whose variables are not a prefix of the rule's."""
+    succedent, duplicates within a rule and across rules, a formula
+    whose variables are not a prefix of the rule's, binary subterms whose
+    first argument the inner loop binds (@(q => p), p sorted before q) and
+    the outer one (@(p => q)), formulas of one side that coincide only
+    when two variables take one target (in clauses of two literals and of
+    three), a binary connective over a constant, and one connective at two
+    arities."""
     p, q, top = var("p"), var("q"), app("top")
+    pq, qp = app("circ", app("imp", p, q)), app("circ", app("imp", q, p))
     return Calculus("edge", [
         Rule("top_i", frozenset(), frozenset({top})),
         Rule("refl", frozenset({p}), frozenset({p})),
@@ -442,7 +449,14 @@ def _edge_calculus():
         Rule("pair_again", frozenset({q, p}), frozenset()),
         Rule("mixed", frozenset({app("neg", q)}),
              frozenset({app("and", p, q), top})),
-    ], (app("neg", p), app("and", p, q)))
+        Rule("rows", frozenset({qp}), frozenset({pq})),
+        Rule("twins", frozenset({pq, qp}), frozenset()),
+        Rule("either", frozenset(), frozenset({p, q})),
+        Rule("either_not", frozenset({app("neg", p)}), frozenset({p, q})),
+        Rule("top_imp", frozenset({app("imp", top, p)}), frozenset({p})),
+        Rule("arities", frozenset({app("f", p)}), frozenset({app("f", p, q)})),
+    ], (app("neg", p), app("and", p, q), pq, app("imp", top, p),
+        app("f", p), app("f", p, q)))
 
 
 GROUNDED = [lookup("calculus", c).payload for c in names("calculus")]
@@ -491,6 +505,37 @@ def test_grounding_edge_cases():
     assert "refl" not in names_ and "pair_again" not in names_
     # one instance per set of at most two targets, not per ordered pair
     assert names_.count("pair") == len(targets) * (len(targets) + 1) // 2
+
+
+def _edge_bases():
+    p, q, top = var("p"), var("q"), app("top")
+    return [
+        frozenset({p, app("neg", q)}),
+        frozenset({app("circ", app("imp", p, q)), app("circ", app("imp", q, p))}),
+        frozenset({app("imp", top, p), q}),
+        frozenset({app("f", p), app("f", p, app("neg", q)), app("f", q, q)}),
+    ]
+
+
+@pytest.mark.parametrize(
+    "base", _edge_bases(), ids=lambda base: ", ".join(sorted(map(render_formula, base)))
+)
+def test_edge_grounding_clauses_are_exact(base):
+    # each clause holds its instance's literals once, sorted, on both
+    # routes: equal literals of one side are merged, and nothing else
+    calc = _edge_calculus()
+    targets = sorted(subformulas(base), key=canon_key)
+    for route in (None, frozenset(generalized_subformulas(base, calc.xi))):
+        ground = _build_instances(calc, targets, route)
+        want = reference_instances(calc, targets, route)
+        assert materialized(ground) == want
+        ids = {f: i for i, f in enumerate(ground.formulas)}
+        assert ground.clauses == [
+            sorted([2 * ids[f] + 1 for f in ant] + [2 * ids[f] for f in succ])
+            for _, _, ant, succ in want
+        ]
+        names_ = {name for name, _ in ground}
+        assert {"twins", "either", "either_not"} <= names_
 
 
 def test_grounding_skips_a_rule_without_compiling_it():
