@@ -3,8 +3,6 @@ Set-Set calculi with analytic proof search, algebra tools, automatic
 axiomatization and interpolation constructions."""
 
 from .formula import (
-    SIG_PP,
-    SIG_PP_IMP,
     Formula,
     app,
     parse_formula,

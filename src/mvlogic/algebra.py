@@ -187,10 +187,23 @@ VARIETIES = [
 ]
 
 
+def parse_law(text):
+    """(check, lhs, rhs) for an identity "lhs == rhs", checked by
+    check_identity, or an inequality "lhs <= rhs", checked by
+    check_inequality, trying == first; None when text has neither.  Each
+    side is parsed in place with the rest of the text blanked, so
+    syntax-error positions count in the whole text."""
+    for sep, check in (("==", check_identity), ("<=", check_inequality)):
+        i = text.find(sep)
+        if i >= 0:
+            j = i + len(sep)
+            return check, parse_formula(text[:i]), parse_formula(" " * j + text[j:])
+    return None
+
+
 def _holds(alg, law):
-    if " <= " in law:
-        return check_inequality(alg, *law.split(" <= ")) is None
-    return check_identity(alg, *law.split(" == ")) is None
+    check, lhs, rhs = parse_law(law)
+    return check(alg, lhs, rhs) is None
 
 
 def variety_profile(alg):

@@ -75,7 +75,8 @@ def find_discriminator(m, max_depth):
     carrier = m.carrier
     n = len(carrier)
     des = kernel.compiled(m.algebra).mask_of(m.designated)
-    found = []
+    pos = {a: set() for a in carrier}
+    neg = {a: set() for a in carrier}
     pending = {(i, j) for i in range(n) for j in range(i + 1, n)}
     explored = 0
     saturated = True
@@ -84,14 +85,14 @@ def find_discriminator(m, max_depth):
     for depth, f, profile in walk:
         explored += 1
         last_depth = depth
-        hits = []
         for (i, j) in sorted(pending):
             s = _separates(profile, i, j, des)
             if s:
-                hits.append((i, j, s))
-        if hits:
-            found.append((f, profile, hits))
-            pending -= {(i, j) for i, j, _ in hits}
+                pending.discard((i, j))
+                if s < 0:
+                    i, j = j, i
+                pos[carrier[i]].add(f)
+                neg[carrier[j]].add(f)
         if not pending:
             break
     else:
@@ -102,16 +103,6 @@ def find_discriminator(m, max_depth):
         return NotMonadic(
             witness, saturated, explored, last_depth, walk.candidates
         )
-    pos = {a: set() for a in carrier}
-    neg = {a: set() for a in carrier}
-    for f, profile, hits in found:
-        for i, j, s in hits:
-            if s == 1:
-                pos[carrier[i]].add(f)
-                neg[carrier[j]].add(f)
-            else:
-                neg[carrier[i]].add(f)
-                pos[carrier[j]].add(f)
     return Discriminator(
         {a: frozenset(v) for a, v in pos.items()},
         {a: frozenset(v) for a, v in neg.items()},

@@ -166,10 +166,12 @@ class OutOfBudget:
 
 @dataclass
 class Inconclusive:
-    """No proof and no refutation, which no budget changes: the calculus
-    does not derive the sequent, and either its models do not interpret
-    every connective of the sequent, or it has no analyticity set, so that
-    a model of its ground instances is no countermodel."""
+    """No proof and no refutation, which no budget changes: the calculus's
+    ground instances over the sequent's subformulas, with the formulas
+    those instances build, do not derive the sequent, and either its models
+    do not interpret every connective of the sequent, or it has no
+    analyticity set, so that a model of those instances is no countermodel
+    and the calculus may still derive the sequent."""
 
     stats: ProveStats = field(default=None, compare=False)
 
@@ -742,9 +744,11 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     refutation (Ω its true formulas) when the calculus's models interpret
     every connective of the sequent, and Inconclusive otherwise, since no
     countermodel exists.  Without an analyticity set a model is always
-    Inconclusive.  Unsatisfiable, the core the solver used is shrunk until
-    every instance in it is needed, and the proof tree is searched over
-    those instances only.  The solver's assignments and the search's steps
+    Inconclusive: it shows only that these instances do not derive the
+    sequent, and the calculus may derive it through other formulas.
+    Unsatisfiable, the core the solver used is shrunk until every instance
+    in it is needed, and the proof tree is searched over those instances
+    only.  The solver's assignments and the search's steps
     share budget_nodes; a decided sequent whose tree does not fit stays
     OutOfBudget.
 

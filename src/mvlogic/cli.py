@@ -3,10 +3,11 @@
 Exit codes: 0 positive answer (Proved/Holds/Sound/Valid), 1 negative with a
 certificate printed, 2 usage or input error, 3 budget exhausted, 4 internal
 error (an unexpected exception, never an answer), 5 inconclusive (no proof
-and no refutation, which no budget changes: the calculus does not derive
-the sequent, and either its models do not interpret it, or the calculus
-has no analyticity set, so that a model of its ground instances is no
-countermodel).
+and no refutation, which no budget changes: the calculus's ground
+instances over the sequent's subformulas, with the formulas those instances
+build, do not derive the sequent, and either its models do not interpret
+it, or the calculus has no analyticity set, so that a model of those
+instances is no countermodel and the calculus may still derive it).
 
 A refutation's certificate is its saturated set Ω and, when the calculus
 has models, a countermodel above it: on the first model that has one, a
@@ -277,10 +278,9 @@ def cmd_algebra(args):
         FILTER_PRIME,
         FILTER_PRINCIPAL,
         FILTER_REGULAR,
-        check_identity,
-        check_inequality,
         congruences,
         filters,
+        parse_law,
         subalgebras,
         variety_profile,
     )
@@ -317,13 +317,11 @@ def cmd_algebra(args):
         wants = "'lhs == rhs' or 'lhs <= rhs'"
         if not args.identity:
             raise UsageError("algebra check needs --identity " + wants)
-        for sep, check in (("==", check_identity), ("<=", check_inequality)):
-            lhs, found, rhs = args.identity.partition(sep)
-            if found:
-                break
-        else:
+        law = parse_law(args.identity)
+        if law is None:
             raise UsageError("--identity wants " + wants)
-        wit = check(alg, lhs.strip(), rhs.strip())
+        check, lhs, rhs = law
+        wit = check(alg, lhs, rhs)
         if wit is None:
             _print(args, {"result": "valid"}, "Valid.")
             return EXIT_POSITIVE

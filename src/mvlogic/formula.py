@@ -1,4 +1,4 @@
-"""Signatures, formulas, parsing, rendering and subformula machinery.
+"""Formulas, parsing, rendering and subformula machinery.
 
 Formulas are immutable and hash-consed: building the same tree twice yields
 the same object, so equality tests and set membership are cheap pointer
@@ -12,28 +12,6 @@ import zlib
 from itertools import product
 
 from .errors import ArityError, FormulaSyntaxError, UnknownConnective
-
-
-class Signature:
-    """A map from connective names to arities."""
-
-    def __init__(self, connectives):
-        self.connectives = dict(connectives)
-
-    def arity(self, name):
-        return self.connectives[name]
-
-    def __contains__(self, name):
-        return name in self.connectives
-
-    def __repr__(self):
-        return "Signature(%r)" % (self.connectives,)
-
-
-SIG_PP = Signature({"and": 2, "or": 2, "neg": 1, "circ": 1, "top": 0, "bot": 0})
-SIG_PP_IMP = Signature(
-    {"and": 2, "or": 2, "neg": 1, "circ": 1, "imp": 2, "top": 0, "bot": 0}
-)
 
 
 class Formula:
@@ -173,21 +151,20 @@ def _tokenize(text):
     return tokens
 
 
-_SYMBOL_CONN = {"~": "neg", "@": "circ", "&": "and", "|": "or", "=>": "imp"}
+_PREFIX = {"~": "neg", "@": "circ"}
 
 
 class _Parser:
-    def __init__(self, text, sig):
+    """Reads formulas from the whole text; every error position is an
+    offset into it."""
+
+    def __init__(self, text):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.sig = sig
         self.nesting = 0
 
     def peek(self):
         return self.tokens[self.i][0]
-
-    def pos(self):
-        return self.tokens[self.i][1]
 
     def take(self):
         tok = self.tokens[self.i]
@@ -198,6 +175,19 @@ class _Parser:
         tok, pos = self.take()
         if tok != sym:
             raise FormulaSyntaxError("expected %r, found %r" % (sym, tok), pos)
+
+    def formulas(self, parse):
+        """What parse() reads, repeated while a comma follows."""
+        out = [parse()]
+        while self.peek() == ",":
+            self.take()
+            out.append(parse())
+        return out
+
+    def end(self):
+        tok, pos = self.take()
+        if tok is not None:
+            raise FormulaSyntaxError("trailing input %r" % tok, pos)
 
     def _nested(self, parse, pos):
         """What parse() reads one level deeper in the text."""
@@ -222,45 +212,34 @@ class _Parser:
             )
         return f
 
-    def _conn(self, symbol, pos):
-        name = _SYMBOL_CONN[symbol]
-        if name not in self.sig:
-            raise UnknownConnective(
-                "connective %r (%r) not in signature" % (symbol, name)
-            )
-        return name
-
     def formula(self):
         left = self.or_term()
         if self.peek() == "=>":
             _, pos = self.take()
-            name = self._conn("=>", pos)
             right = self._nested(self.formula, pos)
-            return self._bounded(app(name, left, right), pos)
+            return self._bounded(app("imp", left, right), pos)
         return left
 
     def or_term(self):
         f = self.and_term()
         while self.peek() == "|":
             _, pos = self.take()
-            name = self._conn("|", pos)
-            f = self._bounded(app(name, f, self.and_term()), pos)
+            f = self._bounded(app("or", f, self.and_term()), pos)
         return f
 
     def and_term(self):
         f = self.unary()
         while self.peek() == "&":
             _, pos = self.take()
-            name = self._conn("&", pos)
-            f = self._bounded(app(name, f, self.unary()), pos)
+            f = self._bounded(app("and", f, self.unary()), pos)
         return f
 
     def unary(self):
         tok = self.peek()
-        if tok in ("~", "@"):
+        if tok in _PREFIX:
             _, pos = self.take()
-            name = self._conn(tok, pos)
-            return self._bounded(app(name, self._nested(self.unary, pos)), pos)
+            arg = self._nested(self.unary, pos)
+            return self._bounded(app(_PREFIX[tok], arg), pos)
         return self.atom()
 
     def atom(self):
@@ -271,11 +250,9 @@ class _Parser:
             return f
         if tok is None:
             raise FormulaSyntaxError("unexpected end of input", pos)
-        if not re.fullmatch(r"[a-z][a-z0-9_]*", tok or ""):
+        if not tok[0].isalpha():
             raise FormulaSyntaxError("unexpected token %r" % tok, pos)
         if tok in _KEYWORDS:
-            if tok not in self.sig:
-                raise UnknownConnective("constant %r not in signature" % tok)
             return app(tok)
         if self.peek() == "(":
             return self.macro_call(tok, pos)
@@ -286,10 +263,7 @@ class _Parser:
             raise UnknownConnective("unknown macro %r" % name)
         params, body = MACROS[name]
         self.expect("(")
-        args = [self._nested(self.formula, pos)]
-        while self.peek() == ",":
-            self.take()
-            args.append(self._nested(self.formula, pos))
+        args = self.formulas(lambda: self._nested(self.formula, pos))
         self.expect(")")
         if len(args) != len(params):
             raise ArityError(
@@ -299,32 +273,23 @@ class _Parser:
         return self._bounded(substitute(body, dict(zip(params, args))), pos)
 
 
-def parse_formula(text, sig=SIG_PP_IMP):
-    p = _Parser(text, sig)
+def parse_formula(text):
+    """One formula in the built-in syntax.  Every built-in connective is
+    read; the matrix that evaluates a formula decides which it may use."""
+    p = _Parser(text)
     f = p.formula()
-    tok, pos = p.take()
-    if tok is not None:
-        raise FormulaSyntaxError("trailing input %r" % tok, pos)
+    p.end()
     return f
 
 
-def parse_formula_set(text, sig=SIG_PP_IMP):
-    """Comma-separated formulas; the empty string is the empty set."""
-    if text.strip() == "":
+def parse_formula_set(text):
+    """Comma-separated formulas; blank text is the empty set."""
+    p = _Parser(text)
+    if p.peek() is None:
         return frozenset()
-    out = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            out.append(text[start:i])
-            start = i + 1
-    out.append(text[start:])
-    return frozenset(parse_formula(part, sig) for part in out)
+    out = p.formulas(p.formula)
+    p.end()
+    return frozenset(out)
 
 
 # --- rendering -----------------------------------------------------------

@@ -294,8 +294,6 @@ class _Solver:
             heappush(self.heap, (-activity[v], v))
 
     def _backtrack(self, lvl):
-        if len(self.limits) <= lvl:
-            return
         start = self.limits[lvl]
         value, activity, heap = self.value, self.activity, self.heap
         for lit in self.trail[start:]:

@@ -660,6 +660,22 @@ def test_saturated_search_without_analyticity_is_inconclusive():
     assert isinstance(prove(rv, premises, goal, budget_nodes=1), OutOfBudget)
 
 
+def test_budget_runs_out_inside_the_unit_steps():
+    # a -> b -> c -> d: the root and each of the three unit steps is a step
+    a, b, c, d = (var(n) for n in "abcd")
+    chain = [
+        ("r%d" % k, {}, frozenset({x}), frozenset({y}))
+        for k, (x, y) in enumerate([(a, b), (b, c), (c, d)])
+    ]
+    for budget in (1, 2, 3):
+        searcher = _Searcher(chain, frozenset({d}), budget)
+        assert searcher.run(frozenset({a})) is None
+        assert not searcher.saturated
+    searcher = _Searcher(chain, frozenset({d}), 4)
+    assert searcher.run(frozenset({a})) is not None
+    assert searcher.steps == 4
+
+
 def test_prove_out_of_budget():
     goal = parse_formula_set("(p | q) => p, q")
     res = prove(R_LEQ, frozenset(), goal, budget_nodes=1)
@@ -698,6 +714,18 @@ def test_model_check_only_within_the_budget():
     res = prove(R_LEQ, premises, parse_formula_set("q"))
     assert isinstance(res, Refuted) and res.countermodel is None
     assert (res.stats.route, res.stats.valuations) == ("cdcl", 0)
+
+
+def test_rule_outside_the_models_keeps_refutations_off_them():
+    # @p |> is no rule of dm4-bt, which has no @, so r-b's rules with it are
+    # not known sound there, and p |- q is refuted from the clauses instead
+    xi = (var("p"), app("neg", var("p")))
+    circ = Rule("circ", frozenset({app("circ", var("p"))}), frozenset())
+    premises, goal = parse_formula_set("p"), parse_formula_set("q")
+    res = prove(replace(R_B, xi=xi), premises, goal)
+    assert isinstance(res, Refuted) and res.stats.route == "model"
+    res = prove(replace(R_B, rules=R_B.rules + [circ], xi=xi), premises, goal)
+    assert isinstance(res, Refuted) and res.stats.route == "cdcl"
 
 
 def test_unsound_calculus_is_not_refuted_on_its_models(monkeypatch):

@@ -1,6 +1,12 @@
 """Command-line front-end: exit codes and machine-readable output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mvlogic
 
 from mvlogic.cli import (
     EXIT_BUDGET,
@@ -313,7 +319,20 @@ def test_algebra_check_syntax_error_position(capsys):
         "algebra", "check", "--algebra", "pp6h", "--identity", "x == y == z",
     ])
     assert code == EXIT_USAGE
-    assert "unexpected character '=' (at position 2)" in capsys.readouterr().err
+    assert "unexpected character '=' (at position 7)" in capsys.readouterr().err
+
+
+def test_interpolate_order_preserving(capsys):
+    argv = [
+        "interpolate", "--logic", "pp-leq", "--phi", "p", "--psi", "q",
+        "--goal", "p & q",
+    ]
+    assert run(argv) == EXIT_POSITIVE
+    assert capsys.readouterr().out == "q => p & q\nboth entailments verified\n"
+    assert run(argv + ["--json"]) == EXIT_POSITIVE
+    assert json.loads(capsys.readouterr().out) == {
+        "interpolant": ["q => p & q"], "verified": True,
+    }
 
 
 def test_algebra_not_deterministic_is_usage_error(capsys):
@@ -603,3 +622,26 @@ def test_axiomatize_json_reports_the_discriminator(tmp_path, capsys):
     argv = ["prove", "--calculus", "@%s" % path, "--premises", "p", "--goal", "p"]
     assert run(argv) == EXIT_POSITIVE
     assert "Proved" in capsys.readouterr().out
+
+
+def test_mvl_entry_point_passes_exit_codes_to_the_shell():
+    # main(), the mvl console script, run as a program of its own
+    env = dict(os.environ, PYTHONPATH=str(Path(mvlogic.__file__).parents[1]))
+
+    def mvl(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "mvlogic.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+
+    assert mvl("list").returncode == EXIT_POSITIVE
+    failing = mvl("check", "--matrix", "pp6h-ub", "--premises", "q",
+                  "--conclusions", "p")
+    assert failing.returncode == EXIT_NEGATIVE
+    bad = mvl("prove", "--calculus", "r-leq", "--premises", "p, q &",
+              "--goal", "q")
+    assert bad.returncode == EXIT_USAGE
+    assert "unexpected end of input (at position 6)" in bad.stderr
+    inconclusive = mvl("prove", "--calculus", "moisil", "--premises", "p",
+                       "--goal", "q")
+    assert inconclusive.returncode == EXIT_INCONCLUSIVE

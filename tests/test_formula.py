@@ -1,15 +1,14 @@
 """Parsing, rendering, macros and subformula machinery."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import formulas, make_rng, random_formula
 from mvlogic.errors import ArityError, FormulaSyntaxError, UnknownConnective
 from mvlogic.formula import (
     MAX_NESTING,
     MAX_SIZE,
-    SIG_PP,
-    SIG_PP_IMP,
     app,
     big_and,
     big_or,
@@ -22,6 +21,7 @@ from mvlogic.formula import (
     var,
     variables,
 )
+from mvlogic.registry import ALG_PP6H
 
 
 def test_parse_basic():
@@ -95,8 +95,6 @@ def test_parse_errors():
     with pytest.raises(FormulaSyntaxError):
         parse_formula("p q")
     with pytest.raises(UnknownConnective):
-        parse_formula("p => q", SIG_PP)
-    with pytest.raises(UnknownConnective):
         parse_formula("frobnicate(p)")
     with pytest.raises(ArityError):
         parse_formula("wimp(p)")
@@ -151,6 +149,55 @@ def test_parse_formula_set():
     # commas inside parentheses do not split
     fs = parse_formula_set("wimp(p, q), r")
     assert len(fs) == 2
+    assert parse_formula_set("  ") == frozenset()
+
+
+def test_parse_formula_set_error_positions_count_in_the_whole_text():
+    for text, message, position in [
+        ("p, q &", "unexpected end of input", 6),
+        ("p, , q", "unexpected token ','", 3),
+        ("p,", "unexpected end of input", 2),
+        ("p, q )", "trailing input ')'", 5),
+        ("p, (q, r)", "expected ')', found ','", 5),
+    ]:
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula_set(text)
+        assert str(err.value) == "%s (at position %d)" % (message, position)
+        assert err.value.position == position
+
+
+# text inserted into one element of a list to make it malformed
+_JUNK = ["=", "#", "(", ")", "&", "|", "=>", "~", "q", "top"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        formulas(ALG_PP6H.connectives, ["p", "q", "p1", "x_y"], 8),
+        min_size=1,
+        max_size=4,
+    ),
+    st.data(),
+)
+def test_parse_formula_set_reads_the_list_in_one_pass_property(fs, data):
+    texts = [render_formula(f) for f in fs]
+    assert parse_formula_set(", ".join(texts)) == frozenset(fs)
+    i = data.draw(st.integers(0, len(texts) - 1))
+    at = data.draw(st.integers(0, len(texts[i])))
+    texts[i] = texts[i][:at] + data.draw(st.sampled_from(_JUNK)) + texts[i][at:]
+    try:
+        parse_formula(texts[i])
+        alone = None
+    except FormulaSyntaxError as exc:
+        alone = exc.position
+    except UnknownConnective:  # a variable followed by "(" calls a macro
+        alone = None
+    assume(alone is not None)
+    # the element fails where it fails alone, counted in the whole text
+    offset = sum(len(t) + len(", ") for t in texts[:i])
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula_set(", ".join(texts))
+    assert err.value.position == offset + alone
 
 
 def test_render_examples():
@@ -163,14 +210,14 @@ def test_render_examples():
 
 def test_parse_render_round_trip_random():
     rng = make_rng(7)
-    conns = dict(SIG_PP_IMP.connectives)
+    conns = dict(ALG_PP6H.connectives)
     for _ in range(300):
         f = random_formula(rng, conns, ["p", "q", "r"], 4)
         assert parse_formula(render_formula(f)) == f
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
-@given(formulas(SIG_PP_IMP.connectives, ["p", "q", "p1", "p123", "x_y"], 12))
+@given(formulas(ALG_PP6H.connectives, ["p", "q", "p1", "p123", "x_y"], 12))
 def test_parse_render_round_trip_property(f):
     assert parse_formula(render_formula(f)) is f
 
@@ -212,7 +259,7 @@ def test_variables_and_substitute():
 
 def test_substitute_homomorphic_random():
     rng = make_rng(11)
-    conns = dict(SIG_PP_IMP.connectives)
+    conns = dict(ALG_PP6H.connectives)
     for _ in range(100):
         f = random_formula(rng, conns, ["p", "q"], 3)
         s = {

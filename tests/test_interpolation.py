@@ -3,7 +3,7 @@
 import pytest
 
 from mvlogic.errors import NoSharedVariables, PremiseNotEntailed
-from mvlogic.formula import parse_formula, parse_formula_set, variables
+from mvlogic.formula import parse_formula, parse_formula_set, subformulas, variables
 from mvlogic.interpolation import (
     ASSERTIONAL,
     InterpolationInstance,
@@ -99,6 +99,18 @@ def test_maehara_verified_instance():
     assert variables(xi) <= shared
     assert entails(ASSERTIONAL, inst.phi, xi)
     assert entails(ASSERTIONAL, inst.psi | {xi}, inst.goal)
+
+
+def test_maehara_cross_conjuncts_for_b_and_n_values():
+    # an assignment that gives one shared variable the value b and another
+    # n adds ~@(x => y) for x valued b and y valued n
+    inst = InterpolationInstance(
+        parse_formula_set("r | q & p"), frozenset(),
+        parse_formula("(p & q) | r"), ASSERTIONAL,
+    )
+    subs = subformulas(maehara_interpolant(inst))
+    assert parse_formula("~@(p => q)") in subs
+    assert parse_formula("~@(q => p)") in subs
 
 
 def test_maehara_needs_shared_variables():
