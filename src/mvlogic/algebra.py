@@ -6,8 +6,14 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from . import kernel
-from .errors import CarrierTooLarge, MissingConnective, NotALattice, TooManyVariables
-from .formula import app, delta_, parse_formula, subformulas, var, variables
+from .errors import (
+    CarrierTooLarge,
+    MissingConnective,
+    NotALattice,
+    NotSingleValued,
+    TooManyVariables,
+)
+from .formula import app, expand, parse_formula, subformulas, var, variables
 from .semantics import MultiAlgebra, PNMatrix
 
 # identities over more variables, or algebras over more values, are refused:
@@ -17,12 +23,18 @@ VARIABLE_BOUND = 4
 
 
 class FiniteAlgebra:
-    """A deterministic total multialgebra with single-valued operations and,
-    when and/or are present, the lattice order derived from meet."""
+    """A multialgebra whose every table entry holds one value (deterministic
+    and total), as the kernel decides for the prover's models too, with
+    single-valued operations and, when and/or are present, the lattice
+    order derived from meet.  Any other algebra is a NotSingleValued."""
 
     def __init__(self, multi):
-        if not (multi.is_deterministic() and multi.is_total()):
-            raise ValueError("FiniteAlgebra requires a deterministic total algebra")
+        k = kernel.compiled(multi)
+        if k.single_valued(k.all) is None:
+            raise NotSingleValued(
+                "algebra %s is not deterministic and total, which the algebra "
+                "toolbox needs" % multi.name
+            )
         self.multi = multi
         self.name = multi.name
         self.carrier = multi.carrier
@@ -118,7 +130,7 @@ def _delta_map(alg):
     if alg.has("circ", "and"):
         delta = app("and", x, app("circ", x))
     elif alg.has("imp", "neg"):
-        delta = delta_(x)
+        delta = expand("delta", x)
     else:
         raise MissingConnective("Δ needs ∘/∧ or ⇒/∼")
     k = kernel.compiled(alg.multi)

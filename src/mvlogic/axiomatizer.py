@@ -119,15 +119,20 @@ _P = _ARG_VARS[0]
 def generate_refinement_rules(base, refined, d):
     """One rule per (connective entry, deleted value): the antecedent gathers
     the pos formulas of the argument values and of the deleted output value
-    applied to the compound; the succedent gathers the neg formulas."""
+    applied to the compound; the succedent gathers the neg formulas.  The
+    refined matrix keeps the base's carrier, designated set and connectives
+    with their arities, or it is no refinement."""
     if tuple(base.carrier) != tuple(refined.carrier):
         raise NotARefinement("carriers differ")
     if base.designated != refined.designated:
         raise NotARefinement("designated sets differ")
+    differ = base.algebra.connectives.items() ^ refined.algebra.connectives.items()
+    if differ:
+        raise NotARefinement(
+            "connectives differ: %s" % ", ".join(sorted({c for c, _ in differ}))
+        )
     rules = []
     for conn in base.algebra.interp:
-        if conn not in refined.algebra.interp:
-            raise NotARefinement("connective %r missing from refinement" % conn)
         k = base.algebra.arity(conn)
         for key in sorted(base.algebra.interp[conn]):
             old = base.algebra.interp[conn][key]

@@ -26,6 +26,7 @@ import json
 import sys
 from dataclasses import asdict
 
+from . import registry
 from .errors import MvlError
 from .formula import parse_formula, parse_formula_set, render_formula
 
@@ -41,9 +42,18 @@ class UsageError(Exception):
     pass
 
 
-def _from_file(path, from_json):
-    """The object that from_json builds from the JSON export in the file at
-    path; malformed JSON and missing or ill-typed fields are usage errors."""
+def _load(kind, name):
+    """The registered object of the kind named name or, for a matrix, an
+    algebra (a matrix's) or a calculus named "@path", the one in the JSON
+    export at path, whose malformed JSON or fields are usage errors."""
+    from_json = {
+        registry.KIND_MATRIX: registry.matrix_from_json,
+        registry.KIND_ALGEBRA: lambda text: registry.matrix_from_json(text).algebra,
+        registry.KIND_CALCULUS: registry.calculus_from_json,
+    }.get(kind)
+    if not (from_json and name.startswith("@")):
+        return registry.lookup(kind, name).payload
+    path = name[1:]
     with open(path) as fh:
         text = fh.read()
     try:
@@ -54,49 +64,11 @@ def _from_file(path, from_json):
         ) from exc
 
 
-def _get_matrix(name):
-    from . import registry
-
-    if name.startswith("@"):
-        return _from_file(name[1:], registry.matrix_from_json)
-    return registry.lookup(registry.KIND_MATRIX, name).payload
-
-
-def _get_matrix_class(name):
-    from . import registry
-
-    return registry.lookup(registry.KIND_MATRIX_CLASS, name).payload
-
-
-def _get_calculus(name):
-    from . import registry
-
-    if name.startswith("@"):
-        return _from_file(name[1:], registry.calculus_from_json)
-    return registry.lookup(registry.KIND_CALCULUS, name).payload
-
-
-def _get_algebra(name):
-    from . import registry
-    from .algebra import FiniteAlgebra
-
-    if name.startswith("@"):
-        multi = _from_file(name[1:], registry.matrix_from_json).algebra
-    else:
-        multi = registry.lookup(registry.KIND_ALGEBRA, name).payload
-    if not (multi.is_deterministic() and multi.is_total()):
-        raise UsageError(
-            "algebra %s is not deterministic and total, which the algebra "
-            "toolbox needs" % multi.name
-        )
-    return FiniteAlgebra(multi)
-
-
 def _models_from_args(args):
     if getattr(args, "matrix", None):
-        return [_get_matrix(args.matrix)]
+        return [_load(registry.KIND_MATRIX, args.matrix)]
     if getattr(args, "cls", None):
-        return list(_get_matrix_class(args.cls))
+        return list(_load(registry.KIND_MATRIX_CLASS, args.cls))
     raise UsageError("need --matrix or --class")
 
 
@@ -122,7 +94,7 @@ def cmd_prove(args):
         tree_to_json,
     )
 
-    calc = _get_calculus(args.calculus)
+    calc = _load(registry.KIND_CALCULUS, args.calculus)
     premises = parse_formula_set(args.premises)
     goal = parse_formula_set(args.goal)
     res = prove(calc, premises, goal, budget_nodes=args.budget_nodes)
@@ -188,7 +160,7 @@ def cmd_check(args):
 def cmd_soundness(args):
     from .semantics import Sound, check_rule_soundness
 
-    calc = _get_calculus(args.calculus)
+    calc = _load(registry.KIND_CALCULUS, args.calculus)
     if getattr(args, "matrix", None) or getattr(args, "cls", None):
         models = _models_from_args(args)
     elif calc.models:
@@ -220,7 +192,7 @@ def cmd_soundness(args):
 def cmd_components(args):
     from .semantics import total_components
 
-    m = _get_matrix(args.matrix)
+    m = _load(registry.KIND_MATRIX, args.matrix)
     comps = [list(c) for c in total_components(m)]
     _print(
         args,
@@ -231,7 +203,6 @@ def cmd_components(args):
 
 
 def cmd_axiomatize(args):
-    from . import registry
     from .axiomatizer import (
         NotMonadic,
         find_discriminator,
@@ -240,8 +211,8 @@ def cmd_axiomatize(args):
     )
     from .calculus import Calculus, SET_SET
 
-    base = _get_matrix(args.base)
-    refined = _get_matrix(args.refined)
+    base = _load(registry.KIND_MATRIX, args.base)
+    refined = _load(registry.KIND_MATRIX, args.refined)
     d = find_discriminator(base, args.max_depth)
     if isinstance(d, NotMonadic) and not d.saturated:
         _print(
@@ -278,6 +249,7 @@ def cmd_algebra(args):
         FILTER_PRIME,
         FILTER_PRINCIPAL,
         FILTER_REGULAR,
+        FiniteAlgebra,
         congruences,
         filters,
         parse_law,
@@ -285,7 +257,7 @@ def cmd_algebra(args):
         variety_profile,
     )
 
-    alg = _get_algebra(args.algebra)
+    alg = FiniteAlgebra(_load(registry.KIND_ALGEBRA, args.algebra))
     what = args.what
     if what == "congruences":
         cs = congruences(alg)
@@ -358,20 +330,15 @@ def cmd_interpolate(args):
 
 
 def cmd_export(args):
-    from . import registry
-
-    if args.kind == "matrix":
-        m = _get_matrix(args.name)
-        print(registry.matrix_to_json(m))
-    else:
-        calc = _get_calculus(args.name)
-        print(registry.calculus_to_json(calc))
+    to_json = {
+        registry.KIND_MATRIX: registry.matrix_to_json,
+        registry.KIND_CALCULUS: registry.calculus_to_json,
+    }[args.kind]
+    print(to_json(_load(args.kind, args.name)))
     return EXIT_POSITIVE
 
 
 def cmd_list(args):
-    from . import registry
-
     kinds = [args.kind] if args.kind else registry.KINDS
     data = {k: registry.names(k) for k in kinds}
     _print(
@@ -391,8 +358,6 @@ def nonnegative(text):
 
 
 def build_parser():
-    from . import registry
-
     parser = argparse.ArgumentParser(
         prog="mvl", description="Finite many-valued logic workbench"
     )

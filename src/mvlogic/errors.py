@@ -2,13 +2,18 @@
 
 
 class MvlError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  One about formula text gives the
+    offset of the fault in it as position and at the end of its message."""
+
+    def __init__(self, message, position=None):
+        if position is not None:
+            message = "%s (at position %d)" % (message, position)
+        super().__init__(message)
+        self.position = position
 
 
 class FormulaSyntaxError(MvlError):
-    def __init__(self, message, position):
-        super().__init__("%s (at position %d)" % (message, position))
-        self.position = position
+    pass
 
 
 class ArityError(MvlError):
@@ -64,6 +69,14 @@ class MissingConnective(MvlError):
 
 
 class NotALattice(MvlError):
+    pass
+
+
+class NotSingleValued(MvlError):
+    pass
+
+
+class RepeatedValue(MvlError):
     pass
 
 

@@ -19,7 +19,7 @@ class Formula:
     depth is the number of applications with arguments on the longest path
     from the root to a leaf, so a variable or a constant has depth 0."""
 
-    __slots__ = ("head", "args", "size", "depth", "_hash")
+    __slots__ = ("head", "args", "size", "depth", "_hash", "_text")
     _table = {}
 
     def __new__(cls, head, args):
@@ -39,6 +39,7 @@ class Formula:
         # and hash(None) on an address before CPython 3.12
         name = zlib.crc32(head.encode())
         self._hash = name if args is None else hash((name, args))
+        self._text = None
         cls._table[key] = self
         return self
 
@@ -48,12 +49,6 @@ class Formula:
 
     def __hash__(self):
         return self._hash
-
-    def __eq__(self, other):
-        return self is other
-
-    def __ne__(self, other):
-        return self is not other
 
     def __lt__(self, other):
         return canon_key(self) < canon_key(other)
@@ -68,6 +63,15 @@ def var(name):
 
 def app(head, *args):
     return Formula(head, tuple(args))
+
+
+def substitute(f, mapping):
+    args = f.args
+    if args is None:
+        return mapping.get(f.head, f)
+    if not args:
+        return f
+    return Formula(f.head, tuple([substitute(a, mapping) for a in args]))
 
 
 def canon_key(f):
@@ -91,27 +95,17 @@ MACROS = {
     ),
     "iff": (("p", "q"), app("and", app("imp", _P, _Q), app("imp", _Q, _P))),
 }
+
+
+def expand(name, *args):
+    """The macro name applied to args, one per parameter: expand("up", f)
+    is the formula the parser reads for up(f)."""
+    params, body = MACROS[name]
+    return substitute(body, dict(zip(params, args)))
+
+
 # delta(p) is hneg applied to neg p
-MACROS["delta"] = (
-    ("p",),
-    app(
-        "imp",
-        app("neg", _P),
-        app("neg", app("imp", app("neg", _P), app("neg", _P))),
-    ),
-)
-
-
-def up_(f):
-    return substitute(MACROS["up"][1], {"p": f})
-
-
-def down_(f):
-    return substitute(MACROS["down"][1], {"p": f})
-
-
-def delta_(f):
-    return substitute(MACROS["delta"][1], {"p": f})
+MACROS["delta"] = (("p",), expand("hneg", app("neg", _P)))
 
 
 # --- parsing -------------------------------------------------------------
@@ -260,17 +254,18 @@ class _Parser:
 
     def macro_call(self, name, pos):
         if name not in MACROS:
-            raise UnknownConnective("unknown macro %r" % name)
-        params, body = MACROS[name]
+            raise UnknownConnective("unknown macro %r" % name, pos)
+        params = MACROS[name][0]
         self.expect("(")
         args = self.formulas(lambda: self._nested(self.formula, pos))
         self.expect(")")
         if len(args) != len(params):
             raise ArityError(
                 "macro %r expects %d arguments, got %d"
-                % (name, len(params), len(args))
+                % (name, len(params), len(args)),
+                pos,
             )
-        return self._bounded(substitute(body, dict(zip(params, args))), pos)
+        return self._bounded(expand(name, *args), pos)
 
 
 def parse_formula(text):
@@ -298,14 +293,13 @@ _PREC = {"imp": 1, "or": 2, "and": 3, "neg": 4, "circ": 4}
 _SYM = {"neg": "~", "circ": "@", "and": " & ", "or": " | ", "imp": " => "}
 
 
-_RENDER_CACHE = {}
-
-
 def render_formula(f):
-    hit = _RENDER_CACHE.get(f)
-    if hit is None:
-        hit = _RENDER_CACHE[f] = _render(f)
-    return hit
+    """The text of f, which parse_formula reads back to f; made on the first
+    call and kept on f, so it lives as long as the formula does."""
+    text = f._text
+    if text is None:
+        text = f._text = _render(f)
+    return text
 
 
 def _render(f):
@@ -348,15 +342,6 @@ def _needs_parens(child, parent_prec, left_side, assoc_right):
 
 
 # --- structural operations -----------------------------------------------
-
-def substitute(f, mapping):
-    args = f.args
-    if args is None:
-        return mapping.get(f.head, f)
-    if not args:
-        return f
-    return Formula(f.head, tuple([substitute(a, mapping) for a in args]))
-
 
 def subformulas(fs):
     """Subformula closure of a formula or an iterable of formulas."""

@@ -14,10 +14,8 @@ from .formula import (
     big_and,
     big_or,
     canon_key,
-    delta_,
-    down_,
+    expand,
     render_formula,
-    up_,
     var,
     variables,
 )
@@ -62,7 +60,7 @@ def check_ddt_instance(logic, phi, a, b):
     if logic == ORDER_PRESERVING:
         guard = a
     else:
-        guard = delta_(a)
+        guard = expand("delta", a)
     right = entails(logic, phi, app("imp", guard, b))
     return left, right
 
@@ -86,15 +84,15 @@ def _case_formula(value, p):
     if value == "ht":
         return app("and", p, app("circ", p))
     if value == "t":
-        return app("neg", down_(p))
+        return app("neg", expand("down", p))
     if value in ("b", "n"):
         return app(
             "and",
-            app("and", up_(p), down_(p)),
+            app("and", expand("up", p), expand("down", p)),
             app("neg", app("circ", p)),
         )
     if value == "f":
-        return app("neg", up_(p))
+        return app("neg", expand("up", p))
     return app("and", app("neg", p), app("circ", p))
 
 

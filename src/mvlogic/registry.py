@@ -68,8 +68,6 @@ IMP_LETK = {
     "ht": {"hf": "hf", "f": "f", "n": "n", "b": "b", "t": "t", "ht": "ht"},
 }
 
-UP_B = frozenset({"b", "t", "ht"})
-
 
 def _unary_table(mapping):
     return {(a,): {v} for a, v in mapping.items()}
@@ -88,13 +86,13 @@ def _pp6_interp(with_imp=None):
         "bot": {(): {"hf"}},
     }
     if with_imp is not None:
-        interp["imp"] = _binary_table(lambda a, b: with_imp(a, b), V6)
+        interp["imp"] = _binary_table(with_imp, V6)
     return interp
 
 
 def _imp_a1(a, b):
-    if a not in UP_B or b in UP_B:
-        return set(UP_B)
+    if a not in _LEQ6["b"] or b in _LEQ6["b"]:
+        return set(_LEQ6["b"])
     return {"hf", "f", "n"}
 
 
@@ -139,15 +137,11 @@ ALG_PP4H = _subalgebra(ALG_PP6H, {"hf", "f", "t", "ht"}, "pp4h")
 
 # --- PP6⇒H matrix classes and ten-valued PNmatrices ----------------------
 
-def _upset6(a):
-    return frozenset(v for v in V6 if leq6(a, v))
-
-
 # One PP6⇒H matrix per principal filter, and per variant of the analytic
 # calculi the class of them it is sound and complete for: the `leq` variant
 # excludes the filter generated by t.
 MAT_PP6H = {
-    a: PNMatrix("pp6h-u%s" % a, ALG_PP6H, _upset6(a)) for a in ("f", "n", "b", "t", "ht")
+    a: PNMatrix("pp6h-u%s" % a, ALG_PP6H, _LEQ6[a]) for a in ("f", "n", "b", "t", "ht")
 }
 ORDER_CLASS = [MAT_PP6H["f"], MAT_PP6H["b"], MAT_PP6H["ht"]]
 UP_CLASS = ORDER_CLASS + [MAT_PP6H["t"]]
@@ -486,9 +480,9 @@ class RegistryEntry:
 
 
 MAT_DM4 = PNMatrix("dm4-bt", ALG_DM4, {"b", "t"})
-MAT_PP6_UB = PNMatrix("pp6-ub", ALG_PP6, _upset6("b"))
-MAT_PP6A1_UB = PNMatrix("pp6a1-ub", ALG_PP6A1, UP_B)
-MAT_LETK_UB = PNMatrix("letk-ub", ALG_LETK, UP_B)
+MAT_PP6_UB = PNMatrix("pp6-ub", ALG_PP6, _LEQ6["b"])
+MAT_PP6A1_UB = PNMatrix("pp6a1-ub", ALG_PP6A1, _LEQ6["b"])
+MAT_LETK_UB = PNMatrix("letk-ub", ALG_LETK, _LEQ6["b"])
 MAT_M_UP = build_ten_valued(VARIANT_UP)
 MAT_M_LEQ = build_ten_valued(VARIANT_LEQ)
 

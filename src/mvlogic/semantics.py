@@ -7,7 +7,7 @@ from itertools import product
 from math import prod
 
 from . import kernel
-from .errors import ArityError, FrameworkMismatch, UnknownConnective, ValueAbsent
+from .errors import ArityError, FrameworkMismatch, RepeatedValue, UnknownConnective, ValueAbsent
 from .formula import canon_key, subformulas
 
 SET_SET = "set-set"
@@ -16,8 +16,9 @@ SET_FMLA = "set-fmla"
 
 class MultiAlgebra:
     """Finite carrier plus one table per connective mapping each tuple of
-    values at its arity to a set of values; a table with a missing entry or
-    a key outside the carrier is a ValueAbsent.  Empty output sets encode
+    values at its arity to a set of values; a value listed twice in the
+    carrier is a RepeatedValue, and a table with a missing entry or a key
+    outside the carrier is a ValueAbsent.  Empty output sets encode
     partiality; non-singletons encode non-determinism."""
 
     def __init__(self, name, carrier, interp):
@@ -28,6 +29,9 @@ class MultiAlgebra:
             for conn, table in interp.items()
         }
         self._index = {v: i for i, v in enumerate(self.carrier)}
+        for i, v in enumerate(self.carrier):
+            if self._index[v] != i:
+                raise RepeatedValue("value %r is listed twice in the carrier" % (v,))
         values = set(self.carrier)
         for conn, table in self.interp.items():
             n = self.arity(conn)
@@ -50,16 +54,6 @@ class MultiAlgebra:
     @property
     def connectives(self):
         return {conn: self.arity(conn) for conn in self.interp}
-
-    def is_deterministic(self):
-        return all(
-            len(out) == 1 for table in self.interp.values() for out in table.values()
-        )
-
-    def is_total(self):
-        return all(
-            len(out) >= 1 for table in self.interp.values() for out in table.values()
-        )
 
     def sort_values(self, values):
         return sorted(values, key=self._index.__getitem__)

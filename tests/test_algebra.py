@@ -38,6 +38,7 @@ from mvlogic.errors import (
     CarrierTooLarge,
     MissingConnective,
     NotALattice,
+    NotSingleValued,
     TooManyVariables,
 )
 from mvlogic.formula import app, parse_formula, substitute, var
@@ -867,6 +868,18 @@ def test_lattice_law_failures():
     skew = {"oo": "i", "oi": "o", "io": "i", "ii": "i"}
     with pytest.raises(NotALattice, match="not commutative"):
         FiniteAlgebra(algebra(skew, high))
+
+
+def test_finite_algebra_needs_one_value_per_entry():
+    # pp6a1's implication is not deterministic; an empty entry is no value
+    partial = MultiAlgebra("partial", "oi", {"neg": {("o",): set(), ("i",): {"o"}}})
+    for multi in (lookup("algebra", "pp6a1").payload, partial):
+        with pytest.raises(NotSingleValued) as err:
+            FiniteAlgebra(multi)
+        assert str(err.value) == (
+            "algebra %s is not deterministic and total, which the algebra "
+            "toolbox needs" % multi.name
+        )
 
 
 @pytest.mark.parametrize("name", ["letk", "pp2h", "pp6", "pp6h", "pp6h-no-circ"])

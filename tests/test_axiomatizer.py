@@ -176,6 +176,17 @@ def test_generate_refinement_rules_errors():
         generate_refinement_rules(MAT_LETK_UB, MAT_PP6A1_UB, d)
 
 
+def test_refinement_keeps_the_connectives():
+    # pp6h-ub shares pp6-ub's carrier and filter but also interprets =>, so
+    # neither refines the other, and rules for pp6-ub's connectives alone
+    # would say nothing about =>
+    pp6h_ub = lookup("matrix", "pp6h-ub").payload
+    d = find_discriminator(MAT_PP6A1_UB, 1)
+    for base, refined in ((MAT_PP6_UB, pp6h_ub), (pp6h_ub, MAT_PP6_UB)):
+        with pytest.raises(NotARefinement, match="^connectives differ: imp$"):
+            generate_refinement_rules(base, refined, d)
+
+
 def test_generated_rules_sound():
     d = find_discriminator(MAT_PP6A1_UB, 1)
     rules = generate_refinement_rules(MAT_PP6A1_UB, MAT_LETK_UB, d)

@@ -481,6 +481,83 @@ def test_incomplete_table_is_input_error(tmp_path, capsys):
             assert "one entry per" in capsys.readouterr().err
 
 
+def _edited_export(tmp_path, capsys, kind, name, edit):
+    """An @path argument naming a file that holds mvl export's output with
+    edit applied to its JSON data."""
+    arg = _exported(tmp_path, capsys, kind, name)
+    path = Path(arg[1:])
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return arg
+
+
+def _fails_as_input_error(capsys, argv, message):
+    assert run(argv) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert not out.out and message in out.err
+
+
+def test_matrix_export_repeating_a_value_is_input_error(tmp_path, capsys):
+    # the kernel's tables number the values by their place in the carrier;
+    # a repeated value used to crash them with KeyError (exit 4)
+    path = _edited_export(tmp_path, capsys, "matrix", "dm4-bt",
+                          lambda data: data["values"].append("t"))
+    for argv in (["check", "--conclusions", "p", "--matrix", path],
+                 ["algebra", "profile", "--algebra", path]):
+        _fails_as_input_error(capsys, argv, "value 't' is listed twice in the carrier")
+
+
+def test_matrix_export_with_values_outside_the_carrier_is_input_error(tmp_path, capsys):
+    def wrong_arity(data):
+        table = data["connectives"]["and"]["table"]
+        table["b,b,t"] = table.pop("b,b")
+
+    def stray_output(data):
+        data["connectives"]["neg"]["table"]["b"] = ["zz"]
+
+    def stray_designated(data):
+        data["designated"].append("zz")
+
+    for edit, message in [
+        (wrong_arity, "(ValueError: entry 'b,b,t' has the wrong arity)"),
+        (stray_output, "table for 'neg' outputs values outside the carrier"),
+        (stray_designated, "designated values outside the carrier"),
+    ]:
+        path = _edited_export(tmp_path, capsys, "matrix", "dm4-bt", edit)
+        _fails_as_input_error(capsys, ["check", "--conclusions", "p", "--matrix", path],
+                              message)
+
+
+def test_algebra_filters_need_a_lattice_reduct(tmp_path, capsys):
+    path = _edited_export(tmp_path, capsys, "matrix", "dm4-bt",
+                          lambda data: data["connectives"].pop("or"))
+    _fails_as_input_error(capsys, ["algebra", "filters", "--algebra", path],
+                          "filters need a lattice reduct")
+
+
+def test_algebra_check_needs_an_identity(capsys):
+    _fails_as_input_error(capsys, ["algebra", "check", "--algebra", "dm4"],
+                          "algebra check needs --identity 'lhs == rhs' or 'lhs <= rhs'")
+
+
+def test_soundness_of_a_calculus_without_models_needs_them_named(tmp_path, capsys):
+    path = _edited_export(tmp_path, capsys, "calculus", "r-b",
+                          lambda data: data.update(models=[]))
+    _fails_as_input_error(capsys, ["soundness", "--calculus", path],
+                          "calculus has no declared models; pass --matrix/--class")
+    assert run(["soundness", "--calculus", path, "--matrix", "dm4-bt"]) == EXIT_POSITIVE
+
+
+def test_axiomatize_a_matrix_that_is_no_refinement_is_input_error(capsys):
+    # pp6h-ub interprets =>, which pp6-ub lacks; pp6h-uf designates more
+    for refined, message in (("pp6h-ub", "connectives differ: imp"),
+                             ("pp6h-uf", "designated sets differ")):
+        _fails_as_input_error(
+            capsys, ["axiomatize", "--base", "pp6-ub", "--refined", refined], message,
+        )
+
+
 def test_check_wide_balanced_conjunction(capsys):
     # 999 domain formulas but nesting 9: the valuation search once recursed
     # per domain formula and crashed with RecursionError on pp6a1-ub

@@ -166,6 +166,20 @@ def test_parse_formula_set_error_positions_count_in_the_whole_text():
         assert err.value.position == position
 
 
+def test_macro_errors_give_the_position_of_the_macro_name():
+    for text, error, message, position in [
+        ("q, p(q)", UnknownConnective, "unknown macro 'p'", 3),
+        ("q, wimp(p)", ArityError, "macro 'wimp' expects 2 arguments, got 1", 3),
+        ("up(q) | ~iff(p)", ArityError, "macro 'iff' expects 2 arguments, got 1", 9),
+        ("p, up(p => nabla(q, r))", ArityError,
+         "macro 'nabla' expects 1 arguments, got 2", 11),
+    ]:
+        with pytest.raises(error) as err:
+            parse_formula_set(text)
+        assert str(err.value) == "%s (at position %d)" % (message, position)
+        assert err.value.position == position
+
+
 # text inserted into one element of a list to make it malformed
 _JUNK = ["=", "#", "(", ")", "&", "|", "=>", "~", "q", "top"]
 

@@ -8,6 +8,7 @@ from mvlogic.errors import (
     ArityError,
     FrameworkMismatch,
     MvlError,
+    RepeatedValue,
     SignatureMismatch,
     UnknownConnective,
     ValueAbsent,
@@ -34,6 +35,7 @@ from mvlogic.semantics import (
     ConsequenceProblem,
     Fails,
     Holds,
+    MultiAlgebra,
     SET_FMLA,
     Sound,
     Unsound,
@@ -313,3 +315,9 @@ def test_refine_matrix():
     assert same.algebra.interp == MAT_PP6A1_UB.algebra.interp
     with pytest.raises(ValueAbsent):
         refine_matrix(MAT_PP6A1_UB, [("imp", ("b", "hf"), "ht")])
+
+
+def test_carrier_value_listed_twice_is_rejected():
+    # the kernel numbers values by their place in the carrier
+    with pytest.raises(RepeatedValue, match="^value 't' is listed twice in the carrier$"):
+        MultiAlgebra("repeats", ["f", "t", "t"], {"neg": {("f",): {"t"}, ("t",): {"f"}}})
