@@ -112,14 +112,16 @@ class ProveStats:
     Set-Fmla answer came from the source calculus, and "closed" when the
     premises meet the goal: the root closes before any grounding, so every
     count is 0 but the one node.
-    universe is None without an analyticity set or work; core counts the
-    instances in the minimal unsatisfiable core, steps the tree search's
-    steps, nodes the proof tree's nodes (its unfolding, when subtrees are
-    shared) and reused the branch children closed by a subtree the search
-    had closed before.  assignments (those of the core's minimization
-    included) plus steps count against budget_nodes.  valuations counts
-    the valuations the check on the models decided, up to the witness,
-    and is 0 when that check was skipped; it counts against no budget."""
+    universe is |Λ|, Λ = sub(premises ∪ goal), on route "model", the size
+    of the analyticity set's universe on route "cdcl", and None without an
+    analyticity set or work.  core counts the instances in the minimal
+    unsatisfiable core, steps the tree search's steps, nodes the proof
+    tree's nodes (its unfolding, when subtrees are shared) and reused the
+    branch children closed by a subtree the search had closed before.
+    assignments (those of the core's minimization included) plus steps
+    count against budget_nodes.  valuations counts the valuations the
+    check on the models decided, up to the witness, and is 0 when that
+    check was skipped; it counts against no budget."""
 
     route: str
     universe: int
@@ -150,9 +152,11 @@ class SaturatedPartition:
 @dataclass
 class Refuted:
     """A refutation: the saturated partition and, on route "model", the
-    countermodel (matrix, valuation of the sequent's subformulas) that Ω
-    was read off, the one countermodel(models, partition) returns.  It is
-    None on the other routes."""
+    countermodel (matrix, valuation of Λ, the sequent's subformulas) that
+    Ω was read off, the one countermodel(models, partition) returns.  On
+    that route the partition's universe is Λ and Ω the formulas of Λ the
+    valuation designates; on route "cdcl" it is the analyticity set's
+    universe.  countermodel is None on the other routes."""
 
     partition: SaturatedPartition
     stats: ProveStats = field(default=None, compare=False)
@@ -171,7 +175,8 @@ class Inconclusive:
     those instances build, do not derive the sequent, and either its models
     do not interpret every connective of the sequent, or it has no
     analyticity set, so that a model of those instances is no countermodel
-    and the calculus may still derive the sequent."""
+    and the calculus may still derive the sequent.  Its models, where they
+    could be checked, do not refute the sequent."""
 
     stats: ProveStats = field(default=None, compare=False)
 
@@ -465,13 +470,12 @@ def _single_valued(models):
     return compiled
 
 
-def _interprets(models, *formula_sets):
-    """Whether every model interprets every connective of the formula sets
-    at the arity it is applied with."""
+def _interprets(models, formulas):
+    """Whether every model interprets every connective of the formulas at
+    the arity it is applied with."""
     try:
         for m in models:
-            for formulas in formula_sets:
-                kernel.check_signature(m.algebra, formulas)
+            kernel.check_signature(m.algebra, formulas)
     except SignatureMismatch:
         return False
     return True
@@ -729,12 +733,12 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     Inconclusive, or OutOfBudget; `stats` records the route and its work.
     Premises that meet the goal close the root at once, on every route.
 
-    An analytic calculus first checks the sequent on its models (see
+    A calculus with models first checks the sequent on them (see
     _refute_on_models): a valuation that designates the premises and no
     goal formula, on a calculus sound for its models, is returned at once
     as the Refuted on route "model", carrying that valuation as its
-    countermodel, before any grounding.  Its valuations count against no
-    budget.
+    countermodel, before any grounding, analyticity set or none.  Its
+    valuations count against no budget.
 
     Every other sequent is decided as a clause set: each ground instance Γ ▷ Δ is
     the clause ¬Γ ∨ Δ, premises are true and goal formulas false, so the
@@ -757,8 +761,8 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     replayed with the disjunction rules, and the source's refutation is
     passed on.  With a non-analytic source the replay is only tried after
     the calculus's own clause set, since the source may be unable to break
-    up a premise that the disjunction rules can; the answer is Inconclusive
-    when both are."""
+    up a premise that the disjunction rules can; the source's refutation
+    is passed on then too, and the answer is Inconclusive when both are."""
     premises = frozenset(premises)
     goal = frozenset(goal)
     if calc.framework == SET_FMLA and len(goal) != 1:
@@ -770,39 +774,35 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
         return _prove_by_simulation(calc, premises, goal, budget_nodes)
     base = premises | goal
     targets = sorted(subformulas(base), key=canon_key)
+    res, valuations = _refute_on_models(calc, premises, goal, targets, budget_nodes)
+    if res is not None:
+        return res
     universe = None
-    valuations = 0
     if calc.xi is not None:
         universe = frozenset(generalized_subformulas(base, calc.xi))
-        res, valuations = _refute_on_models(
-            calc, premises, goal, targets, universe, budget_nodes
-        )
-        if res is not None:
-            return res
     ground = _build_instances(calc, targets, universe)
     res = _decide(calc, premises, goal, universe, ground, budget_nodes, valuations)
     if calc.source is None or isinstance(res, Proved):
         return res
     replayed = _prove_by_simulation(calc, premises, goal, budget_nodes)
-    if isinstance(replayed, Proved):
+    if isinstance(replayed, (Proved, Refuted)):
         return replayed
     if isinstance(res, Inconclusive) and isinstance(replayed, Inconclusive):
         return res
     return OutOfBudget(res.stats)
 
 
-def _refute_on_models(calc, premises, goal, targets, universe, budget_nodes):
+def _refute_on_models(calc, premises, goal, targets, budget_nodes):
     """The refutation of a sequent by a valuation of the calculus's models,
     or None, and the number of valuations the check decided (0 when it was
-    skipped).  The check runs when every model is single-valued, so that a
-    valuation of the sequent's subformulas fixes the value of every
-    formula, when the models interpret every connective of the sequent and
-    of the analyticity set, and when their valuations of the sequent's
-    variables fit budget_nodes.  A witness refutes when every rule holds in
-    the models: the formulas of the universe it designates then satisfy
-    every ground instance, with the premises in and the goal out.  Each
-    formula's value is read off the model's tables, from the witness's
-    values up."""
+    skipped).  The check runs when the models interpret the sequent, when
+    their valuations of its variables fit budget_nodes, and when every
+    model is single-valued: checking one that is not searches valuations
+    one at a time, and every sequent the calculus proves would pay that
+    search.  A witness refutes when every rule holds in the models.  It is
+    a valuation of Λ = targets, the sequent's subformulas, and Ω the
+    formulas of Λ it designates, closed under every ground instance inside
+    Λ since every rule keeps designation."""
     models = calc.models
     compiled = models and _single_valued(models)
     if not compiled:
@@ -810,25 +810,17 @@ def _refute_on_models(calc, premises, goal, targets, universe, budget_nodes):
     vs = [f for f in targets if f.is_var]
     if sum(k.n ** len(vs) for k in compiled) > budget_nodes:
         return None, 0
-    if not _interprets(models, targets, subformulas(calc.xi)):
+    if not _interprets(models, targets):
         return None, 0
     res = semantics.check_consequence(ConsequenceProblem(models, premises, goal))
     valuations = res.stats.assignments
     if isinstance(res, Holds) or not _sound(tuple(calc.rules), tuple(models)):
         return None, valuations
-    m, k = models[res.matrix_index], compiled[res.matrix_index]
-    value = {f: k.carrier.index(v) for f, v in res.witness.items()}
-
-    def val(f):  # a single-valued table's mask has one bit
-        v = value.get(f)
-        if v is None:
-            v = value[f] = k.tables[f.head][tuple(map(val, f.args))].bit_length() - 1
-        return v
-
-    des = k.mask_of(m.designated)
-    omega = frozenset(f for f in universe if des >> val(f) & 1)
-    part = SaturatedPartition(omega, universe - omega, premises | goal, universe)
-    stats = ProveStats("model", len(universe), 0, valuations=valuations)
+    m = models[res.matrix_index]
+    lam = frozenset(targets)
+    omega = frozenset(f for f, v in res.witness.items() if v in m.designated)
+    part = SaturatedPartition(omega, lam - omega, premises | goal, lam)
+    stats = ProveStats("model", len(lam), 0, valuations=valuations)
     return Refuted(part, stats, (m, res.witness)), valuations
 
 

@@ -5,18 +5,19 @@ certificate printed, 2 usage or input error, 3 budget exhausted, 4 internal
 error (an unexpected exception, never an answer), 5 inconclusive (no proof
 and no refutation, which no budget changes: the calculus's ground
 instances over the sequent's subformulas, with the formulas those instances
-build, do not derive the sequent, and either its models do not interpret
-it, or the calculus has no analyticity set, so that a model of those
-instances is no countermodel and the calculus may still derive it).
+build, do not derive the sequent, its models, where checked, do not refute
+it, and either they do not interpret it, or the calculus has no
+analyticity set, so that a model of those instances is no countermodel and
+the calculus may still derive it).
 
-A refutation's certificate is its saturated set Ω and, when the calculus
-has models, a countermodel above it: on the first model that has one, a
-valuation of the sequent's subformulas that designates exactly those in Ω,
-one `φ = v` line each (`countermodel` with `matrix` and `valuation` in the
-JSON).  A refutation on the models carries that countermodel, and it is
-printed as it is; for one from the clause set it is searched for, and a
-calculus none of whose models realizes Ω is not complete for them, which
-is reported as an input error.
+A refutation's certificate is its saturated set Ω ("none" when empty) and,
+when the calculus has models, a countermodel above it: on the first model
+that has one, a valuation of the sequent's subformulas that designates
+exactly those in Ω, one `φ = v` line each (`countermodel` with `matrix` and
+`valuation` in the JSON).  A refutation on the models carries that
+countermodel, and it is printed as it is; for one from the clause set it is
+searched for, and a calculus none of whose models realizes Ω is not
+complete for them, which is reported as an input error.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ def cmd_prove(args):
             text += "Countermodel on %s:\n" % m.name + "".join(
                 "  %s = %s\n" % kv for kv in witness.items()
             )
-        _print(args, data, text + "Saturated set:\n  " + "\n  ".join(omega))
+        text += "Saturated set:" + ("".join("\n  " + f for f in omega) or " none")
+        _print(args, data, text)
         return EXIT_NEGATIVE
     if isinstance(res, Inconclusive):
         _print(args, {"result": "inconclusive", "stats": stats}, "Inconclusive.")

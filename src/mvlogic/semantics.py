@@ -17,13 +17,15 @@ SET_FMLA = "set-fmla"
 class MultiAlgebra:
     """Finite carrier plus one table per connective mapping each tuple of
     values at its arity to a set of values; a value listed twice in the
-    carrier is a RepeatedValue, and a table with a missing entry or a key
-    outside the carrier is a ValueAbsent.  Empty output sets encode
-    partiality; non-singletons encode non-determinism."""
+    carrier is a RepeatedValue, and an empty carrier, or a table with a
+    missing entry or a key outside the carrier, is a ValueAbsent.  Empty
+    output sets encode partiality; non-singletons encode non-determinism."""
 
     def __init__(self, name, carrier, interp):
         self.name = name
         self.carrier = tuple(carrier)
+        if not self.carrier:
+            raise ValueAbsent("a carrier needs at least one value")
         self.interp = {
             conn: {k: frozenset(v) for k, v in table.items()}
             for conn, table in interp.items()

@@ -646,18 +646,27 @@ def test_transformed_non_analytic_calculus_searches_directly():
 
 def test_saturated_search_without_analyticity_is_inconclusive():
     source = lookup(KIND_CALCULUS, "pp-top-rules").payload
-    premises, goal = parse_formula_set("p"), parse_formula_set("q")
-    # the clause set has a model, which refutes nothing without an
-    # analyticity set; the solver finds it in 20 assignments
+    # pp6h-uht, which the calculus is sound for, refutes p |- q outright:
+    # no analyticity set is needed
+    res = prove(source, parse_formula_set("p"), parse_formula_set("q"))
+    assert isinstance(res, Refuted) and res.stats.route == "model"
+    assert res.countermodel[0].name == "pp6h-uht"
+    # the models do not refute p & q |- p; the clause set has a model,
+    # which refutes nothing without an analyticity set, and the solver
+    # finds it in 33 assignments
+    premises, goal = parse_formula_set("p & q"), parse_formula_set("p")
     assert isinstance(prove(source, premises, goal), Inconclusive)
-    assert isinstance(prove(source, premises, goal, budget_nodes=20),
+    assert isinstance(prove(source, premises, goal, budget_nodes=33),
                       Inconclusive)
-    assert isinstance(prove(source, premises, goal, budget_nodes=10),
+    assert isinstance(prove(source, premises, goal, budget_nodes=32),
                       OutOfBudget)
     # neither the transformed rules nor the replay prove it
     rv = to_set_fmla_calculus(source)
     assert isinstance(prove(rv, premises, goal), Inconclusive)
     assert isinstance(prove(rv, premises, goal, budget_nodes=1), OutOfBudget)
+    # the source's refutation of p |- q is passed on
+    res = prove(rv, parse_formula_set("p"), parse_formula_set("q"))
+    assert isinstance(res, Refuted) and res.stats.route == "replay"
 
 
 def test_budget_runs_out_inside_the_unit_steps():
@@ -684,7 +693,8 @@ def test_prove_out_of_budget():
 
 def test_refutation_on_models_before_grounding(monkeypatch):
     # r-leq's three models refute the sequent with 8 valuations; Ω is every
-    # universe formula the witness designates, and no rule is grounded
+    # formula of Λ = sub(sequent) the witness designates, here none, and no
+    # rule is grounded
     def no_grounding(calc, targets, universe):
         raise AssertionError("grounded %s" % calc.name)
 
@@ -692,9 +702,9 @@ def test_refutation_on_models_before_grounding(monkeypatch):
     goal = parse_formula_set("(p | q) => p, q")
     res = prove(R_LEQ, frozenset(), goal)
     assert isinstance(res, Refuted)
-    assert res.stats == ProveStats("model", 31, 0, valuations=8)
+    assert res.stats == ProveStats("model", 4, 0, valuations=8)
     part = res.partition
-    assert len(part.omega) == 23 and part.omega | part.omega_bar == part.universe
+    assert part.universe == subformulas(goal) and not part.omega
     assert res.countermodel == countermodel(R_LEQ.models, part)
     matrix, valuation = res.countermodel
     assert matrix.name == "pp6h-ub"
@@ -867,8 +877,9 @@ NON_ANALYTIC = {
 def test_clause_route_without_analyticity_matches_full_search(name, data):
     # a saturated branch of the search over every instance is a model of
     # their clause set with the premises true and the goal false, and a
-    # tree over them leaves none: prove proves exactly what that search
-    # proves, and is Inconclusive exactly where it saturates
+    # tree over them leaves none: on a sequent the models do not refute,
+    # prove proves exactly what that search proves, and is Inconclusive
+    # exactly where it saturates
     calc = NON_ANALYTIC[name]
     sig = dict(calc.models[0].algebra.connectives)
     some = formulas(sig, ["p", "q"], 3)
@@ -888,6 +899,12 @@ def test_clause_route_without_analyticity_matches_full_search(name, data):
     tree = searcher.run(premises)
     assert (tree is None) == searcher.saturated
     res = prove(calc, premises, goal)
+    sem = check_consequence(ConsequenceProblem(calc.models, premises, goal))
+    if isinstance(sem, Fails):
+        # the calculus is sound for its models, so the search saturates
+        assert tree is None
+        assert isinstance(res, Refuted) and res.stats.route == "model"
+        return
     assert isinstance(res, Proved if tree is not None else Inconclusive)
     assert res.stats.route == "cdcl" and res.stats.universe is None
     if tree is not None:
@@ -913,21 +930,34 @@ def assert_realizes(matrix, valuation, part, premises, goal):
             assert valuation[f] in tables[f.head][tuple(valuation[x] for x in f.args)]
 
 
-@pytest.mark.parametrize(
-    "name", ["r-b", "r-pp-leq", "r-m-a1", "r-h-ub", "r-leq", "r-up", "letk-nine"]
-)
+@pytest.mark.parametrize("name", [
+    "r-b", "r-pp-leq", "r-m-a1", "r-h-ub", "r-leq", "r-up", "letk-nine",
+    "moisil", "moisil-m12", "pp-top-rules",
+])
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_every_answer_is_certified(name, data):
     calc = lookup(KIND_CALCULUS, name).payload
     sig = dict(calc.models[0].algebra.connectives)
     vs = ["p", "q", "r"][: data.draw(st.integers(2, 3))]
-    side = st.frozensets(formulas(sig, vs, 4), max_size=2)
-    premises, goal = data.draw(side), data.draw(side)
+    # moisil's Hilbert-style rules, without an analyticity set, build
+    # thousands of instances over formulas of four leaves
+    some = formulas(sig, vs, 3 if calc.framework == SET_FMLA else 4)
+    premises = data.draw(st.frozensets(some, max_size=2))
+    if calc.framework == SET_FMLA:
+        goal = frozenset({data.draw(some)})
+    else:
+        goal = data.draw(st.frozensets(some, max_size=2))
     res = prove(calc, premises, goal, budget_nodes=10_000)
     if isinstance(res, OutOfBudget):
         return
+    # the drawn sequents are in the models' signature, and their
+    # valuations fit the budget: the check on the models ran where they
+    # are single-valued
     sem = check_consequence(ConsequenceProblem(calc.models, premises, goal))
+    if isinstance(res, Inconclusive):
+        assert isinstance(sem, Holds) and calc.xi is None
+        return
     if isinstance(res, Proved):
         assert isinstance(sem, Holds)
         assert validate_tree(calc, res.tree, premises, goal) is None
@@ -944,10 +974,16 @@ def test_every_answer_is_certified(name, data):
         assert not ant <= omega or succ & omega
     matrix, valuation = countermodel(calc.models, part)
     assert_realizes(matrix, valuation, part, premises, goal)
-    # a refutation on the models carries the same countermodel
+    # a refutation on the models carries the same countermodel, and its
+    # partition is the one it designates on Λ
     if res.countermodel is not None:
         assert res.stats.route == "model"
         assert res.countermodel == (matrix, valuation)
+        lam = subformulas(premises | goal)
+        assert part.universe == lam
+        assert omega == {f for f in lam if valuation[f] in matrix.designated}
+    else:
+        assert res.stats.route == "cdcl" and calc.xi is not None
     if name in VARIANT:
         valuation, a = countermodel_from_partition(part, VARIANT[name])
         assert name != "r-leq" or a != "t"

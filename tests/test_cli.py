@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mvlogic
 
 from mvlogic.cli import (
@@ -119,21 +121,21 @@ def test_prove_json_stats(capsys):
     assert stats == {
         "route": "cdcl", "universe": 18, "instances": 18, "assignments": 8,
         "conflicts": 1, "core": 3, "steps": 5, "nodes": 5, "reused": 0,
-        "valuations": 0,
+        "valuations": 16,
     }
-    # refuted on pp6h-order before any grounding: Ω is every formula of the
-    # universe that the witness designates
+    # refuted on pp6h-ub before any grounding: Ω is every formula of the
+    # sequent's four subformulas that the witness designates, here none
     argv = ["prove", "--calculus", "r-leq", "--goal", "(p | q) => p, q",
             "--json"]
     assert run(argv) == EXIT_NEGATIVE
     data = json.loads(capsys.readouterr().out)
     assert data["result"] == "refuted"
     assert data["stats"] == {
-        "route": "model", "universe": 31, "instances": 0, "assignments": 0,
+        "route": "model", "universe": 4, "instances": 0, "assignments": 0,
         "conflicts": 0, "core": 0, "steps": 0, "nodes": 0, "reused": 0,
         "valuations": 8,
     }
-    assert len(data["omega"]) == 23
+    assert data["omega"] == []
 
 
 def test_prove_refutation_without_countermodel(capsys):
@@ -151,21 +153,46 @@ def test_prove_negative_budget_is_usage_error(capsys):
 
 
 def test_prove_inconclusive(capsys):
-    # pp-top-rules has no analyticity set: its clause set has a model after
-    # 20 assignments, which refutes nothing and is no budget exhausted
-    argv = ["prove", "--calculus", "pp-top-rules", "--premises", "p",
-            "--goal", "q"]
+    # moisil has no analyticity set: its model does not refute |- q => q,
+    # and its clause set has a model after 212 assignments, which refutes
+    # nothing and is no budget exhausted
+    argv = ["prove", "--calculus", "moisil", "--goal", "q => q"]
     assert run(argv) == EXIT_INCONCLUSIVE
     assert capsys.readouterr().out.strip() == "Inconclusive."
     assert run(argv + ["--json"]) == EXIT_INCONCLUSIVE
     assert json.loads(capsys.readouterr().out) == {
         "result": "inconclusive",
         "stats": {
-            "route": "cdcl", "universe": None, "instances": 6,
-            "assignments": 20, "conflicts": 0, "core": 0, "steps": 0,
-            "nodes": 0, "reused": 0, "valuations": 0,
+            "route": "cdcl", "universe": None, "instances": 66,
+            "assignments": 212, "conflicts": 0, "core": 0, "steps": 0,
+            "nodes": 0, "reused": 0, "valuations": 6,
         },
     }
+
+
+@pytest.mark.parametrize("calc", ["moisil", "moisil-m12", "pp-top-rules"])
+def test_prove_refutes_on_the_models_without_analyticity(calc, capsys):
+    # pp6h-uht, which each calculus is sound for, refutes p |- q outright
+    argv = ["prove", "--calculus", calc, "--premises", "p", "--goal", "q",
+            "--json"]
+    assert run(argv) == EXIT_NEGATIVE
+    data = json.loads(capsys.readouterr().out)
+    assert data["stats"]["route"] == "model" and data["omega"] == ["p"]
+    assert data["countermodel"] == {
+        "matrix": "pp6h-uht", "valuation": {"p": "ht", "q": "hf"},
+    }
+
+
+def test_prove_prints_an_empty_saturated_set_as_none(capsys):
+    # r-m-a1's model is not single-valued: the clause set refutes |- p with
+    # no formula designated
+    argv = ["prove", "--calculus", "r-m-a1", "--goal", "p"]
+    assert run(argv) == EXIT_NEGATIVE
+    assert capsys.readouterr().out == (
+        "Refuted. Countermodel on pp6a1-ub:\n  p = hf\nSaturated set: none\n"
+    )
+    assert run(argv + ["--json"]) == EXIT_NEGATIVE
+    assert json.loads(capsys.readouterr().out)["omega"] == []
 
 
 def test_steering_skips_models_without_a_subformula_connective(capsys):
@@ -508,6 +535,19 @@ def test_matrix_export_repeating_a_value_is_input_error(tmp_path, capsys):
         _fails_as_input_error(capsys, argv, "value 't' is listed twice in the carrier")
 
 
+def test_matrix_export_with_an_empty_carrier_is_input_error(tmp_path, capsys):
+    # an empty carrier once made every sequent hold and left congruences
+    # and components empty
+    def empty(data):
+        data.update(values=[], designated=[], connectives={})
+
+    path = _edited_export(tmp_path, capsys, "matrix", "dm4-bt", empty)
+    for argv in (["check", "--matrix", path, "--conclusions", "p"],
+                 ["algebra", "congruences", "--algebra", path],
+                 ["components", "--matrix", path]):
+        _fails_as_input_error(capsys, argv, "a carrier needs at least one value")
+
+
 def test_matrix_export_with_values_outside_the_carrier_is_input_error(tmp_path, capsys):
     def wrong_arity(data):
         table = data["connectives"]["and"]["table"]
@@ -719,6 +759,8 @@ def test_mvl_entry_point_passes_exit_codes_to_the_shell():
               "--goal", "q")
     assert bad.returncode == EXIT_USAGE
     assert "unexpected end of input (at position 6)" in bad.stderr
-    inconclusive = mvl("prove", "--calculus", "moisil", "--premises", "p",
-                       "--goal", "q")
+    inconclusive = mvl("prove", "--calculus", "moisil", "--goal", "q => q")
     assert inconclusive.returncode == EXIT_INCONCLUSIVE
+    refuted = mvl("prove", "--calculus", "moisil", "--premises", "p",
+                  "--goal", "q")
+    assert refuted.returncode == EXIT_NEGATIVE
