@@ -119,9 +119,12 @@ class ProveStats:
     tree's nodes (its unfolding, when subtrees are shared) and reused the
     branch children closed by a subtree the search had closed before.
     assignments (those of the core's minimization included) plus steps
-    count against budget_nodes.  valuations counts the valuations the
-    check on the models decided, up to the witness, and is 0 when that
-    check was skipped; it counts against no budget."""
+    count against budget_nodes; on a Set-Fmla calculus that tries more
+    than one clause set they, and conflicts, add up every attempt.
+    valuations counts the valuations the check on the models decided: on
+    each component it visited, every assignment of the component's values
+    to the sequent's variables, up to the witness.  It is 0 when that check
+    was skipped, and counts against no budget."""
 
     route: str
     universe: int
@@ -762,7 +765,9 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     passed on.  With a non-analytic source the replay is only tried after
     the calculus's own clause set, since the source may be unable to break
     up a premise that the disjunction rules can; the source's refutation
-    is passed on then too, and the answer is Inconclusive when both are."""
+    is passed on then too, and the answer is Inconclusive when both are.
+    Each later attempt gets the budget the earlier ones left, and none
+    starts once it is spent."""
     premises = frozenset(premises)
     goal = frozenset(goal)
     if calc.framework == SET_FMLA and len(goal) != 1:
@@ -784,12 +789,30 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     res = _decide(calc, premises, goal, universe, ground, budget_nodes, valuations)
     if calc.source is None or isinstance(res, Proved):
         return res
-    replayed = _prove_by_simulation(calc, premises, goal, budget_nodes)
+    left = budget_nodes - _spent(res.stats)
+    if left <= 0:
+        return OutOfBudget(res.stats)
+    replayed = _prove_by_simulation(calc, premises, goal, left)
     if isinstance(replayed, (Proved, Refuted)):
-        return replayed
+        return _with_work(replayed, res.stats)
+    res = _with_work(res, replayed.stats)
     if isinstance(res, Inconclusive) and isinstance(replayed, Inconclusive):
         return res
     return OutOfBudget(res.stats)
+
+
+def _spent(stats):
+    """The share of budget_nodes that the work in stats used."""
+    return stats.assignments + stats.steps
+
+
+def _with_work(res, earlier):
+    """res with the budgeted work in an earlier attempt's stats added."""
+    s = res.stats
+    return replace(res, stats=replace(
+        s, assignments=s.assignments + earlier.assignments,
+        conflicts=s.conflicts + earlier.conflicts, steps=s.steps + earlier.steps,
+    ))
 
 
 def _refute_on_models(calc, premises, goal, targets, budget_nodes):
@@ -902,7 +925,8 @@ def _prove_by_simulation(calc, premises, goal, budget_nodes):
     sorted disjunction, else of g itself.  The proof is condensed, then
     replayed (see _Simulation) as a chain of Set-Fmla steps, whose nodes
     stats counts under route "replay"; the source's last answer is passed
-    on when neither is proved."""
+    on when neither is proved.  The attempt on g gets the budget the one
+    on its disjuncts left, and stats adds up both."""
     (g,) = goal
     splits = []
     parts = _or_spine(g)
@@ -911,8 +935,15 @@ def _prove_by_simulation(calc, premises, goal, budget_nodes):
         if big_or(sorted(psis, key=canon_key)) is g:
             splits.append(psis)
     splits.append(frozenset({g}))
+    res = None
     for psis in splits:
-        res = prove(calc.source, premises, psis, budget_nodes)
+        if res is None:
+            res = prove(calc.source, premises, psis, budget_nodes)
+        else:
+            left = budget_nodes - _spent(res.stats)
+            if left <= 0:
+                return OutOfBudget(replace(res.stats, route="replay"))
+            res = _with_work(prove(calc.source, premises, psis, left), res.stats)
         if isinstance(res, Proved):
             spec = _condense(calc.source, res.tree, psis)
             steps = _Simulation(calc, calc.source, psis).run(spec, premises)

@@ -77,6 +77,11 @@ def _witness_json(witness):
     return {render_formula(f): v for f, v in sorted(witness.items())}
 
 
+def _listed(lines):
+    """The lines, each on its own indented line, or " none" for no line."""
+    return "".join("\n  " + line for line in lines) or " none"
+
+
 def _print(args, data, text):
     if args.json:
         print(json.dumps(data, indent=2, sort_keys=True))
@@ -118,10 +123,10 @@ def cmd_prove(args):
             m, valuation = res.countermodel or countermodel(calc.models, res.partition)
             witness = _witness_json(valuation)
             data["countermodel"] = {"matrix": m.name, "valuation": witness}
-            text += "Countermodel on %s:\n" % m.name + "".join(
-                "  %s = %s\n" % kv for kv in witness.items()
-            )
-        text += "Saturated set:" + ("".join("\n  " + f for f in omega) or " none")
+            text += "Countermodel on %s:" % m.name + _listed(
+                "%s = %s" % kv for kv in witness.items()
+            ) + "\n"
+        text += "Saturated set:" + _listed(omega)
         _print(args, data, text)
         return EXIT_NEGATIVE
     if isinstance(res, Inconclusive):
@@ -143,8 +148,8 @@ def cmd_check(args):
         _print(args, {"result": "holds", "stats": stats}, "Holds.")
         return EXIT_POSITIVE
     witness = _witness_json(res.witness)
-    text = "Fails on %s:\n" % models[res.matrix_index].name + "\n".join(
-        "  %s = %s" % kv for kv in witness.items()
+    text = "Fails on %s:" % models[res.matrix_index].name + _listed(
+        "%s = %s" % kv for kv in witness.items()
     )
     _print(
         args,
@@ -307,23 +312,19 @@ def cmd_algebra(args):
 
 def cmd_interpolate(args):
     from .interpolation import (
-        ASSERTIONAL,
         InterpolationInstance,
-        ORDER_PRESERVING,
         eip_interpolant,
         maehara_interpolant,
     )
 
     phi = parse_formula_set(args.phi)
     psi = parse_formula_set(args.psi)
-    goal = parse_formula(args.goal)
+    inst = InterpolationInstance(phi, psi, parse_formula(args.goal))
     if args.logic == "pp-top":
-        inst = InterpolationInstance(phi, psi, goal, ASSERTIONAL)
         xi = maehara_interpolant(inst)
         _print(args, {"interpolant": render_formula(xi), "verified": True},
                "%s\nboth entailments verified" % render_formula(xi))
     else:
-        inst = InterpolationInstance(phi, psi, goal, ORDER_PRESERVING)
         pi = eip_interpolant(inst)
         rendered = sorted(render_formula(f) for f in pi)
         _print(args, {"interpolant": rendered, "verified": True},

@@ -49,7 +49,6 @@ class InterpolationInstance:
     phi: frozenset
     psi: frozenset
     goal: object
-    logic: str = ORDER_PRESERVING
 
 
 def check_ddt_instance(logic, phi, a, b):

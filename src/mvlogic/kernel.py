@@ -459,8 +459,6 @@ def _chunks(digits):
     """(offset, digits) of each chunk of at most CHUNK assignments, by
     increasing rank: the leading variables' digits fixed one tuple at a
     time, in lexicographic order."""
-    if not all(digits):
-        return
     split, size = len(digits), 1
     while split and size * len(digits[split - 1]) <= CHUNK:
         split -= 1

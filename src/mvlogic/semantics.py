@@ -84,8 +84,8 @@ class PNMatrix:
 class CheckStats:
     """The work behind a consequence answer.  path is "bitset" when every
     component visited was decided by the bitset kernel and "backtrack" when
-    some needed solve_valuations; assignments counts the variable
-    assignments decided, up to the witness when there is one."""
+    some needed solve_valuations; assignments counts the assignments of
+    component values to the variables decided, up to any witness."""
 
     path: str
     components: int
@@ -182,25 +182,22 @@ def total_components(m):
 class _Visit:
     """One total component (a mask) of one matrix, as check_consequence
     visits it.  masks maps each premise and conclusion to the mask of the
-    values the matrix lets it take; digits are the values each variable may
-    take on the component, in carrier order, and size is the number of
-    their assignments.  plans is None when some table keeps other than one
+    values the matrix lets it take; digits are the component's values, in
+    carrier order, for every variable, and size is the number of their
+    assignments.  plans is None when some table keeps other than one
     value on the component."""
 
     def __init__(self, idx, m, comp, masks, variables):
         k = kernel.compiled(m.algebra)
         self.idx, self.m, self.k, self.comp, self.masks = idx, m, k, comp, masks
         self.plans = k.single_valued(comp)
-        self.digits = tuple(
-            tuple(k.members(comp & masks.get(x, comp))) for x in variables
-        )
+        self.digits = (tuple(k.members(comp)),) * len(variables)
         self.size = prod(map(len, self.digits))
-        self.wanted = [(f, mask) for f, mask in masks.items() if not f.is_var]
 
     def select(self, bitsets):
         """The assignments meeting every constraint."""
         good = bitsets.full
-        for f, allowed in self.wanted:
+        for f, allowed in self.masks.items():
             good &= bitsets.where(f, allowed)
             if not good:
                 break
@@ -226,10 +223,10 @@ def check_consequence(problem):
 
     Each matrix is searched on its total components in turn.  Components
     whose tables restrict to single values are decided by the bitset
-    kernel, the others by solve_valuations.  Matrices over one algebra
-    whose component and variable digits agree (a class of filters on one
-    algebra) read the same rows: each formula is evaluated once per chunk
-    of assignments, and each matrix only selects the values it wants."""
+    kernel, the others by solve_valuations.  Every matrix over one algebra
+    component (a class of filters on one algebra) reads the same rows, of
+    every assignment of its values to the variables: each formula is
+    evaluated once per chunk, and each matrix only selects what it wants."""
     premises = frozenset(problem.premises)
     conclusions = frozenset(problem.conclusions)
     if problem.mode == SET_FMLA and len(conclusions) != 1:
@@ -253,7 +250,7 @@ def check_consequence(problem):
     shared = {}
     for i, v in enumerate(visits):
         if v.plans is not None:
-            shared.setdefault((v.k, v.comp, v.digits), []).append(i)
+            shared.setdefault((v.k, v.comp), []).append(i)
     # the earliest visit with a witness: (position, witness, rank)
     hit = None
     for i, v in enumerate(visits):
@@ -265,7 +262,7 @@ def check_consequence(problem):
                 hit = i, witness, rank
             continue
         # a group is searched at its first visit, for its visits before hit
-        group = [j for j in shared.pop((v.k, v.comp, v.digits), ())
+        group = [j for j in shared.pop((v.k, v.comp), ())
                  if hit is None or j < hit[0]]
         if not group:
             continue

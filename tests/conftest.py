@@ -1,13 +1,14 @@
-"""Shared helpers: seeded random formula and sequent generators, a
-hypothesis formula strategy, a proof-tree copier for tamper tests, and
-ground instances in formula form."""
+"""Shared helpers: seeded random formula and sequent generators, every
+formula up to a size, a hypothesis formula strategy, a proof-tree copier
+for tamper tests, and ground instances in formula form."""
 
 import random
+from itertools import product
 
 from hypothesis import strategies as st
 
 from mvlogic.calculus import TreeNode
-from mvlogic.formula import app, var
+from mvlogic.formula import app, canon_key, var
 
 
 def random_formula(rng, conns, names, depth):
@@ -53,6 +54,21 @@ def formulas(sig, names_, max_leaves=5):
         )
 
     return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+def all_formulas(conns, names, n):
+    """Every formula of at most n nodes over the connective/arity map and
+    the given variable names, in canon_key order."""
+    leaves = [var(x) for x in names] + [app(c) for c, k in conns.items() if k == 0]
+    by_size = [[], leaves]
+    for size in range(2, n + 1):
+        by_size.append([
+            app(c, *args)
+            for c, k in conns.items() if k
+            for sizes in product(range(1, size), repeat=k) if sum(sizes) == size - 1
+            for args in product(*(by_size[s] for s in sizes))
+        ])
+    return sorted((f for fs in by_size for f in fs), key=canon_key)
 
 
 def make_rng(seed):

@@ -499,7 +499,7 @@ def test_13_maehara_interpolation():
             continue
         if not entails(ASSERTIONAL, phi | psi, goal):
             continue
-        inst = InterpolationInstance(phi, psi, goal, ASSERTIONAL)
+        inst = InterpolationInstance(phi, psi, goal)
         xi = maehara_interpolant(inst)
         assert variables(xi) <= shared
         assert entails(ASSERTIONAL, phi, xi)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import copy_tree, formulas, materialized
+from conftest import all_formulas, copy_tree, formulas, materialized
 from mvlogic import sat
 from mvlogic.calculus import (
     Calculus,
@@ -669,6 +669,46 @@ def test_saturated_search_without_analyticity_is_inconclusive():
     assert isinstance(res, Refuted) and res.stats.route == "replay"
 
 
+def test_set_fmla_attempts_share_one_budget(monkeypatch):
+    # r-leq's Set-Fmla proof of ~p | ~q tries the disjuncts and then the
+    # disjunction; pp-top-rules' tries its own clause set and then the
+    # replay.  Each clause-set attempt gets what the earlier ones left, and
+    # the answer reports the work of all of them.
+    from mvlogic import calculus
+
+    attempts = []
+
+    def spy(calc, premises, goal, universe, ground, budget_nodes, valuations=0):
+        res = _decide(calc, premises, goal, universe, ground, budget_nodes, valuations)
+        attempts.append((budget_nodes, res.stats))
+        return res
+
+    monkeypatch.setattr(calculus, "_decide", spy)
+    cases = [
+        ("r-leq", "~(p & q)", "~p | ~q", 1000),
+        ("pp-top-rules", "p & q", "p", 50),
+    ]
+    for name, prem_text, goal_text, budget in cases:
+        rv = to_set_fmla_calculus(lookup(KIND_CALCULUS, name).payload)
+        del attempts[:]
+        res = prove(rv, parse_formula_set(prem_text),
+                    parse_formula_set(goal_text), budget_nodes=budget)
+        assert isinstance(res, OutOfBudget)
+        left = budget
+        for given_budget, stats in attempts:
+            assert given_budget == left > 0
+            left -= stats.assignments + stats.steps
+        for count in ("assignments", "conflicts", "steps"):
+            spent = sum(getattr(stats, count) for _, stats in attempts)
+            assert getattr(res.stats, count) == spent
+    # the replay's refutation of p |- q reports the own clause set's work
+    del attempts[:]
+    res = prove(rv, parse_formula_set("p"), parse_formula_set("q"))
+    assert isinstance(res, Refuted) and res.stats.route == "replay"
+    ((_, own),) = attempts
+    assert own.assignments > 0 and res.stats.assignments == own.assignments
+
+
 def test_budget_runs_out_inside_the_unit_steps():
     # a -> b -> c -> d: the root and each of the three unit steps is a step
     a, b, c, d = (var(n) for n in "abcd")
@@ -692,9 +732,10 @@ def test_prove_out_of_budget():
 
 
 def test_refutation_on_models_before_grounding(monkeypatch):
-    # r-leq's three models refute the sequent with 8 valuations; Ω is every
-    # formula of Λ = sub(sequent) the witness designates, here none, and no
-    # rule is grounded
+    # r-leq's three models refute the sequent with 38 valuations of p, q:
+    # all 36 on pp6h-uf, then the first two on pp6h-ub; Ω is every formula
+    # of Λ = sub(sequent) the witness designates, here none, and no rule is
+    # grounded
     def no_grounding(calc, targets, universe):
         raise AssertionError("grounded %s" % calc.name)
 
@@ -702,7 +743,7 @@ def test_refutation_on_models_before_grounding(monkeypatch):
     goal = parse_formula_set("(p | q) => p, q")
     res = prove(R_LEQ, frozenset(), goal)
     assert isinstance(res, Refuted)
-    assert res.stats == ProveStats("model", 4, 0, valuations=8)
+    assert res.stats == ProveStats("model", 4, 0, valuations=38)
     part = res.partition
     assert part.universe == subformulas(goal) and not part.omega
     assert res.countermodel == countermodel(R_LEQ.models, part)
@@ -758,10 +799,10 @@ def test_unsound_calculus_is_not_refuted_on_its_models(monkeypatch):
     sound = replace(R_B, xi=xi)
     bad = Rule("bad", frozenset({var("p")}), frozenset({var("q")}))
     unsound = replace(R_B, rules=R_B.rules + [bad], xi=xi)
-    # every check holds: no sweep
+    # every check holds, over all 4**2 valuations of p, q: no sweep
     for calc in (sound, unsound):
         res = prove(calc, parse_formula_set("p & q"), parse_formula_set("q"))
-        assert isinstance(res, Proved) and res.stats.valuations == 8
+        assert isinstance(res, Proved) and res.stats.valuations == 16
     assert checked == []
     res = prove(sound, parse_formula_set("p"), parse_formula_set("q"))
     assert isinstance(res, Refuted) and res.stats.route == "model"
@@ -928,6 +969,41 @@ def assert_realizes(matrix, valuation, part, premises, goal):
     for f in lam:
         if not f.is_var:
             assert valuation[f] in tables[f.head][tuple(valuation[x] for x in f.args)]
+
+
+# the calculi without an analyticity set whose clause sets have a model
+# that their models do not refute
+SMALL_SCOPE_INCONCLUSIVE = {"moisil": 66, "moisil-m12": 66, "pp-top-rules": 62}
+
+
+@pytest.mark.parametrize("name", names(KIND_CALCULUS))
+def test_every_small_sequent_is_certified(name):
+    # every sequent over p, q with at most one premise and one goal, each
+    # of at most 2 nodes: 12 formulas, or 8 where the models have no @
+    calc = lookup(KIND_CALCULUS, name).payload
+    fs = all_formulas(calc.models[0].algebra.connectives, ["p", "q"], 2)
+    sequents = [
+        (frozenset(prem), frozenset({g}))
+        for prem in [()] + [(f,) for f in fs]
+        for g in fs
+    ]
+    assert len(sequents) == (72 if name == "r-b" else 156)
+    inconclusive = 0
+    for premises, goal in sequents:
+        res = prove(calc, premises, goal, budget_nodes=10_000)
+        sem = check_consequence(ConsequenceProblem(calc.models, premises, goal))
+        if isinstance(res, Proved):
+            assert validate_tree(calc, res.tree, premises, goal) is None
+            assert isinstance(sem, Holds)
+        elif isinstance(res, Refuted):
+            assert isinstance(sem, Fails)
+            if res.countermodel is not None:
+                matrix, valuation = res.countermodel
+                assert_realizes(matrix, valuation, res.partition, premises, goal)
+        else:
+            assert isinstance(res, Inconclusive), (premises, goal, res)
+            inconclusive += 1
+    assert inconclusive == SMALL_SCOPE_INCONCLUSIVE.get(name, 0)
 
 
 @pytest.mark.parametrize("name", [

@@ -133,7 +133,7 @@ def test_prove_json_stats(capsys):
     assert data["stats"] == {
         "route": "model", "universe": 4, "instances": 0, "assignments": 0,
         "conflicts": 0, "core": 0, "steps": 0, "nodes": 0, "reused": 0,
-        "valuations": 8,
+        "valuations": 38,
     }
     assert data["omega"] == []
 
@@ -195,6 +195,27 @@ def test_prove_prints_an_empty_saturated_set_as_none(capsys):
     assert json.loads(capsys.readouterr().out)["omega"] == []
 
 
+def test_prove_prints_an_empty_countermodel_as_none(capsys):
+    # the empty sequent has no formula to value: any valuation refutes it
+    argv = ["prove", "--calculus", "r-b", "--goal", ""]
+    assert run(argv) == EXIT_NEGATIVE
+    assert capsys.readouterr().out == (
+        "Refuted. Countermodel on dm4-bt: none\nSaturated set: none\n"
+    )
+    assert run(argv + ["--json"]) == EXIT_NEGATIVE
+    data = json.loads(capsys.readouterr().out)
+    assert data["countermodel"] == {"matrix": "dm4-bt", "valuation": {}}
+
+
+def test_check_prints_an_empty_witness_as_none(capsys):
+    argv = ["check", "--class", "pp6h-order", "--conclusions", ""]
+    assert run(argv) == EXIT_NEGATIVE
+    assert capsys.readouterr().out == "Fails on pp6h-uf: none\n"
+    assert run(argv + ["--json"]) == EXIT_NEGATIVE
+    data = json.loads(capsys.readouterr().out)
+    assert (data["matrix"], data["witness"]) == ("pp6h-uf", {})
+
+
 def test_steering_skips_models_without_a_subformula_connective(capsys):
     # r-pp-leq's models lack =>, which each sequent has only below its
     # formulas' heads; the steering once computed their truth rows anyway
@@ -251,7 +272,7 @@ def test_check_fails_with_witness(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["result"] == "fails"
     assert data["stats"] == {
-        "path": "bitset", "components": 2, "assignments": 8,
+        "path": "bitset", "components": 2, "assignments": 38,
     }
     # the reported witness undesignates every conclusion on the named matrix
     from mvlogic.formula import parse_formula

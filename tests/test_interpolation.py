@@ -74,7 +74,6 @@ def test_eip_not_entailed():
 def test_maehara_single_case():
     inst = InterpolationInstance(
         parse_formula_set("p"), frozenset(), parse_formula("p | q"),
-        ASSERTIONAL,
     )
     xi = maehara_interpolant(inst)
     assert xi == parse_formula("p & @p")
@@ -83,7 +82,6 @@ def test_maehara_single_case():
 def test_maehara_vacuous_premises():
     inst = InterpolationInstance(
         parse_formula_set("bot & p"), frozenset(), parse_formula("p"),
-        ASSERTIONAL,
     )
     xi = maehara_interpolant(inst)
     assert xi == parse_formula("bot")
@@ -92,7 +90,7 @@ def test_maehara_vacuous_premises():
 def test_maehara_verified_instance():
     inst = InterpolationInstance(
         parse_formula_set("p & @p, q"), parse_formula_set("q => r"),
-        parse_formula("r & p"), ASSERTIONAL,
+        parse_formula("r & p"),
     )
     xi = maehara_interpolant(inst)
     shared = variables(inst.phi) & variables(inst.psi | {inst.goal})
@@ -106,7 +104,7 @@ def test_maehara_cross_conjuncts_for_b_and_n_values():
     # n adds ~@(x => y) for x valued b and y valued n
     inst = InterpolationInstance(
         parse_formula_set("r | q & p"), frozenset(),
-        parse_formula("(p & q) | r"), ASSERTIONAL,
+        parse_formula("(p & q) | r"),
     )
     subs = subformulas(maehara_interpolant(inst))
     assert parse_formula("~@(p => q)") in subs
@@ -116,7 +114,6 @@ def test_maehara_cross_conjuncts_for_b_and_n_values():
 def test_maehara_needs_shared_variables():
     inst = InterpolationInstance(
         parse_formula_set("p"), frozenset(), parse_formula("q | ~q"),
-        ASSERTIONAL,
     )
     with pytest.raises(NoSharedVariables):
         maehara_interpolant(inst)

@@ -66,7 +66,7 @@ def problems(draw, model_names=MODEL_NAMES, max_vars=3):
 def reference_check(problem):
     """check_consequence by backtracking alone, with its CheckStats worked
     out apart: the components visited up to the answer, each counting the
-    assignments of its variables' allowed values in carrier order, in
+    assignments of all its values, in carrier order, to the variables, in
     full, or up to and including the witness's (its mixed-radix rank + 1,
     first variable in canonical order most significant); the path is
     "backtrack" once a visited component has a table entry that keeps
@@ -93,7 +93,7 @@ def reference_check(problem):
             ):
                 path = "backtrack"
             cons = {f: inside & base.get(f, inside) for f in domain}
-            digits = [[v for v in comp if v in cons[x]] for x in variables]
+            digits = [comp] * len(variables)
             found = solve_valuations(m, domain, cons, limit=1)
             if found:
                 rank = 0
