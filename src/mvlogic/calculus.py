@@ -112,15 +112,17 @@ class ProveStats:
     Set-Fmla answer came from the source calculus, and "closed" when the
     premises meet the goal: the root closes before any grounding, so every
     count is 0 but the one node.
-    universe is |Λ|, Λ = sub(premises ∪ goal), on route "model", the size
-    of the analyticity set's universe on route "cdcl", and None without an
-    analyticity set or work.  core counts the instances in the minimal
-    unsatisfiable core, steps the tree search's steps, nodes the proof
-    tree's nodes (its unfolding, when subtrees are shared) and reused the
-    branch children closed by a subtree the search had closed before.
-    assignments (those of the core's minimization included) plus steps
-    count against budget_nodes; on a Set-Fmla calculus that tries more
-    than one clause set they, and conflicts, add up every attempt.
+    universe is |Λ|, Λ = sub(premises ∪ goal), on route "model", on route
+    "cdcl" the size of the universe of the level that decided (|Λ| when
+    Λ's instances did, else |Ξ(Λ)|), and None without an analyticity set
+    or work.  instances, core, nodes and reused are that level's too.
+    core counts the instances in the minimal unsatisfiable core, steps the
+    tree search's steps, nodes the proof tree's nodes (its unfolding, when
+    subtrees are shared) and reused the branch children closed by a
+    subtree the search had closed before.  assignments (those of the
+    core's minimization included) plus steps count against budget_nodes;
+    they, and conflicts, add up every level, and on a Set-Fmla calculus
+    that tries more than one clause set every attempt.
     valuations counts the valuations the check on the models decided: on
     each component it visited, every assignment of the component's values
     to the sequent's variables, up to the witness.  It is 0 when that check
@@ -747,16 +749,21 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     the clause ¬Γ ∨ Δ, premises are true and goal formulas false, so the
     models are exactly the saturated partitions.  The rules' variables range
     over the subformulas of the sequent; with an analyticity set an
-    instance must also stay inside the universe.  A model is then the
+    instance must also stay inside a universe, and the universes widen
+    (see _levels): Λ = sub(premises ∪ goal) first, since most proofs need
+    no other formula, then Ξ(Λ), which the calculus's analyticity makes
+    complete.  A model of Λ's instances proves nothing, so Ξ(Λ) is
+    grounded and decided only then.  A model of the last level is the
     refutation (Ω its true formulas) when the calculus's models interpret
     every connective of the sequent, and Inconclusive otherwise, since no
-    countermodel exists.  Without an analyticity set a model is always
-    Inconclusive: it shows only that these instances do not derive the
-    sequent, and the calculus may derive it through other formulas.
-    Unsatisfiable, the core the solver used is shrunk until every instance
-    in it is needed, and the proof tree is searched over those instances
-    only.  The solver's assignments and the search's steps
-    share budget_nodes; a decided sequent whose tree does not fit stays
+    countermodel exists.  Without an analyticity set there is one level
+    and a model is always Inconclusive: it shows only that these instances
+    do not derive the sequent, and the calculus may derive it through
+    other formulas.  Unsatisfiable, the core the solver used is shrunk
+    until every instance in it is needed, and the proof tree is searched
+    over those instances only.  The solver's assignments and the search's
+    steps share budget_nodes, across the levels too: a level gets what the
+    ones before it left.  A decided sequent whose tree does not fit stays
     OutOfBudget.
 
     A calculus made by to_set_fmla_calculus from an analytic source is
@@ -782,11 +789,18 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     res, valuations = _refute_on_models(calc, premises, goal, targets, budget_nodes)
     if res is not None:
         return res
-    universe = None
-    if calc.xi is not None:
-        universe = frozenset(generalized_subformulas(base, calc.xi))
-    ground = _build_instances(calc, targets, universe)
-    res = _decide(calc, premises, goal, universe, ground, budget_nodes, valuations)
+    res, left = None, budget_nodes
+    for universe in _levels(calc, base, targets):
+        if res is not None:
+            # a model of the narrower level proves nothing: widen
+            left = budget_nodes - _spent(res.stats)
+            if left <= 0:
+                return OutOfBudget(res.stats)
+        ground = _build_instances(calc, targets, universe)
+        level = _decide(calc, premises, goal, universe, ground, left, valuations)
+        res = level if res is None else _with_work(level, res.stats)
+        if isinstance(res, (Proved, OutOfBudget)):
+            break
     if calc.source is None or isinstance(res, Proved):
         return res
     left = budget_nodes - _spent(res.stats)
@@ -799,6 +813,20 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     if isinstance(res, Inconclusive) and isinstance(replayed, Inconclusive):
         return res
     return OutOfBudget(res.stats)
+
+
+def _levels(calc, base, targets):
+    """The universes the clause route decides on, narrowest first: Λ =
+    targets, then Ξ(Λ), skipped when it adds nothing; one level, None,
+    without an analyticity set.  Ξ(Λ) is built only when asked for."""
+    if calc.xi is None:
+        yield None
+        return
+    lam = frozenset(targets)
+    yield lam
+    wider = frozenset(generalized_subformulas(base, calc.xi))
+    if wider != lam:
+        yield wider
 
 
 def _spent(stats):

@@ -609,14 +609,16 @@ def matrix_from_json(text):
 
 
 def calculus_to_json(c):
-    """The calculus as JSON: its rules, analyticity set, framework and the
+    """The calculus as JSON, format 2: its rules, analyticity set (null for
+    none, so that an empty one reads back as empty), framework and the
     names of its models, which must be registered matrices to read back."""
     return json.dumps(
         {
+            "format": 2,
             "name": c.name,
             "framework": c.framework,
             "models": [m.name for m in c.models or ()],
-            "xi": [render_formula(f) for f in (c.xi or ())],
+            "xi": None if c.xi is None else [render_formula(f) for f in c.xi],
             "rules": [
                 {
                     "name": r.name,
@@ -641,7 +643,13 @@ def calculus_from_json(text):
         )
         for r in data["rules"]
     ]
-    xi = tuple(parse_formula(f) for f in data.get("xi", [])) or None
+    fmt = data.get("format", 1)
+    if fmt not in (1, 2):
+        raise ValueError("unknown calculus format %r" % fmt)
+    xi = data.get("xi")
+    if fmt == 1:
+        xi = xi or None  # before format 2, an empty list meant no Ξ
+    xi = None if xi is None else tuple(parse_formula(f) for f in xi)
     framework = data.get("framework", SET_SET)
     if framework not in (SET_SET, SET_FMLA):
         raise ValueError("unknown framework %r" % framework)

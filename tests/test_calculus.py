@@ -327,20 +327,21 @@ def test_wider_ladder_within_the_benchmark_budget():
     assert isinstance(res, Proved)
     stats = res.stats
     assert (stats.core, stats.nodes) == (73, 17_646)
-    # the deletion trials rotate their models, so many solves are spared
-    assert stats.assignments == 9_849
-    assert stats.assignments + stats.steps <= 50_000
+    # the deletion trials rotate their models, so many solves are spared;
+    # 11 of the assignments find the model of Λ's instances first
+    assert stats.assignments == 9_860
+    assert stats.assignments + stats.steps == 11_423 <= 50_000
     assert validate_tree(R_LEQ, res.tree, premises, goal) is None
     # one node short of assignments + steps, the decided sequent still has
     # no certificate
-    res = prove(R_LEQ, premises, goal, budget_nodes=11_411)
+    res = prove(R_LEQ, premises, goal, budget_nodes=11_422)
     assert isinstance(res, OutOfBudget)
 
 
 def test_r_up_wider_ladder_within_the_benchmark_budget():
     # the k=3 ladder on r-up needs the largest tree of the prover's
     # workload: it fits only because model rotation keeps the core's
-    # minimization to 13,379 assignments
+    # minimization to 13,390 assignments, 11 of them Λ's
     calc = lookup(KIND_CALCULUS, "r-up").payload
     premises = parse_formula_set("~(p1 & p2 & p3)")
     goal = parse_formula_set("~p1 | ~p2 | ~p3")
@@ -348,7 +349,7 @@ def test_r_up_wider_ladder_within_the_benchmark_budget():
     assert isinstance(res, Proved)
     stats = res.stats
     assert (stats.core, stats.steps, stats.nodes, stats.assignments) == (
-        95, 1_769, 32_391, 13_379
+        95, 1_769, 32_391, 13_390
     )
     assert stats.assignments + stats.steps <= 50_000
     assert _count(res.tree) == stats.nodes
@@ -383,8 +384,9 @@ def test_five_variable_ladder_is_steered():
 
 
 def test_budget_spent_in_the_core_minimization(monkeypatch):
-    # the r-up k=3 ladder's first solve takes 1,557 assignments: a budget
-    # that covers it but not the core's minimization leaves the sequent
+    # the r-up k=3 ladder's first solve over the Ξ-universe takes 1,557
+    # assignments, after 11 that find a model of Λ's instances: a budget
+    # that covers both but not the core's minimization leaves the sequent
     # decided but OutOfBudget, with no core and no search
     calc = lookup(KIND_CALCULUS, "r-up").payload
     premises, goal = (parse_formula_set(t) for t in _ladder(3))
@@ -401,7 +403,7 @@ def test_budget_spent_in_the_core_minimization(monkeypatch):
     (least,) = minimized
     assert least.core is None
     stats = res.stats
-    assert stats.assignments - least.assignments == 1_557
+    assert stats.assignments - least.assignments == 11 + 1_557
     assert stats.assignments > 5_000
     assert (stats.route, stats.core, stats.steps) == ("cdcl", 0, 0)
 
@@ -709,6 +711,67 @@ def test_set_fmla_attempts_share_one_budget(monkeypatch):
     assert own.assignments > 0 and res.stats.assignments == own.assignments
 
 
+def test_universe_levels_share_one_budget(monkeypatch):
+    # r-leq's ~~p |- p: Λ's instances have a model, which proves nothing,
+    # so the Ξ-universe decides with the budget Λ left.  The answer adds up
+    # both levels' work and reports the size of the level that decided.
+    from mvlogic import calculus
+
+    levels, grounded, widened = [], [], []
+
+    def spy(calc, premises, goal, universe, ground, budget_nodes, valuations=0):
+        res = _decide(calc, premises, goal, universe, ground, budget_nodes, valuations)
+        levels.append((universe, budget_nodes, res))
+        return res
+
+    def ground(calc, targets, universe):
+        grounded.append(universe)
+        return _build_instances(calc, targets, universe)
+
+    def wider(base, xi):
+        widened.append(base)
+        return generalized_subformulas(base, xi)
+
+    monkeypatch.setattr(calculus, "_decide", spy)
+    monkeypatch.setattr(calculus, "_build_instances", ground)
+    monkeypatch.setattr(calculus, "generalized_subformulas", wider)
+    premises, goal = parse_formula_set("~~p"), parse_formula_set("p")
+    lam = subformulas(premises | goal)
+    res = prove(R_LEQ, premises, goal, budget_nodes=1_000)
+    assert isinstance(res, Proved)
+    (u0, b0, first), (u1, b1, second) = levels
+    assert u0 == lam and isinstance(first, Refuted)
+    assert u1 == generalized_subformulas(premises | goal, R_LEQ.xi) > lam
+    spent = first.stats.assignments + first.stats.steps
+    assert b0 == 1_000 and b1 == 1_000 - spent
+    for count in ("assignments", "conflicts", "steps"):
+        assert getattr(res.stats, count) == (
+            getattr(first.stats, count) + getattr(second.stats, count)
+        )
+    assert res.stats.universe == len(u1)
+    assert (res.stats.instances, res.stats.core, res.stats.nodes) == (
+        second.stats.instances, second.stats.core, second.stats.nodes
+    )
+    # a budget that Λ alone exhausts, with or without finding its model,
+    # is out of budget before the Ξ-universe is grounded
+    for budget in (spent - 1, spent):
+        del levels[:], grounded[:]
+        res = prove(R_LEQ, premises, goal, budget_nodes=budget)
+        assert isinstance(res, OutOfBudget)
+        assert grounded == [lam] and res.stats.universe == len(lam)
+    # a sequent Λ proves never builds the Ξ-universe
+    del levels[:], grounded[:], widened[:]
+    premises, goal = parse_formula_set("p & q"), parse_formula_set("q & p")
+    assert isinstance(prove(R_LEQ, premises, goal), Proved)
+    assert grounded == [subformulas(premises | goal)] and widened == []
+    # an empty Ξ adds nothing to Λ: its one level's model is the answer
+    del levels[:], grounded[:]
+    bare = replace(R_LEQ, xi=(), models=None)
+    res = prove(bare, parse_formula_set("p"), parse_formula_set("q"))
+    assert isinstance(res, Refuted) and res.stats.route == "cdcl"
+    assert len(levels) == 1 and res.stats.universe == 2
+
+
 def test_budget_runs_out_inside_the_unit_steps():
     # a -> b -> c -> d: the root and each of the three unit steps is a step
     a, b, c, d = (var(n) for n in "abcd")
@@ -974,6 +1037,23 @@ def assert_realizes(matrix, valuation, part, premises, goal):
 # the calculi without an analyticity set whose clause sets have a model
 # that their models do not refute
 SMALL_SCOPE_INCONCLUSIVE = {"moisil": 66, "moisil-m12": 66, "pp-top-rules": 62}
+# the analytic calculi's clause-route proofs that close at the first level,
+# over Λ alone: all of them, but r-leq's and r-up's 17 of 62 each, which
+# need the Ξ-universe
+SMALL_SCOPE_CLOSED_AT_LAMBDA = {
+    "letk-nine": 62, "r-b": 26, "r-h-ub": 62, "r-leq": 45, "r-m-a1": 62,
+    "r-pp-leq": 62, "r-up": 45,
+}
+
+
+def _added(tree):
+    """Every formula a node of the tree adds: the formulas of its labels."""
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        out |= node.adds
+        stack.extend(node.children)
+    return out
 
 
 @pytest.mark.parametrize("name", names(KIND_CALCULUS))
@@ -988,13 +1068,17 @@ def test_every_small_sequent_is_certified(name):
         for g in fs
     ]
     assert len(sequents) == (72 if name == "r-b" else 156)
-    inconclusive = 0
+    inconclusive = closed_at_lambda = 0
     for premises, goal in sequents:
         res = prove(calc, premises, goal, budget_nodes=10_000)
         sem = check_consequence(ConsequenceProblem(calc.models, premises, goal))
         if isinstance(res, Proved):
             assert validate_tree(calc, res.tree, premises, goal) is None
             assert isinstance(sem, Holds)
+            lam = subformulas(premises | goal)
+            if res.stats.route == "cdcl" and res.stats.universe == len(lam):
+                assert _added(res.tree) <= lam
+                closed_at_lambda += 1
         elif isinstance(res, Refuted):
             assert isinstance(sem, Fails)
             if res.countermodel is not None:
@@ -1004,6 +1088,7 @@ def test_every_small_sequent_is_certified(name):
             assert isinstance(res, Inconclusive), (premises, goal, res)
             inconclusive += 1
     assert inconclusive == SMALL_SCOPE_INCONCLUSIVE.get(name, 0)
+    assert closed_at_lambda == SMALL_SCOPE_CLOSED_AT_LAMBDA.get(name, 0)
 
 
 @pytest.mark.parametrize("name", [

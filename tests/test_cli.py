@@ -119,7 +119,7 @@ def test_prove_json_stats(capsys):
     assert run(argv) == EXIT_POSITIVE
     stats = json.loads(capsys.readouterr().out)["stats"]
     assert stats == {
-        "route": "cdcl", "universe": 18, "instances": 18, "assignments": 8,
+        "route": "cdcl", "universe": 7, "instances": 9, "assignments": 8,
         "conflicts": 1, "core": 3, "steps": 5, "nodes": 5, "reused": 0,
         "valuations": 16,
     }

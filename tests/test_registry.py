@@ -1,9 +1,12 @@
 """Built-in algebras, matrices, calculi and the JSON exchange formats."""
 
+import json
+
 import pytest
 
+from mvlogic.calculus import Calculus, Inconclusive, Refuted, prove
 from mvlogic.errors import NotFound
-from mvlogic.formula import parse_formula
+from mvlogic.formula import parse_formula, parse_formula_set, render_formula
 from mvlogic.registry import (
     ALG_PP6H,
     G10,
@@ -187,6 +190,44 @@ def test_calculus_import_defaults_and_rejects():
         calculus_from_json(text[:-1] + ', "framework": "set-bag"}')
     with pytest.raises(NotFound):
         calculus_from_json(text[:-1] + ', "models": ["nonesuch"]}')
+
+
+def test_empty_analyticity_set_round_trips():
+    # with Ξ = () every instance stays inside Λ, so a model of the clause
+    # set refutes p |- q; read back as no Ξ it would prove nothing
+    rules = lookup(KIND_CALCULUS, "r-b").payload.rules
+    calc = Calculus("rb0", rules, (), "set-set")
+    text = calculus_to_json(calc)
+    assert json.loads(text)["format"] == 2
+    again = calculus_from_json(text)
+    assert again.xi == ()
+    premises, goal = parse_formula_set("p"), parse_formula_set("q")
+    for c in (calc, again):
+        res = prove(c, premises, goal)
+        assert isinstance(res, Refuted) and res.stats.route == "cdcl"
+    # no Ξ is null, and reads back as None
+    data = json.loads(calculus_to_json(lookup(KIND_CALCULUS, "moisil").payload))
+    assert data["xi"] is None
+    assert calculus_from_json(json.dumps(data)).xi is None
+
+
+def test_calculus_export_without_format_reads_as_before():
+    # before format 2 an export had no "format" key, and an empty "xi" list
+    # meant no analyticity set
+    moisil = lookup(KIND_CALCULUS, "moisil").payload
+    rules = [
+        {"name": r.name, "premises": sorted(map(render_formula, r.antecedent)),
+         "conclusions": sorted(map(render_formula, r.succedent))}
+        for r in moisil.rules
+    ]
+    old = {"name": "moisil", "framework": "set-fmla", "models": ["pp6h-uht"],
+           "xi": [], "rules": rules}
+    calc = calculus_from_json(json.dumps(old))
+    assert calc.xi is None and calc.rules == moisil.rules
+    res = prove(calc, frozenset(), parse_formula_set("q => q"))
+    assert isinstance(res, Inconclusive)
+    with pytest.raises(ValueError):
+        calculus_from_json(json.dumps(dict(old, format=3)))
 
 
 def test_pp6h_subalgebra_constants():
