@@ -15,13 +15,16 @@ table is keyed by index tuples.  Two evaluators share that form.
   last (:meth:`Compiled.single_valued`): a binary node takes, per value of
   its first argument whose row is not empty, one ``&`` per output value,
   with the second argument's rows for that output summed (they are
-  disjoint), and none when every second value gives the same output.
-  :func:`first_hit` lets several selections, one per matrix over the same
-  component, read the same rows, one chunk of assignments at a time, and
-  :func:`satisfying` lists what one selection marks.  Both read the values
-  they return (a witness, an assignment) off the rows with
-  :meth:`Bitsets.values`, and drop a chunk's rows before the next chunk's
-  are built.
+  disjoint), and none when every second value gives the same output.  A
+  plan reads a component's values as positions, its members in carrier
+  order, and is shared by every component of the algebra with the same
+  restricted tables under that renaming: one per component shape.
+  :func:`first_hit` lets several selections, one per matrix over a
+  component of that shape, read the same rows, one chunk of assignments
+  at a time, and :func:`satisfying` lists what one selection marks.  Both
+  read the values they return (a witness, an assignment) off the rows
+  with :meth:`Bitsets.values`, and drop a chunk's rows before the next
+  chunk's are built.
 * :meth:`Compiled.row` is the one set-valued memo: a connective with the
   masks of every argument but the last fixed, at one carrier position,
   maps the last argument's mask to the mask of every output on argument
@@ -112,6 +115,7 @@ class Compiled:
         self.identity = tuple(1 << i for i in range(self.n))
         self._rows = {}
         self._restricted = {}
+        self._shapes = {}
         self._components = None
 
     @staticmethod
@@ -168,7 +172,10 @@ class Compiled:
     def single_valued(self, comp):
         """The tables restricted to the values in the mask comp, in the
         layout :class:`Bitsets` evaluates them by, or None when an entry
-        keeps other than one value there.
+        keeps other than one value there.  Values are the component's
+        positions ``0..m-1``, its members in carrier order, so on the whole
+        carrier they are the carrier indices; components whose restricted
+        tables are equal under that renaming get one plan object.
 
         Per connective, a tuple of (prefix, whole, singles, multis), one per
         prefix: a tuple of values for every argument but the last.  whole is
@@ -177,23 +184,31 @@ class Compiled:
         output that one last value gives with that value, and multis each
         output that several give with the tuple of them."""
         if comp not in self._restricted:
-            self._restricted[comp] = self._restrict(comp)
+            plans = self._restrict(comp)
+            if plans is not None:
+                # a plan shows its component's size in its prefixes: only an
+                # algebra with a connective of arity 2 or more has more
+                # than one component
+                plans = self._shapes.setdefault(tuple(plans.items()), plans)
+            self._restricted[comp] = plans
         return self._restricted[comp]
 
     def _restrict(self, comp):
         inside = self.members(comp)
+        positions = range(len(inside))
+        position = dict(zip(inside, positions))
         out = {}
         for conn, table in self.tables.items():
             arity = self.arity[conn]
             plan = []
-            for prefix in product(inside, repeat=max(arity - 1, 0)):
-                keys = [prefix + (x,) for x in inside] if arity else [()]
+            for prefix in product(positions, repeat=max(arity - 1, 0)):
+                keys = [prefix + (x,) for x in positions] if arity else [()]
                 groups = {}
                 for key in keys:
-                    got = table[key] & comp
+                    got = table[tuple(inside[x] for x in key)] & comp
                     if not got or got & (got - 1):
                         return None
-                    groups.setdefault(got.bit_length() - 1, []).extend(key[-1:])
+                    groups.setdefault(position[got.bit_length() - 1], []).extend(key[-1:])
                 if len(groups) == 1:
                     plan.append((prefix, next(iter(groups)), (), ()))
                     continue

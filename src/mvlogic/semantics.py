@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import prod
 
 from . import kernel
 from .errors import ArityError, FrameworkMismatch, RepeatedValue, UnknownConnective, ValueAbsent
@@ -85,11 +84,14 @@ class CheckStats:
     """The work behind a consequence answer.  path is "bitset" when every
     component visited was decided by the bitset kernel and "backtrack" when
     some needed solve_valuations; assignments counts the assignments of
-    component values to the variables decided, up to any witness."""
+    component values to the variables decided, up to any witness; shapes
+    counts the sets of bitset rows evaluated, one per group of visited
+    single-valued components that share a plan."""
 
     path: str
     components: int
     assignments: int
+    shapes: int
 
 
 @dataclass(frozen=True)
@@ -181,18 +183,28 @@ def total_components(m):
 
 class _Visit:
     """One total component (a mask) of one matrix, as check_consequence
-    visits it.  masks maps each premise and conclusion to the mask of the
-    values the matrix lets it take; digits are the component's values, in
-    carrier order, for every variable, and size is the number of their
-    assignments.  plans is None when some table keeps other than one
-    value on the component."""
+    visits it.  A position is the index of a member of the component in
+    carrier order, and values maps each position to its value.  plans is
+    None when some table keeps other than one value on the component.
+    masks maps each premise and conclusion to the mask of the values the
+    matrix lets it take, by position when there are plans, which read
+    values by position.  digits are the positions for every variable, and
+    size is the number of their assignments."""
 
     def __init__(self, idx, m, comp, masks, variables):
         k = kernel.compiled(m.algebra)
-        self.idx, self.m, self.k, self.comp, self.masks = idx, m, k, comp, masks
+        self.idx, self.m, self.k, self.comp = idx, m, k, comp
         self.plans = k.single_valued(comp)
-        self.digits = (tuple(k.members(comp)),) * len(variables)
-        self.size = prod(map(len, self.digits))
+        # on the whole carrier, positions are carrier indices: nothing moves
+        self.values = k.carrier
+        if comp != k.all:
+            members = k.members(comp)
+            self.values = [k.carrier[i] for i in members]
+            if self.plans is not None:
+                masks = {f: _positions(mask, members) for f, mask in masks.items()}
+        self.masks = masks
+        self.digits = (tuple(range(len(self.values))),) * len(variables)
+        self.size = len(self.values) ** len(variables)
 
     def select(self, bitsets):
         """The assignments meeting every constraint."""
@@ -211,8 +223,13 @@ class _Visit:
         found = solve_valuations(self.m, domain, cons, limit=1)
         if not found:
             return None, None
-        values = [k.carrier.index(found[0][x]) for x in variables]
+        values = [self.values.index(found[0][x]) for x in variables]
         return found[0], kernel.rank(self.digits, values)
+
+
+def _positions(mask, members):
+    """mask with bit i of each member moved to that member's position."""
+    return sum(1 << j for j, i in enumerate(members) if mask >> i & 1)
 
 
 def check_consequence(problem):
@@ -223,10 +240,13 @@ def check_consequence(problem):
 
     Each matrix is searched on its total components in turn.  Components
     whose tables restrict to single values are decided by the bitset
-    kernel, the others by solve_valuations.  Every matrix over one algebra
-    component (a class of filters on one algebra) reads the same rows, of
-    every assignment of its values to the variables: each formula is
-    evaluated once per chunk, and each matrix only selects what it wants."""
+    kernel, the others by solve_valuations.  Rows are shared per component
+    shape: every component of one algebra whose restricted tables are equal
+    once its values are renamed to their positions has one plan, and every
+    matrix over such a component (a class of filters on one algebra, or
+    the like components of one PNmatrix) reads the same rows, of every
+    assignment of positions to the variables: each formula is evaluated
+    once per chunk, and each visit only selects what it wants."""
     premises = frozenset(problem.premises)
     conclusions = frozenset(problem.conclusions)
     if problem.mode == SET_FMLA and len(conclusions) != 1:
@@ -246,11 +266,11 @@ def check_consequence(problem):
         if not all(masks.values()):
             continue
         visits.extend(_Visit(idx, m, comp, masks, variables) for comp in k.components())
-    # the visits that read the same rows, by position
+    # the visits that read the same rows: one group per plan
     shared = {}
     for i, v in enumerate(visits):
         if v.plans is not None:
-            shared.setdefault((v.k, v.comp), []).append(i)
+            shared.setdefault(id(v.plans), []).append(i)
     # the earliest visit with a witness: (position, witness, rank)
     hit = None
     for i, v in enumerate(visits):
@@ -262,23 +282,26 @@ def check_consequence(problem):
                 hit = i, witness, rank
             continue
         # a group is searched at its first visit, for its visits before hit
-        group = [j for j in shared.pop((v.k, v.comp), ())
+        group = [j for j in shared.pop(id(v.plans), ())
                  if hit is None or j < hit[0]]
         if not group:
             continue
         selects = [visits[j].select for j in group]
-        found = kernel.first_hit(v.plans, v.k.n, variables, v.digits, selects, order)
+        found = kernel.first_hit(v.plans, len(v.values), variables, v.digits, selects, order)
         if found is not None:
             j, rank, values = found
-            hit = group[j], dict(zip(order, map(v.k.carrier.__getitem__, values))), rank
+            own = visits[group[j]].values
+            hit = group[j], dict(zip(order, map(own.__getitem__, values))), rank
     decided = visits if hit is None else visits[:hit[0] + 1]
     path = "bitset"
     if any(v.plans is None for v in decided):
         path = "backtrack"
+    shapes = len({id(v.plans) for v in decided if v.plans is not None})
     if hit is None:
-        return Holds(CheckStats(path, len(decided), sum(v.size for v in decided)))
+        stats = CheckStats(path, len(decided), sum(v.size for v in decided), shapes)
+        return Holds(stats)
     covered = sum(v.size for v in decided[:-1]) + hit[2] + 1
-    return Fails(decided[-1].idx, hit[1], CheckStats(path, len(decided), covered))
+    return Fails(decided[-1].idx, hit[1], CheckStats(path, len(decided), covered, shapes))
 
 
 def check_rule_soundness(rule, models):

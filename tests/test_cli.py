@@ -259,7 +259,7 @@ def test_check_holds(capsys):
     # component is visited
     assert json.loads(capsys.readouterr().out) == {
         "result": "holds",
-        "stats": {"path": "bitset", "components": 0, "assignments": 0},
+        "stats": {"path": "bitset", "components": 0, "assignments": 0, "shapes": 0},
     }
 
 
@@ -272,7 +272,7 @@ def test_check_fails_with_witness(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["result"] == "fails"
     assert data["stats"] == {
-        "path": "bitset", "components": 2, "assignments": 38,
+        "path": "bitset", "components": 2, "assignments": 38, "shapes": 1,
     }
     # the reported witness undesignates every conclusion on the named matrix
     from mvlogic.formula import parse_formula

@@ -5,6 +5,8 @@ evaluators out of the product's code; and the prover's rule grounding
 against the plain product-and-filter grounding."""
 
 import ast
+import gc
+import sys
 import weakref
 from collections import Counter
 from itertools import product
@@ -37,13 +39,21 @@ from mvlogic.formula import (
     variables,
 )
 from mvlogic.interpolation import valuation_family
-from mvlogic.registry import MAT_PP6H, lookup, names, resolve_models
+from mvlogic.registry import (
+    MAT_PP6H,
+    lookup,
+    matrix_from_json,
+    matrix_to_json,
+    names,
+    resolve_models,
+)
 from mvlogic.semantics import (
     CheckStats,
     ConsequenceProblem,
     Fails,
     Holds,
     MultiAlgebra,
+    PNMatrix,
     check_consequence,
     solve_valuations,
     total_components,
@@ -70,11 +80,17 @@ def reference_check(problem):
     full, or up to and including the witness's (its mixed-radix rank + 1,
     first variable in canonical order most significant); the path is
     "backtrack" once a visited component has a table entry that keeps
-    other than one value there."""
+    other than one value there; shapes counts the distinct restricted
+    tables of the visited components that keep one value everywhere, per
+    algebra, with each value renamed to its position in the component."""
     premises, conclusions = problem.premises, problem.conclusions
     domain = subformulas(premises | conclusions)
     variables = sorted((f for f in domain if f.is_var), key=canon_key)
-    path, visited, covered = "bitset", 0, 0
+    path, visited, covered, shapes = "bitset", 0, 0, set()
+
+    def stats(assignments):
+        return CheckStats(path, visited, assignments, len(shapes))
+
     for idx, m in enumerate(problem.models):
         carrier = frozenset(m.carrier)
         base = {f: m.designated for f in premises}
@@ -85,13 +101,18 @@ def reference_check(problem):
         for comp in total_components(m):
             visited += 1
             inside = frozenset(comp)
-            if any(
-                len(out & inside) != 1
-                for table in m.algebra.interp.values()
+            restricted = {
+                (conn, tuple(map(comp.index, key))): out & inside
+                for conn, table in m.algebra.interp.items()
                 for key, out in table.items()
                 if inside.issuperset(key)
-            ):
+            }
+            if any(len(out) != 1 for out in restricted.values()):
                 path = "backtrack"
+            else:
+                shapes.add((id(m.algebra), len(comp), frozenset(
+                    (entry, comp.index(v)) for entry, (v,) in restricted.items()
+                )))
             cons = {f: inside & base.get(f, inside) for f in domain}
             digits = [comp] * len(variables)
             found = solve_valuations(m, domain, cons, limit=1)
@@ -99,10 +120,9 @@ def reference_check(problem):
                 rank = 0
                 for x, ds in zip(variables, digits):
                     rank = rank * len(ds) + ds.index(found[0][x])
-                stats = CheckStats(path, visited, covered + rank + 1)
-                return Fails(idx, found[0], stats)
+                return Fails(idx, found[0], stats(covered + rank + 1))
             covered += prod(map(len, digits))
-    return Holds(CheckStats(path, visited, covered))
+    return Holds(stats(covered))
 
 
 def assert_same_answer(problem):
@@ -164,7 +184,128 @@ def test_class_evaluates_each_chunk_once(chunk, sizes):
         sizes_built = watch_bitsets(mp)
         got = assert_same_answer(problem)
     assert sizes_built == sizes
-    assert got.stats == CheckStats("bitset", 3, 3 * 6**4)
+    assert got.stats == CheckStats("bitset", 3, 3 * 6**4, 1)
+
+
+@pytest.mark.parametrize("name, components", [("m-up", 4), ("m-leq", 3)])
+@pytest.mark.parametrize("chunk, sizes", [(kernel.CHUNK, [6**4]), (36, [36] * 36)])
+def test_components_of_one_shape_evaluate_each_chunk_once(name, components, chunk, sizes):
+    # the total components of m-up and m-leq have equal restricted tables
+    # once their six values are renamed to positions in carrier order:
+    # each chunk's rows are built once for all of them
+    problem = ConsequenceProblem([lookup("matrix", name).payload], *_ladder(4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "CHUNK", chunk)
+        sizes_built = watch_bitsets(mp)
+        got = assert_same_answer(problem)
+    assert sizes_built == sizes
+    assert got.stats == CheckStats("bitset", components, components * 6**4, 1)
+
+
+GLUED_SIG = {"top": 0, "neg": 1, "and": 2}
+
+
+@st.composite
+def glued_problems(draw):
+    """A problem on one PNmatrix whose total components are copies of a
+    random single-valued base on m values, on disjoint sets of values
+    interleaved at random in the carrier; every entry across two copies is
+    empty, so the copies are exactly the components.  Two or more copies
+    are the base on their members in carrier order (they share rows);
+    others are the base under a permutation of those members (equal only
+    under a non-monotone renaming, unless the permutation is an
+    automorphism), or the base with one entry given a drawn value of the
+    copy besides its own (not single-valued when the two differ).  Each
+    copy designates some, none or all of its values."""
+    m = draw(st.integers(2, 3))
+    base = {
+        conn: {key: draw(st.integers(0, m - 1)) for key in product(range(m), repeat=arity)}
+        for conn, arity in GLUED_SIG.items()
+    }
+    kinds = ["same", "same"] + draw(st.lists(
+        st.sampled_from(["permuted", "multi", "same"]), min_size=1, max_size=2))
+    kinds = draw(st.permutations(kinds))
+    order = draw(st.permutations(range(m * len(kinds))))
+    carrier = ["v%d" % i for i in range(m * len(kinds))]
+    interp = {conn: {} for conn in GLUED_SIG}
+    designated = set()
+    for c, kind in enumerate(kinds):
+        members = [carrier[i] for i in sorted(order[c * m:(c + 1) * m])]
+        # a copy that designates none or all of its values passes every
+        # sequent with a premise or a conclusion, and the search goes on
+        designated.update(draw(st.one_of(
+            st.sets(st.sampled_from(members), min_size=1, max_size=m - 1),
+            st.just(()), st.just(members))))
+        if kind == "permuted":
+            # a rotation when the drawn permutation keeps the order
+            members = draw(st.permutations(members))
+            if members == sorted(members, key=carrier.index):
+                members = members[1:] + members[:1]
+        for conn, table in base.items():
+            for key, out in table.items():
+                got = interp[conn].setdefault(tuple(members[x] for x in key), set())
+                got.add(members[out])
+        if kind == "multi":
+            conn = draw(st.sampled_from(sorted(GLUED_SIG)))
+            key = draw(st.sampled_from(sorted(base[conn])))
+            interp[conn][tuple(members[x] for x in key)].add(
+                draw(st.sampled_from(members)))
+    for conn, arity in GLUED_SIG.items():
+        for key in product(carrier, repeat=arity):
+            interp[conn].setdefault(key, set())
+    alg = MultiAlgebra("glued", carrier, interp)
+    matrix = PNMatrix("glued", alg, designated)
+    vs = ["p", "q", "r"][: draw(st.integers(1, 3))]
+    side = st.frozensets(formulas(GLUED_SIG, vs), min_size=1, max_size=2)
+    return ConsequenceProblem([matrix], draw(side), draw(side))
+
+
+@pytest.mark.parametrize("chunk", [kernel.CHUNK, 7])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(problem=glued_problems())
+def test_components_share_rows_by_shape(chunk, problem):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "CHUNK", chunk)
+        watch_bitsets(mp)
+        assert_same_answer(problem)
+
+
+def test_a_copy_under_a_non_monotone_renaming_keeps_its_own_rows():
+    # neg is x -> x+1 capped at 2 on the a copy, and the same on the b
+    # copy under the renaming b1, b0, b2, which is not in carrier order:
+    # by position, neg is 0 -> 1 -> 2 on a and 1 -> 0 -> 2 on b, so each
+    # copy gets its own rows.  p |- ~p holds on a, where only a2 is
+    # designated, and fails on b at p = b1, where ~p = b0
+    carrier = ["a0", "b0", "a1", "b1", "a2", "b2"]
+    neg = {"a0": "a1", "a1": "a2", "a2": "a2", "b1": "b0", "b0": "b2", "b2": "b2"}
+    both = {(x, y): {x} if x[0] == y[0] else set() for x, y in product(carrier, repeat=2)}
+    alg = MultiAlgebra("two", carrier, {
+        "neg": {(x,): {out} for x, out in neg.items()}, "and": both})
+    p = var("p")
+    problem = ConsequenceProblem(
+        [PNMatrix("two", alg, {"a2", "b1"})], {p}, {app("neg", p)})
+    with pytest.MonkeyPatch.context() as mp:
+        sizes = watch_bitsets(mp)
+        got = assert_same_answer(problem)
+    assert got.witness == {p: "b1", app("neg", p): "b0"}
+    assert got.stats == CheckStats("bitset", 2, 3 + 2, 2)
+    assert sizes == [3, 3]
+
+
+def test_a_dropped_algebra_takes_its_plans_with_it():
+    # plans are interned on the algebra's compiled form, not in a table
+    # of the module, so a loaded matrix checked and dropped is collected
+    m = matrix_from_json(matrix_to_json(lookup("matrix", "m-up").payload))
+    res = check_consequence(ConsequenceProblem([m], *_ladder(3)))
+    assert res.stats == CheckStats("bitset", 4, 4 * 6**3, 1)
+    k = kernel.compiled(m.algebra)
+    plans = k.single_valued(k.components()[0])
+    alg, form = weakref.ref(m.algebra), weakref.ref(k)
+    del m, res, k
+    gc.collect()
+    assert alg() is None and form() is None
+    # the name plans, and getrefcount's argument, are all that hold them
+    assert sys.getrefcount(plans) == 2
 
 
 def test_first_matrix_failing_in_a_later_chunk_than_the_others():
