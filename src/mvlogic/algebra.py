@@ -96,7 +96,7 @@ def check_identity(alg, lhs, rhs):
         return bitsets.full & ~same
 
     xs = [var(v) for v in vs]
-    hit = kernel.first_hit(plans, k.n, xs, [tuple(range(k.n))] * len(vs), [differ], xs)
+    hit = kernel.first_hit(plans, k.n, xs, [differ], xs)
     if hit is None:
         return None
     return {v: alg.carrier[i] for v, i in zip(vs, hit[2])}
@@ -134,7 +134,7 @@ def _delta_map(alg):
     else:
         raise MissingConnective("Δ needs ∘/∧ or ⇒/∼")
     k = kernel.compiled(alg.multi)
-    rows = kernel.Bitsets(k.single_valued(k.all), k.n, [x], [tuple(range(k.n))])
+    rows = kernel.Bitsets(k.single_valued(k.all), k.n, [x])
     values = rows.values(delta, rows.full)
     return {a: alg.carrier[values[i]] for i, a in enumerate(alg.carrier)}
 

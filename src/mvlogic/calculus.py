@@ -206,10 +206,10 @@ def _compiled_rule(rule):
     the two sides that unify are compared).  Otherwise its clause, the
     sorted literals 2*id + 1 of its antecedent and 2*id of its succedent,
     each once, goes to emit and (name, target positions) to record, unless
-    seen holds it already.  Two literals are ordered by one comparison; a
-    longer clause is a list sorted in place that goes through a set only
-    when two formulas of one side that unify have taken one id.  The source
-    splices in only generated names."""
+    seen holds it already.  Every clause is a list sorted in place that
+    goes through a set only when two formulas of one side that unify have
+    taken one id, and its tuple is the key.  The source splices in only
+    generated names."""
     sides = rule.antecedent | rule.succedent
     vs = sorted(variables(sides))
     level = {v: j for j, v in enumerate(vs)}
@@ -279,30 +279,22 @@ def _compiled_rule(rule):
     ]
     if meets:
         lines.append("%sif %s: %s" % (pad, " or ".join(meets), skip))
-    lits = [(local[f], "2 * %s + 1" % local[f]) for f in rule.antecedent]
-    lits += [(local[f], "2 * %s" % local[f]) for f in rule.succedent]
+    lits = ["2 * %s + 1" % local[f] for f in rule.antecedent]
+    lits += ["2 * %s" % local[f] for f in rule.succedent]
+    lines.append(pad + "clause = [%s]" % ", ".join(lits))
     merges = [
         "%s == %s" % (local[f], local[g])
         for side in (rule.antecedent, rule.succedent)
         for f, g in combinations(side, 2) if _unifiable(f, g)
     ]
-    if len(lits) == 2:
-        (x, a), (y, b) = lits
-        key = "(%s, %s) if %s < %s else (%s, %s)" % (a, b, x, y, b, a)
-        if merges:
-            key += " if %s < %s else (%s,)" % (y, x, a)
-        lines.append(pad + "key = " + key)
-    elif len(lits) < 2:
-        lines.append(pad + "key = (%s)" % "".join(lit + "," for _, lit in lits))
-    else:
-        lines.append(pad + "clause = [%s]" % ", ".join(lit for _, lit in lits))
-        if merges:
-            lines.append("%sif %s: clause = [*{*clause}]" % (pad, " or ".join(merges)))
-        lines += [pad + "clause.sort()", pad + "key = tuple(clause)"]
+    if merges:
+        lines.append("%sif %s: clause = [*{*clause}]" % (pad, " or ".join(merges)))
     lines += [
+        pad + "clause.sort()",
+        pad + "key = tuple(clause)",
         pad + "if key in seen: %s" % skip,
         pad + "seen_add(key)",
-        pad + ("emit(clause)" if len(lits) > 2 else "emit([*key])"),
+        pad + "emit(clause)",
         pad + "record((name, (%s)))" % "".join("i%d, " % j for j in range(len(vs))),
     ]
     scope = {}
@@ -511,8 +503,7 @@ def _model_truths(calc, base, formulas):
         bitsets = shared.get(k)
         if bitsets is None:
             # at most CHUNK assignments: one bitset covers them all
-            digits = [tuple(range(k.n))] * len(vs)
-            bitsets = shared[k] = kernel.Bitsets(k.single_valued(k.all), k.n, vs, digits)
+            bitsets = shared[k] = kernel.Bitsets(k.single_valued(k.all), k.n, vs)
         des = k.mask_of(m.designated)
         for f in formulas:
             masks[f] |= bitsets.where(f, des) << shift

@@ -111,13 +111,10 @@ def valuation_family(phi, shared):
             good &= bitsets.row(f)[top]
         return good
 
-    digits = [tuple(range(k.n))] * len(phi_vars)
     xs = [var(v) for v in phi_vars]
     u = []
     seen = set()
-    for _, values in kernel.satisfying(
-        plans, k.n, xs, digits, all_top, [var(v) for v in shared]
-    ):
+    for _, values in kernel.satisfying(plans, k.n, xs, all_top, [var(v) for v in shared]):
         proj = tuple(k.carrier[i] for i in values)
         if proj not in seen:
             seen.add(proj)
@@ -205,8 +202,8 @@ def cip_failure_certificate():
     # the kernel's rows under the one assignment fixed
     k = kernel.compiled(ALG_PP6H)
     xs = [var(x) for x in fixed]
-    digits = [(k.carrier.index(a),) for a in fixed.values()]
-    rows = kernel.Bitsets(k.single_valued(k.all), k.n, xs, digits)
+    values = [k.carrier.index(a) for a in fixed.values()]
+    rows = kernel.Bitsets(k.single_valued(k.all), k.n, xs, values)
     phi_val, goal_val = (k.carrier[rows.values(f, 1)[0]] for f in (phi, goal))
     filters = [m.designated for m in _models(ORDER_PRESERVING)]
     s_index = alg.carrier.index(fixed["s"])

@@ -6,9 +6,10 @@ value sets become int bitmasks (bit ``i`` for the ``i``-th value), and every
 table is keyed by index tuples.  Two evaluators share that form.
 
 * :class:`Bitsets` evaluates formulas under *every* assignment to a list of
-  variables at once, on a single-valued restriction of the algebra.  The
-  assignments are numbered in mixed radix: first variable most significant,
-  each variable's digits its allowed values in carrier order.  A formula's
+  variables at once, on a single-valued restriction of the algebra.  Every
+  variable ranges over all ``n`` values, the first ones optionally fixed to
+  one value each, and the assignments are numbered in base ``n``: first
+  free variable most significant, values in carrier order.  A formula's
   row holds, per value, one Python int whose bit ``i`` is set when the
   formula takes that value under assignment ``i``.  The restriction is
   compiled once per component into a plan grouped by the arguments but the
@@ -43,13 +44,12 @@ table is keyed by index tuples.  Two evaluators share that form.
 from __future__ import annotations
 
 from itertools import combinations, product, repeat
-from math import prod
 
 from .errors import SignatureMismatch
 from .formula import app, render_formula, var
 
-# Most assignments one bitset covers.  Larger inputs enumerate the leading
-# variables' digits outside the bitset, in lexicographic order.  Big-int
+# Most assignments one bitset covers.  Larger inputs fix the leading
+# variables' values outside the bitset, in lexicographic order.  Big-int
 # operations are cheapest per bit while the ints stay in the processor's
 # cache, and a row takes n ints of CHUNK bits per formula: on a 2-vCPU
 # x86-64 VM (CPython 3.11) the 10-variable De Morgan ladder on dm4-bt took
@@ -396,25 +396,25 @@ def bits(mask):
 
 
 class Bitsets:
-    """Rows of formulas under every assignment of the given digits (one
-    tuple of value indices per variable) to the variables, evaluated by the
-    plans of :meth:`Compiled.single_valued`."""
+    """Rows of formulas under every assignment of the n values to the
+    variables, the first len(fixed) of them fixed to the value indices in
+    fixed, evaluated by the plans of :meth:`Compiled.single_valued`.  An
+    assignment's bit is its rank in base n over the free variables."""
 
-    def __init__(self, plans, n, variables, digits):
+    def __init__(self, plans, n, variables, fixed=()):
         self.plans = plans
         self.n = n
-        self.size = stride = prod(map(len, digits))
+        self.size = stride = n ** (len(variables) - len(fixed))
         self.full = (1 << stride) - 1
         self.rows = {}
-        for x, ds in zip(variables, digits):
-            period, stride = stride, stride // len(ds)
-            # one bit at the start of every period, times the first digit's
-            # block; each later digit's blocks are those shifted
+        for x, v in zip(variables, fixed):
+            self.rows[x] = [self.full if u == v else 0 for u in range(n)]
+        for x in variables[len(fixed):]:
+            period, stride = stride, stride // n
+            # one bit at the start of every period, times the first value's
+            # block; each later value's blocks are those shifted
             first = self.full // ((1 << period) - 1) * ((1 << stride) - 1)
-            row = [0] * n
-            for j, d in enumerate(ds):
-                row[d] = first << (j * stride)
-            self.rows[x] = row
+            self.rows[x] = [first << (v * stride) for v in range(n)]
 
     def row(self, f):
         rows = self.rows
@@ -470,26 +470,26 @@ class Bitsets:
         return out
 
 
-def _chunks(digits):
-    """(offset, digits) of each chunk of at most CHUNK assignments, by
-    increasing rank: the leading variables' digits fixed one tuple at a
-    time, in lexicographic order."""
-    split, size = len(digits), 1
-    while split and size * len(digits[split - 1]) <= CHUNK:
+def _chunks(n, count):
+    """(offset, fixed) of each chunk of at most CHUNK assignments of n
+    values to count variables, by increasing rank: the values of the
+    leading variables fixed one tuple at a time, in lexicographic order."""
+    split, size = count, 1
+    while split and size * n <= CHUNK:
         split -= 1
-        size *= len(digits[split])
-    for j, head in enumerate(product(*digits[:split])):
-        yield j * size, [(d,) for d in head] + list(digits[split:])
+        size *= n
+    for j, fixed in enumerate(product(range(n), repeat=split)):
+        yield j * size, fixed
 
 
-def satisfying(plans, n, variables, digits, select, formulas):
+def satisfying(plans, n, variables, select, formulas):
     """(rank, values) for every assignment that select(bitsets) marks, by
-    increasing rank in the mixed radix of digits, values the value indices
-    of the formulas there.  Like :func:`first_hit`, it reads the values off
-    the rows of one chunk of at most CHUNK assignments at a time and drops
-    the chunk's rows before the next chunk's are built."""
-    for offset, chunk_digits in _chunks(digits):
-        chunk = Bitsets(plans, n, variables, chunk_digits)
+    increasing rank in base n, values the value indices of the formulas
+    there.  Like :func:`first_hit`, it reads the values off the rows of one
+    chunk of at most CHUNK assignments at a time and drops the chunk's rows
+    before the next chunk's are built."""
+    for offset, fixed in _chunks(n, len(variables)):
+        chunk = Bitsets(plans, n, variables, fixed)
         good = select(chunk)
         ranks = list(bits(good))
         columns = [map(chunk.values(f, good).__getitem__, ranks) for f in formulas]
@@ -499,18 +499,18 @@ def satisfying(plans, n, variables, digits, select, formulas):
             yield offset + hit[0], hit[1:]
 
 
-def first_hit(plans, n, variables, digits, selects, formulas):
-    """The first of the selects, in list order, that marks an assignment,
-    the lowest-ranked assignment it marks and the value indices of the
-    formulas there, as (index, rank, values); or None.  Every select reads
-    the same rows, one chunk at a time: a chunk's rows are evaluated once
-    for all of them, and the values read off them, before the rows are
-    dropped and the next chunk's built.  Once select i marks an assignment
-    the selects after it are out of play, and the search ends when none
-    before it is left."""
+def first_hit(plans, n, variables, selects, formulas):
+    """The first of the selects, in list order, that marks an assignment of
+    the n values to the variables, the lowest-ranked assignment it marks
+    and the value indices of the formulas there, as (index, rank, values);
+    or None.  Every select reads the same rows, one chunk at a time: a
+    chunk's rows are evaluated once for all of them, and the values read
+    off them, before the rows are dropped and the next chunk's built.  Once
+    select i marks an assignment the selects after it are out of play, and
+    the search ends when none before it is left."""
     live, best = len(selects), None
-    for offset, chunk_digits in _chunks(digits):
-        chunk = Bitsets(plans, n, variables, chunk_digits)
+    for offset, fixed in _chunks(n, len(variables)):
+        chunk = Bitsets(plans, n, variables, fixed)
         for i in range(live):
             good = selects[i](chunk)
             if good:
@@ -525,9 +525,9 @@ def first_hit(plans, n, variables, digits, selects, formulas):
     return best
 
 
-def rank(digits, values):
-    """Mixed-radix index of an assignment of value indices."""
+def rank(n, values):
+    """Base-n index of an assignment of value indices, first most significant."""
     out = 0
-    for ds, v in zip(digits, values):
-        out = out * len(ds) + ds.index(v)
+    for v in values:
+        out = out * n + v
     return out

@@ -188,8 +188,8 @@ class _Visit:
     None when some table keeps other than one value on the component.
     masks maps each premise and conclusion to the mask of the values the
     matrix lets it take, by position when there are plans, which read
-    values by position.  digits are the positions for every variable, and
-    size is the number of their assignments."""
+    values by position.  size is the number of assignments of positions to
+    the variables."""
 
     def __init__(self, idx, m, comp, masks, variables):
         k = kernel.compiled(m.algebra)
@@ -203,7 +203,6 @@ class _Visit:
             if self.plans is not None:
                 masks = {f: _positions(mask, members) for f, mask in masks.items()}
         self.masks = masks
-        self.digits = (tuple(range(len(self.values))),) * len(variables)
         self.size = len(self.values) ** len(variables)
 
     def select(self, bitsets):
@@ -224,7 +223,7 @@ class _Visit:
         if not found:
             return None, None
         values = [self.values.index(found[0][x]) for x in variables]
-        return found[0], kernel.rank(self.digits, values)
+        return found[0], kernel.rank(len(self.values), values)
 
 
 def _positions(mask, members):
@@ -287,7 +286,7 @@ def check_consequence(problem):
         if not group:
             continue
         selects = [visits[j].select for j in group]
-        found = kernel.first_hit(v.plans, len(v.values), variables, v.digits, selects, order)
+        found = kernel.first_hit(v.plans, len(v.values), variables, selects, order)
         if found is not None:
             j, rank, values = found
             own = visits[group[j]].values

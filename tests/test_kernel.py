@@ -160,8 +160,8 @@ def test_check_consequence_matches_backtracking(problem):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(problems(["pp6h-order", "pp6h-ub", "m-up", "dm4-bt"], max_vars=4))
 def test_chunked_enumeration_matches_backtracking(problem):
-    # a tiny chunk makes every problem enumerate leading digits outside
-    # the bitset
+    # a tiny chunk makes every problem fix leading values outside the
+    # bitset
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "CHUNK", 7)
         watch_bitsets(mp)
@@ -176,8 +176,8 @@ def _ladder(k):
 
 @pytest.mark.parametrize("chunk, sizes", [(kernel.CHUNK, [6**4]), (36, [36] * 36)])
 def test_class_evaluates_each_chunk_once(chunk, sizes):
-    # the three pp6h-order matrices share pp6h's one component and the
-    # variables' digits: each chunk's rows are built once for all three
+    # the three pp6h-order matrices share pp6h's one component and so
+    # its rows: each chunk's rows are built once for all three
     problem = ConsequenceProblem(resolve_models(["pp6h-order"]), *_ladder(4))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "CHUNK", chunk)
@@ -325,7 +325,7 @@ def test_first_matrix_failing_in_a_later_chunk_than_the_others():
 
 
 def test_first_witness_past_the_first_chunk():
-    # @p1 & p1 is designated only at p1 = ht, the last digit, so the lowest
+    # @p1 & p1 is designated only at p1 = ht, the last value, so the lowest
     # witness lies in the sixth chunk of 6**6 assignments
     prem = parse_formula_set("@p1 & p1")
     conc = parse_formula_set("p2 | p3 | p4 | p5 | p6 | p7")
@@ -336,6 +336,60 @@ def test_first_witness_past_the_first_chunk():
     )
     assert res.stats.path == "bitset"
     assert res.stats.assignments == 5 * 6**6 + 1 > kernel.CHUNK
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A plan, the number of values it reads, up to three variables and
+    formulas over them: pp6h on its whole carrier, or one total component
+    of m-up, read by position."""
+    alg = draw(st.sampled_from(
+        [lookup("algebra", "pp6h").payload, lookup("matrix", "m-up").payload.algebra]))
+    k = kernel.compiled(alg)
+    comp = draw(st.sampled_from(k.components()))
+    names = ["p", "q", "r"][: draw(st.integers(1, 3))]
+    fs = draw(st.lists(formulas(alg.connectives, names), min_size=1, max_size=3))
+    return k.single_valued(comp), len(k.members(comp)), [var(x) for x in names], fs
+
+
+@SETTINGS
+@given(kernel_inputs())
+def test_fixed_leading_values_give_a_slice_of_the_free_rows(case):
+    plans, n, xs, fs = case
+    free = kernel.Bitsets(plans, n, xs)
+    for count in range(len(xs) + 1):
+        for fixed in product(range(n), repeat=count):
+            part = kernel.Bitsets(plans, n, xs, fixed)
+            assert part.size == n ** (len(xs) - count)
+            offset = kernel.rank(n, fixed) * part.size
+            for f in xs + fs:
+                assert part.row(f) == [row >> offset & part.full for row in free.row(f)]
+
+
+@SETTINGS
+@given(kernel_inputs(), st.data())
+def test_chunks_give_the_answers_of_one_bitset(case, data):
+    # three variables of six values fit in one chunk at the default CHUNK:
+    # the answers read off one Bitsets are the default's, and every smaller
+    # chunk, down to one assignment, gives them too
+    plans, n, xs, fs = case
+    masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=3))
+    selects = [lambda b, f=f, mask=mask: b.where(f, mask) for f, mask in zip(fs * 3, masks)]
+    whole = kernel.Bitsets(plans, n, xs)
+    values = [whole.values(f, whole.full) for f in fs]
+    want_hit = None
+    for i, select in enumerate(selects):
+        good = select(whole)
+        if good:
+            at = (good & -good).bit_length() - 1
+            want_hit = i, at, tuple(v[at] for v in values)
+            break
+    want_all = [(at, tuple(v[at] for v in values)) for at in kernel.bits(selects[0](whole))]
+    for chunk in (kernel.CHUNK, 1, 6, 36):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "CHUNK", chunk)
+            assert kernel.first_hit(plans, n, xs, selects, fs) == want_hit
+            assert list(kernel.satisfying(plans, n, xs, selects[0], fs)) == want_all
 
 
 def test_chunks_are_built_one_at_a_time():

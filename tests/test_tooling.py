@@ -1,10 +1,13 @@
-"""The test configuration in pyproject.toml."""
+"""The test configuration in pyproject.toml, and a scan of the package's
+imports."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 FAILING_THEN_PASSING = """
 from hypothesis import given, strategies as st
@@ -32,3 +35,25 @@ def test_a_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
     )
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__.py imports names to re-export them
+    unused = []
+    for path in sorted((ROOT / "src" / "mvlogic").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += ["%s: %s" % (path.name, name) for name in names if name not in read]
+    assert unused == []
