@@ -97,13 +97,15 @@ def _case_formula(value, p):
 
 def valuation_family(phi, shared):
     """Projections to the shared variables of the assignments making every
-    member of phi take the top value."""
+    member of phi take the top value, each listed once, in the order first
+    met.  The assignments give values to the variables of phi and the
+    shared ones, taken by name, in lexicographic order of carrier
+    positions; a shared variable outside phi takes every value."""
     from .registry import ALG_PP6H
 
     k = kernel.compiled(ALG_PP6H)
     plans = k.single_valued(k.all)
     top = ALG_PP6H.carrier.index("ht")
-    phi_vars = sorted(variables(phi))
 
     def all_top(bitsets):
         good = bitsets.full
@@ -111,7 +113,7 @@ def valuation_family(phi, shared):
             good &= bitsets.row(f)[top]
         return good
 
-    xs = [var(v) for v in phi_vars]
+    xs = [var(v) for v in sorted(variables(phi) | set(shared))]
     u = []
     seen = set()
     for _, values in kernel.satisfying(plans, k.n, xs, all_top, [var(v) for v in shared]):
@@ -204,7 +206,7 @@ def cip_failure_certificate():
     xs = [var(x) for x in fixed]
     values = [k.carrier.index(a) for a in fixed.values()]
     rows = kernel.Bitsets(k.single_valued(k.all), k.n, xs, values)
-    phi_val, goal_val = (k.carrier[rows.values(f, 1)[0]] for f in (phi, goal))
+    phi_val, goal_val = (k.carrier[rows.value(f, 1)] for f in (phi, goal))
     filters = [m.designated for m in _models(ORDER_PRESERVING)]
     s_index = alg.carrier.index(fixed["s"])
     report = CipReport(confirmed, len(clone))

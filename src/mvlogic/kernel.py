@@ -23,9 +23,10 @@ table is keyed by index tuples.  Two evaluators share that form.
   :func:`first_hit` lets several selections, one per matrix over a
   component of that shape, read the same rows, one chunk of assignments
   at a time, and :func:`satisfying` lists what one selection marks.  Both
-  read the values they return (a witness, an assignment) off the rows
-  with :meth:`Bitsets.values`, and drop a chunk's rows before the next
-  chunk's are built.
+  read the values they return off the rows, a witness's with
+  :meth:`Bitsets.value` and the marked assignments' with
+  :meth:`Bitsets.values`, and drop a chunk's rows before the next chunk's
+  are built.
 * :meth:`Compiled.row` is the one set-valued memo: a connective with the
   masks of every argument but the last fixed, at one carrier position,
   maps the last argument's mask to the mask of every output on argument
@@ -38,12 +39,20 @@ table is keyed by index tuples.  Two evaluators share that form.
   walk, a profile is its short tuple of block ids, and a candidate profile
   is one memo lookup per block, filled on a miss from the rows.
 
-:meth:`Compiled.components` gives the maximal total components as masks.
+:meth:`Compiled.components` gives the maximal total components as masks,
+found by closure: from the whole carrier, a set with a table entry over its
+members that keeps no value in it goes on without each of that entry's
+arguments in turn.  :meth:`Compiled.designation` keeps, per designated set
+of a matrix, what a consequence check reads of each component (its plans,
+member values and designated and undesignated masks), and
+:meth:`Bitsets.where` reads a mask's value indices from a tuple kept per
+mask.  All of these fill on first use and live on the compiled form, so
+they go with the algebra.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product, repeat
+from itertools import product, repeat
 
 from .errors import SignatureMismatch
 from .formula import app, render_formula, var
@@ -90,6 +99,34 @@ class _Row(dict):
         return out
 
 
+class _Indices(dict):
+    """Masks mapped to the tuples of their set bits' positions, ascending,
+    each computed on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, mask):
+        out = self[mask] = tuple(bits(mask))
+        return out
+
+
+class _Plans(dict):
+    """The plans of one component shape, by connective (see
+    :meth:`Compiled.single_valued`); indices is the algebra's memo of the
+    positions of each mask's set bits, which :meth:`Bitsets.where` reads."""
+
+    __slots__ = ("indices",)
+
+    def __init__(self, indices):
+        super().__init__()
+        self.indices = indices
+
+
+def _positions(mask, members):
+    """mask with bit i of each member moved to that member's position."""
+    return sum(1 << j for j, i in enumerate(members) if mask >> i & 1)
+
+
 class Compiled:
     """A MultiAlgebra with values as indices and value sets as masks."""
 
@@ -117,6 +154,8 @@ class Compiled:
         self._restricted = {}
         self._shapes = {}
         self._components = None
+        self._designations = {}
+        self.indices = _Indices()
 
     @staticmethod
     def mask(indices):
@@ -152,22 +191,67 @@ class Compiled:
 
     def components(self):
         """Maximal masks on which every table entry over their members keeps
-        a value, sorted by their members."""
+        a value, sorted by their members.
+
+        Found by closure from the whole carrier.  A set with an entry over
+        its members that keeps no value in it has no such subset holding
+        all of that entry's arguments, so the search goes on from the set
+        without each of them in turn.  Entries are tried fewest distinct
+        arguments first, so a set that one value spoils loses just that
+        value.  A set met before, or inside one found, is passed over."""
         if self._components is None:
-            found = []
-            for size in range(self.n, 0, -1):
-                for inside in combinations(range(self.n), size):
-                    comp = self.mask(inside)
-                    if any(comp & t == comp for t in found):
-                        continue
-                    if all(
-                        table[key] & comp
-                        for conn, table in self.tables.items()
-                        for key in product(inside, repeat=self.arity[conn])
-                    ):
-                        found.append(comp)
+            # each entry as (mask of its arguments, output mask), once
+            entries = {}
+            for table in self.tables.values():
+                for key, out in table.items():
+                    args = 0
+                    for i in key:
+                        args |= 1 << i
+                    entries[args, out] = None
+            entries = sorted(entries, key=lambda entry: entry[0].bit_count())
+            found, seen, stack = [], set(), [self.all]
+            while stack:
+                comp = stack.pop()
+                if comp in seen or any(comp & c == comp for c in found):
+                    continue
+                seen.add(comp)
+                spoilt = next(
+                    (key for key, out in entries if key & comp == key and not out & comp),
+                    None,
+                )
+                if spoilt is None:
+                    found.append(comp)
+                else:
+                    stack.extend(comp & ~(1 << i) for i in self.members(spoilt)
+                                 if comp != 1 << i)
+            # a set found early may lie inside one found later
+            found = [c for c in found if not any(c != d and c & d == c for d in found)]
             self._components = sorted(found, key=self.members)
         return self._components
+
+    def designation(self, designated):
+        """How a matrix designating the frozenset designated reads the
+        algebra, made on first use and kept per designated set:
+        (des, parts), des the mask of the designated values and parts, per
+        total component in order, (comp, plans, values, inside, outside).
+        comp is the component's mask and plans its :meth:`single_valued`
+        plans; values lists its members' values by position; inside and
+        outside are the masks of its designated and undesignated members,
+        by position when plans is not None, which read values by position."""
+        got = self._designations.get(designated)
+        if got is None:
+            des = self.mask_of(designated)
+            parts = []
+            for comp in self.components():
+                plans = self.single_valued(comp)
+                members = self.members(comp)
+                inside, outside = des & comp, comp & ~des
+                if plans is not None:
+                    inside, outside = _positions(inside, members), _positions(outside, members)
+                values = tuple(self.carrier[i] for i in members)
+                parts.append((comp, plans, values, inside, outside))
+            got = self._designations[designated] = des, tuple(parts)
+        return got
 
     def single_valued(self, comp):
         """The tables restricted to the values in the mask comp, in the
@@ -177,18 +261,19 @@ class Compiled:
         carrier they are the carrier indices; components whose restricted
         tables are equal under that renaming get one plan object.
 
-        Per connective, a tuple of (prefix, whole, singles, multis), one per
-        prefix: a tuple of values for every argument but the last.  whole is
-        the output when every value of the last argument gives the same one
-        after that prefix, and None otherwise; then singles pairs each
-        output that one last value gives with that value, and multis each
-        output that several give with the tuple of them."""
+        Per connective, a tuple of (whole, singles, multis), one per
+        prefix, a tuple of values for every argument but the last, in
+        product order.  whole is the output when every value of the last
+        argument gives the same one after that prefix, and None otherwise;
+        then singles pairs each output that one last value gives with that
+        value, and multis each output that several give with the tuple of
+        them."""
         if comp not in self._restricted:
             plans = self._restrict(comp)
             if plans is not None:
-                # a plan shows its component's size in its prefixes: only an
-                # algebra with a connective of arity 2 or more has more
-                # than one component
+                # a plan shows its component's size in its number of
+                # prefixes: only an algebra with a connective of arity 2 or
+                # more has more than one component
                 plans = self._shapes.setdefault(tuple(plans.items()), plans)
             self._restricted[comp] = plans
         return self._restricted[comp]
@@ -197,7 +282,7 @@ class Compiled:
         inside = self.members(comp)
         positions = range(len(inside))
         position = dict(zip(inside, positions))
-        out = {}
+        out = _Plans(self.indices)
         for conn, table in self.tables.items():
             arity = self.arity[conn]
             plan = []
@@ -210,11 +295,11 @@ class Compiled:
                         return None
                     groups.setdefault(position[got.bit_length() - 1], []).extend(key[-1:])
                 if len(groups) == 1:
-                    plan.append((prefix, next(iter(groups)), (), ()))
+                    plan.append((next(iter(groups)), (), ()))
                     continue
                 singles = tuple((v, xs[0]) for v, xs in groups.items() if len(xs) == 1)
                 multis = tuple((v, tuple(xs)) for v, xs in groups.items() if len(xs) > 1)
-                plan.append((prefix, None, singles, multis))
+                plan.append((None, singles, multis))
             out[conn] = tuple(plan)
         return out
 
@@ -378,6 +463,9 @@ def check_signature(alg, formulas):
     """Raise SignatureMismatch unless every connective in the formulas is
     interpreted by alg at the arity it is applied with."""
     arity = compiled(alg).arity
+    used = {(f.head, len(f.args)) for f in formulas if f.args is not None}
+    if used <= arity.items():
+        return
     for f in formulas:
         if not f.is_var and arity.get(f.head) != len(f.args):
             raise SignatureMismatch(
@@ -418,27 +506,29 @@ class Bitsets:
 
     def row(self, f):
         rows = self.rows
-        if f in rows:
-            return rows[f]
+        got = rows.get(f)
+        if got is not None:
+            return got
         full = self.full
         stack = [f]
         while stack:
             g = stack.pop()
-            if g in rows:
-                continue
-            missing = [a for a in g.args if a not in rows]
-            if missing:
+            head = list(map(rows.get, g.args))
+            if None in head:
                 # g comes back once its arguments have rows
                 stack.append(g)
-                stack.extend(missing)
+                stack.extend(a for a, got in zip(g.args, head) if got is None)
                 continue
-            head = [rows[a] for a in g.args]
+            if g in rows:
+                # pushed again while waiting for an argument
+                continue
             last = head.pop() if head else None
+            # the assignments of each prefix, in product order
+            gots = [full]
+            for a in head:
+                gots = [got & r for got in gots for r in a]
             row = [0] * self.n
-            for prefix, whole, singles, multis in self.plans[g.head]:
-                got = full
-                for a, x in zip(head, prefix):
-                    got &= a[x]
+            for got, (whole, singles, multis) in zip(gots, self.plans[g.head]):
                 if not got:
                     continue
                 if whole is not None:
@@ -447,27 +537,32 @@ class Bitsets:
                 for v, x in singles:
                     row[v] |= got & last[x]
                 for v, xs in multis:
-                    # a formula's rows are disjoint: their sum is their union
-                    row[v] |= got & sum(map(last.__getitem__, xs))
+                    some = 0
+                    for x in xs:
+                        some |= last[x]
+                    row[v] |= got & some
             rows[g] = row
-        return rows[f]
+        # f comes off the stack last
+        return row
 
     def where(self, f, mask):
         """Assignments under which f takes a value in mask."""
-        row = self.row(f)
+        row = self.rows.get(f) or self.row(f)
         out = 0
-        for v in bits(mask):
+        for v in self.plans.indices[mask]:
             out |= row[v]
         return out
 
     def values(self, f, mask):
         """The value index f takes under each assignment in mask, keyed by
         the assignment."""
-        out = {}
+        return {at: v for v, row in enumerate(self.row(f)) for at in bits(row & mask)}
+
+    def value(self, f, one):
+        """The value index f takes under the one assignment in the mask one."""
         for v, row in enumerate(self.row(f)):
-            if row & mask:
-                out.update(dict.fromkeys(bits(row & mask), v))
-        return out
+            if row & one:
+                return v
 
 
 def _chunks(n, count):
@@ -516,7 +611,7 @@ def first_hit(plans, n, variables, selects, formulas):
             if good:
                 low = good & -good
                 at = low.bit_length() - 1
-                values = tuple(chunk.values(f, low)[at] for f in formulas)
+                values = tuple(chunk.value(f, low) for f in formulas)
                 live, best = i, (i, offset + at, values)
                 break
         del chunk

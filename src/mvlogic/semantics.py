@@ -182,53 +182,44 @@ def total_components(m):
 
 
 class _Visit:
-    """One total component (a mask) of one matrix, as check_consequence
-    visits it.  A position is the index of a member of the component in
-    carrier order, and values maps each position to its value.  plans is
-    None when some table keeps other than one value on the component.
-    masks maps each premise and conclusion to the mask of the values the
-    matrix lets it take, by position when there are plans, which read
-    values by position.  size is the number of assignments of positions to
-    the variables."""
+    """One total component of one matrix, as check_consequence visits it.
+    comp, plans, values, inside and outside are the component's part of
+    the matrix's designation, set up once per designated set and kept on
+    the algebra's compiled form (:meth:`kernel.Compiled.designation`): a
+    position is the index of a member of the component in carrier order,
+    values maps each position to its value, and plans is None when some
+    table keeps other than one value on the component.  Premises must take
+    a value in inside and conclusions one in outside, masks by position
+    when there are plans, which read values by position."""
 
-    def __init__(self, idx, m, comp, masks, variables):
-        k = kernel.compiled(m.algebra)
-        self.idx, self.m, self.k, self.comp = idx, m, k, comp
-        self.plans = k.single_valued(comp)
-        # on the whole carrier, positions are carrier indices: nothing moves
-        self.values = k.carrier
-        if comp != k.all:
-            members = k.members(comp)
-            self.values = [k.carrier[i] for i in members]
-            if self.plans is not None:
-                masks = {f: _positions(mask, members) for f, mask in masks.items()}
-        self.masks = masks
-        self.size = len(self.values) ** len(variables)
+    __slots__ = ("idx", "m", "comp", "plans", "values", "wants")
+
+    def __init__(self, idx, m, part, premises, conclusions):
+        self.idx, self.m = idx, m
+        self.comp, self.plans, self.values, inside, outside = part
+        self.wants = (premises, inside), (conclusions, outside)
 
     def select(self, bitsets):
         """The assignments meeting every constraint."""
         good = bitsets.full
-        for f, allowed in self.masks.items():
-            good &= bitsets.where(f, allowed)
-            if not good:
-                break
+        for formulas, allowed in self.wants:
+            for f in formulas:
+                good &= bitsets.where(f, allowed)
+                if not good:
+                    return 0
         return good
 
     def backtrack(self, domain, variables):
         """The first valuation solve_valuations finds on the component and
         the rank of its variables' values, or (None, None)."""
-        k, comp = self.k, self.comp
-        cons = {f: k.values(comp & self.masks.get(f, comp)) for f in domain}
+        k = kernel.compiled(self.m.algebra)
+        masks = {f: allowed for formulas, allowed in self.wants for f in formulas}
+        cons = {f: k.values(masks.get(f, self.comp)) for f in domain}
         found = solve_valuations(self.m, domain, cons, limit=1)
         if not found:
             return None, None
         values = [self.values.index(found[0][x]) for x in variables]
         return found[0], kernel.rank(len(self.values), values)
-
-
-def _positions(mask, members):
-    """mask with bit i of each member moved to that member's position."""
-    return sum(1 << j for j, i in enumerate(members) if mask >> i & 1)
 
 
 def check_consequence(problem):
@@ -239,7 +230,10 @@ def check_consequence(problem):
 
     Each matrix is searched on its total components in turn.  Components
     whose tables restrict to single values are decided by the bitset
-    kernel, the others by solve_valuations.  Rows are shared per component
+    kernel, the others by solve_valuations.  What a matrix needs of its
+    components (plans, member values, designated and undesignated masks)
+    is set up on its first check and kept on the algebra's compiled form,
+    so a call pays only for its formulas.  Rows are shared per component
     shape: every component of one algebra whose restricted tables are equal
     once its values are renamed to their positions has one plan, and every
     matrix over such a component (a class of filters on one algebra, or
@@ -256,15 +250,15 @@ def check_consequence(problem):
     order = sorted(domain, key=canon_key)
     variables = [f for f in order if f.is_var]
     visits = []
-    for idx, m in enumerate(problem.models):
-        k = kernel.compiled(m.algebra)
-        des = k.mask_of(m.designated)
-        masks = dict.fromkeys(premises, des)
-        for f in conclusions:
-            masks[f] = masks.get(f, k.all) & ~des
-        if not all(masks.values()):
-            continue
-        visits.extend(_Visit(idx, m, comp, masks, variables) for comp in k.components())
+    # a formula on both sides can be neither designated nor undesignated
+    if not premises & conclusions:
+        for idx, m in enumerate(problem.models):
+            k = kernel.compiled(m.algebra)
+            des, parts = k.designation(m.designated)
+            # no premise can be designated, or no conclusion undesignated
+            if (premises and not des) or (conclusions and des == k.all):
+                continue
+            visits.extend(_Visit(idx, m, part, premises, conclusions) for part in parts)
     # the visits that read the same rows: one group per plan
     shared = {}
     for i, v in enumerate(visits):
@@ -292,15 +286,19 @@ def check_consequence(problem):
             own = visits[group[j]].values
             hit = group[j], dict(zip(order, map(own.__getitem__, values))), rank
     decided = visits if hit is None else visits[:hit[0] + 1]
-    path = "bitset"
-    if any(v.plans is None for v in decided):
-        path = "backtrack"
-    shapes = len({id(v.plans) for v in decided if v.plans is not None})
+    # the assignments of positions to the variables, per visit
+    sizes = [len(v.values) ** len(variables) for v in decided]
+    path, shapes = "bitset", set()
+    for v in decided:
+        if v.plans is None:
+            path = "backtrack"
+        else:
+            shapes.add(id(v.plans))
     if hit is None:
-        stats = CheckStats(path, len(decided), sum(v.size for v in decided), shapes)
-        return Holds(stats)
-    covered = sum(v.size for v in decided[:-1]) + hit[2] + 1
-    return Fails(decided[-1].idx, hit[1], CheckStats(path, len(decided), covered, shapes))
+        return Holds(CheckStats(path, len(decided), sum(sizes), len(shapes)))
+    # the last visit counts its assignments up to the witness's
+    covered = sum(sizes) - sizes[-1] + hit[2] + 1
+    return Fails(decided[-1].idx, hit[1], CheckStats(path, len(decided), covered, len(shapes)))
 
 
 def check_rule_soundness(rule, models):

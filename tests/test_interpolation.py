@@ -1,9 +1,13 @@
 """Interpolant constructions and the deduction-detachment checks."""
 
-import pytest
+from itertools import product
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import formulas
 from mvlogic.errors import NoSharedVariables, PremiseNotEntailed
-from mvlogic.formula import parse_formula, parse_formula_set, subformulas, variables
+from mvlogic.formula import parse_formula, parse_formula_set, subformulas, var, variables
 from mvlogic.interpolation import (
     ASSERTIONAL,
     InterpolationInstance,
@@ -14,8 +18,9 @@ from mvlogic.interpolation import (
     eip_interpolant,
     entails,
     maehara_interpolant,
+    valuation_family,
 )
-from mvlogic.registry import ORDER_CLASS
+from mvlogic.registry import ALG_PP6H, ORDER_CLASS
 from mvlogic.semantics import (
     ConsequenceProblem,
     Fails,
@@ -185,3 +190,42 @@ def test_cip_certificate_builds_its_algebra_once(monkeypatch):
     assert cip_failure_certificate() == cip_failure_certificate()
     first, second = seen
     assert first is second
+
+
+def test_valuation_family_gives_a_shared_variable_outside_phi_every_value():
+    # q is not in phi: it takes every value, in carrier order
+    assert valuation_family([var("p")], ["q"]) == [(v,) for v in ALG_PP6H.carrier]
+    assert valuation_family([var("p")], ["q", "p"]) == [
+        (v, "ht") for v in ALG_PP6H.carrier]
+    assert valuation_family([], ["q"]) == [(v,) for v in ALG_PP6H.carrier]
+
+
+def brute_valuation_family(phi, shared):
+    """valuation_family by evaluating phi on the pp6h tables under every
+    assignment to the variables of phi and the shared ones, by name, in
+    lexicographic order of carrier positions."""
+    table = ALG_PP6H.interp
+
+    def value(f, at):
+        if f.is_var:
+            return at[f.head]
+        (out,) = table[f.head][tuple(value(a, at) for a in f.args)]
+        return out
+
+    names = sorted(variables(phi) | set(shared))
+    out = []
+    for values in product(ALG_PP6H.carrier, repeat=len(names)):
+        at = dict(zip(names, values))
+        proj = tuple(at[x] for x in shared)
+        if all(value(f, at) == "ht" for f in phi) and proj not in out:
+            out.append(proj)
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(formulas(ALG_PP6H.connectives, ["p", "q", "r"], 4), max_size=2),
+    st.lists(st.sampled_from(["p", "q", "r", "s"]), max_size=3, unique=True),
+)
+def test_valuation_family_matches_brute_force(phi, shared):
+    assert valuation_family(phi, shared) == brute_valuation_family(phi, shared)

@@ -9,7 +9,7 @@ import gc
 import sys
 import weakref
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 from math import prod
 from pathlib import Path
 
@@ -55,9 +55,11 @@ from mvlogic.semantics import (
     MultiAlgebra,
     PNMatrix,
     check_consequence,
+    check_rule_soundness,
     solve_valuations,
     total_components,
 )
+from mvlogic import semantics
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -293,19 +295,144 @@ def test_a_copy_under_a_non_monotone_renaming_keeps_its_own_rows():
 
 
 def test_a_dropped_algebra_takes_its_plans_with_it():
-    # plans are interned on the algebra's compiled form, not in a table
-    # of the module, so a loaded matrix checked and dropped is collected
+    # plans, each matrix's setup and the mask indices are kept on the
+    # algebra's compiled form, not in a table of the module, so a loaded
+    # matrix checked and dropped is collected with all of them
     m = matrix_from_json(matrix_to_json(lookup("matrix", "m-up").payload))
     res = check_consequence(ConsequenceProblem([m], *_ladder(3)))
     assert res.stats == CheckStats("bitset", 4, 4 * 6**3, 1)
     k = kernel.compiled(m.algebra)
     plans = k.single_valued(k.components()[0])
+    setup = k.designation(m.designated)
+    indices = k.indices
+    assert plans.indices is indices and indices
     alg, form = weakref.ref(m.algebra), weakref.ref(k)
     del m, res, k
     gc.collect()
     assert alg() is None and form() is None
-    # the name plans, and getrefcount's argument, are all that hold them
+    # each name, and getrefcount's argument, are all that hold them: the
+    # setup holds the plans, and the plans the indices
+    assert sys.getrefcount(setup) == 2
+    del setup
     assert sys.getrefcount(plans) == 2
+    del plans
+    assert sys.getrefcount(indices) == 2
+    # and no table of the kernel or of semantics outlives a check
+    for module in (kernel, semantics):
+        assert not [name for name, value in vars(module).items()
+                    if not name.startswith("__")
+                    and isinstance(value, (dict, set, list)) and value]
+
+
+def reference_components(k):
+    """Compiled.components as the scan of every subset of the carrier,
+    largest first: a subset is kept when every table entry over its
+    members keeps a value in it, unless it lies inside one kept before."""
+    found = []
+    for size in range(k.n, 0, -1):
+        for inside in combinations(range(k.n), size):
+            comp = k.mask(inside)
+            if any(comp & t == comp for t in found):
+                continue
+            if all(
+                table[key] & comp
+                for conn, table in k.tables.items()
+                for key in product(inside, repeat=k.arity[conn])
+            ):
+                found.append(comp)
+    return sorted(found, key=k.members)
+
+
+REGISTERED_ALGEBRAS = list({
+    id(alg): alg
+    for alg in [lookup("algebra", n).payload for n in names("algebra")]
+    + [lookup("matrix", n).payload.algebra for n in names("matrix")]
+}.values())
+
+
+@pytest.mark.parametrize("alg", REGISTERED_ALGEBRAS, ids=lambda alg: alg.name)
+def test_components_of_registered_algebras_match_the_subset_scan(alg):
+    k = kernel.Compiled(alg)
+    assert k.components() == reference_components(k)
+
+
+@st.composite
+def pn_algebras(draw):
+    """The multialgebra of a PNmatrix on 1 to 7 values, with one to three
+    connectives among constants, unary and binary ones.  Each entry is
+    empty, a single value, any set of values, or values drawn from its own
+    arguments, which keep every set holding those closed; with an empty
+    entry spoiling every set that holds its arguments, the total
+    components range from none through several to the whole carrier."""
+    carrier = "abcdefg"[: draw(st.integers(1, 7))]
+    values = st.sampled_from(carrier)
+    empty = draw(st.integers(0, 3))
+    kinds = st.sampled_from(["own"] * 4 + ["single"] * 2 + ["any"] + ["empty"] * empty)
+
+    def entry(key):
+        return kinds.flatmap(lambda kind: {
+            "own": st.frozensets(st.sampled_from(key or carrier), min_size=1),
+            "single": st.frozensets(values, min_size=1, max_size=1),
+            "any": st.frozensets(values),
+            "empty": st.just(frozenset()),
+        }[kind])
+
+    interp = {}
+    for c, arity in enumerate(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))):
+        keys = list(product(carrier, repeat=arity))
+        interp["c%d" % c] = dict(zip(keys, draw(st.tuples(*map(entry, keys)))))
+    return MultiAlgebra("random", carrier, interp)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pn_algebras())
+def test_components_match_the_subset_scan(alg):
+    k = kernel.compiled(alg)
+    assert k.components() == reference_components(k)
+
+
+CACHE_MODELS = ["pp6h-ub", "m-up", "pp6a1-ub"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_matrices_on_one_algebra_keep_their_own_setup(data):
+    # two matrices on one algebra designating different sets, and one
+    # whose designated set changes, checked in turn through
+    # check_consequence and check_rule_soundness: every answer, witness
+    # and stats are the reference's, so no setup kept for one designated
+    # set is read for another
+    alg = lookup("matrix", data.draw(st.sampled_from(CACHE_MODELS))).payload.algebra
+    subsets = st.frozensets(st.sampled_from(alg.carrier))
+    first = data.draw(subsets)
+    second = data.draw(subsets.filter(lambda d: d != first))
+    a, b = PNMatrix("a", alg, first), PNMatrix("b", alg, second)
+    side = st.frozensets(formulas(alg.connectives, ["p", "q"]), max_size=2)
+    for i in range(4):
+        prem, conc = data.draw(side), data.draw(side)
+        for models in ([a], [b], [a, b], [b, a]):
+            problem = ConsequenceProblem(models, prem, conc)
+            want = assert_same_answer(problem)
+            got = check_rule_soundness(Rule("r%d" % i, prem, conc), models)
+            assert got == want and got.stats == want.stats
+        a.designated, b.designated = b.designated, a.designated
+
+
+CALCULI_WITH_MODELS = [
+    calc for calc in (lookup("calculus", n).payload for n in names("calculus"))
+    if calc.models
+]
+
+
+@pytest.mark.parametrize("calc", CALCULI_WITH_MODELS, ids=lambda calc: calc.name)
+def test_every_rule_sweep_matches_backtracking(calc):
+    # the small checks a rule sweep, calculus soundness and the prover's
+    # check on its models make: verdict, matrix, witness and stats
+    for rule in calc.rules:
+        got = check_rule_soundness(rule, calc.models)
+        want = assert_same_answer(
+            ConsequenceProblem(calc.models, rule.antecedent, rule.succedent))
+        assert got == want and got.stats == want.stats
 
 
 def test_first_matrix_failing_in_a_later_chunk_than_the_others():
