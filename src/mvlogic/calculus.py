@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, count, product
+from string import ascii_lowercase
 
 from . import kernel, semantics
 from .errors import (
@@ -115,14 +116,14 @@ class ProveStats:
     universe is |Λ|, Λ = sub(premises ∪ goal), on route "model", on route
     "cdcl" the size of the universe of the level that decided (|Λ| when
     Λ's instances did, else |Ξ(Λ)|), and None without an analyticity set
-    or work.  instances, core, nodes and reused are that level's too.
+    or work.  instances, core, nodes and reused are that attempt's too.
     core counts the instances in the minimal unsatisfiable core, steps the
     tree search's steps, nodes the proof tree's nodes (its unfolding, when
     subtrees are shared) and reused the branch children closed by a
     subtree the search had closed before.  assignments (those of the
     core's minimization included) plus steps count against budget_nodes;
-    they, and conflicts, add up every level, and on a Set-Fmla calculus
-    that tries more than one clause set every attempt.
+    they, and conflicts, add up every attempt of prove, and the other
+    fields are the last attempt's.
     valuations counts the valuations the check on the models decided: on
     each component it visited, every assignment of the component's values
     to the sequent's variables, up to the witness.  It is 0 when that check
@@ -458,15 +459,6 @@ def _build_instances(calc, targets, universe):
     return out
 
 
-def _single_valued(models):
-    """The compiled algebra of each model, or None when a model's tables
-    keep other than one value at some entry."""
-    compiled = [kernel.compiled(m.algebra) for m in models]
-    if any(k.single_valued(k.all) is None for k in compiled):
-        return None
-    return compiled
-
-
 def _interprets(models, formulas):
     """Whether every model interprets every connective of the formulas at
     the arity it is applied with."""
@@ -478,22 +470,30 @@ def _interprets(models, formulas):
     return True
 
 
+def _checkable(models, count, bound, formulas):
+    """The compiled algebra of each model, or None unless the models can be
+    checked on the formulas: there are models, every table of each keeps
+    one value at every entry, their valuations of count variables number
+    at most bound in all, and each interprets every formula."""
+    compiled = [kernel.compiled(m.algebra) for m in models or ()]
+    if not compiled or any(k.single_valued(k.all) is None for k in compiled):
+        return None
+    if sum(k.n ** count for k in compiled) > bound or not _interprets(models, formulas):
+        return None
+    return compiled
+
+
 def _model_truths(calc, base, formulas):
     """Per formula, the truth rows where it is designated, as a bitmask: a
     row is a (deterministic model, assignment to the variables of base)
     pair, and each model's rows follow the previous models' rows.  Used to
-    steer branch selection; None without models, when a model is not
-    single-valued or does not interpret every formula and subformula, or
-    when all models' rows together are more than one kernel chunk."""
+    steer branch selection; None when the models cannot be checked on every
+    formula and subformula (see _checkable) within one kernel chunk."""
     models = calc.models
-    compiled = models and _single_valued(models)
-    if not compiled:
-        return None
     vs = [var(v) for v in sorted(variables(base))]
-    if sum(k.n ** len(vs) for k in compiled) > kernel.CHUNK:
-        return None
     # a row is computed from the rows of every subformula
-    if not _interprets(models, subformulas(formulas)):
+    compiled = _checkable(models, len(vs), kernel.CHUNK, subformulas(formulas))
+    if compiled is None:
         return None
     masks = dict.fromkeys(formulas, 0)
     # one Bitsets per algebra, read by every model over it
@@ -504,7 +504,7 @@ def _model_truths(calc, base, formulas):
         if bitsets is None:
             # at most CHUNK assignments: one bitset covers them all
             bitsets = shared[k] = kernel.Bitsets(k.single_valued(k.all), k.n, vs)
-        des = k.mask_of(m.designated)
+        des = [i for i, v in enumerate(k.carrier) if v in m.designated]
         for f in formulas:
             masks[f] |= bitsets.where(f, des) << shift
         shift += bitsets.size
@@ -753,19 +753,20 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     other formulas.  Unsatisfiable, the core the solver used is shrunk
     until every instance in it is needed, and the proof tree is searched
     over those instances only.  The solver's assignments and the search's
-    steps share budget_nodes, across the levels too: a level gets what the
-    ones before it left.  A decided sequent whose tree does not fit stays
-    OutOfBudget.
+    steps share budget_nodes.  A decided sequent whose tree does not fit
+    stays OutOfBudget.
 
-    A calculus made by to_set_fmla_calculus from an analytic source is
-    never decided itself: the source's Set-Set proof of the goal is
-    replayed with the disjunction rules, and the source's refutation is
-    passed on.  With a non-analytic source the replay is only tried after
-    the calculus's own clause set, since the source may be unable to break
-    up a premise that the disjunction rules can; the source's refutation
-    is passed on then too, and the answer is Inconclusive when both are.
-    Each later attempt gets the budget the earlier ones left, and none
-    starts once it is spent."""
+    A calculus made by to_set_fmla_calculus replays the source's Set-Set
+    proofs with the disjunction rules (see _prove_by_simulation), and
+    passes on the source's refutation of the goal.  With an analytic
+    source it is never decided itself; with a non-analytic one the replay
+    is only tried after the calculus's own clause set, since the source may
+    be unable to break up a premise that the disjunction rules can.
+
+    prove makes its attempts (see _levels) in turn: each gets the budget
+    the ones before it left, none starts once it is spent, and the first
+    Proved or OutOfBudget ends them.  The answer is the last attempt's,
+    with the assignments, conflicts and steps of every attempt added up."""
     premises = frozenset(premises)
     goal = frozenset(goal)
     if calc.framework == SET_FMLA and len(goal) != 1:
@@ -773,51 +774,52 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     if premises & goal:
         stats = ProveStats("closed", None, 0, nodes=1)
         return Proved(TreeNode(premises, closed=True), stats)
-    if calc.source is not None and calc.source.xi is not None:
-        return _prove_by_simulation(calc, premises, goal, budget_nodes)
     base = premises | goal
     targets = sorted(subformulas(base), key=canon_key)
     res, valuations = _refute_on_models(calc, premises, goal, targets, budget_nodes)
     if res is not None:
         return res
-    res, left = None, budget_nodes
-    for universe in _levels(calc, base, targets):
+    for route, level in _levels(calc, base, targets, goal):
+        left = budget_nodes
         if res is not None:
-            # a model of the narrower level proves nothing: widen
-            left = budget_nodes - _spent(res.stats)
+            left -= _spent(res.stats)
             if left <= 0:
                 return OutOfBudget(res.stats)
-        ground = _build_instances(calc, targets, universe)
-        level = _decide(calc, premises, goal, universe, ground, left, valuations)
-        res = level if res is None else _with_work(level, res.stats)
+        if route == "replay":
+            got = _prove_by_simulation(calc, premises, level, left)
+        else:
+            ground = _build_instances(calc, targets, level)
+            got = _decide(calc, premises, goal, level, ground, left, valuations)
+        res = got if res is None else _with_work(got, res.stats)
         if isinstance(res, (Proved, OutOfBudget)):
             break
-    if calc.source is None or isinstance(res, Proved):
-        return res
-    left = budget_nodes - _spent(res.stats)
-    if left <= 0:
-        return OutOfBudget(res.stats)
-    replayed = _prove_by_simulation(calc, premises, goal, left)
-    if isinstance(replayed, (Proved, Refuted)):
-        return _with_work(replayed, res.stats)
-    res = _with_work(res, replayed.stats)
-    if isinstance(res, Inconclusive) and isinstance(replayed, Inconclusive):
-        return res
-    return OutOfBudget(res.stats)
+    return res
 
 
-def _levels(calc, base, targets):
-    """The universes the clause route decides on, narrowest first: Λ =
-    targets, then Ξ(Λ), skipped when it adds nothing; one level, None,
-    without an analyticity set.  Ξ(Λ) is built only when asked for."""
-    if calc.xi is None:
-        yield None
-        return
-    lam = frozenset(targets)
-    yield lam
-    wider = frozenset(generalized_subformulas(base, calc.xi))
-    if wider != lam:
-        yield wider
+def _levels(calc, base, targets, goal):
+    """The attempts of prove, in order, as (route, formulas).  First the
+    universes the clause route ("cdcl") decides on, narrowest first: Λ =
+    targets, then Ξ(Λ), skipped when it adds nothing; one, None, without an
+    analyticity set, and none for a calculus made by to_set_fmla_calculus
+    from an analytic source.  Then, for a calculus made by
+    to_set_fmla_calculus, the goal sets whose source proof is replayed
+    ("replay"): the disjuncts of the one goal formula g when g is their
+    sorted disjunction, then {g}.  Ξ(Λ) is built only when asked for."""
+    source = calc.source
+    if calc.xi is not None:
+        lam = frozenset(targets)
+        yield "cdcl", lam
+        wider = frozenset(generalized_subformulas(base, calc.xi))
+        if wider != lam:
+            yield "cdcl", wider
+    elif source is None or source.xi is None:
+        yield "cdcl", None
+    if source is not None:
+        (g,) = goal
+        psis = frozenset(_or_spine(g))
+        if len(psis) > 1 and big_or(sorted(psis, key=canon_key)) is g:
+            yield "replay", psis
+        yield "replay", frozenset({g})
 
 
 def _spent(stats):
@@ -837,22 +839,16 @@ def _with_work(res, earlier):
 def _refute_on_models(calc, premises, goal, targets, budget_nodes):
     """The refutation of a sequent by a valuation of the calculus's models,
     or None, and the number of valuations the check decided (0 when it was
-    skipped).  The check runs when the models interpret the sequent, when
-    their valuations of its variables fit budget_nodes, and when every
-    model is single-valued: checking one that is not searches valuations
-    one at a time, and every sequent the calculus proves would pay that
-    search.  A witness refutes when every rule holds in the models.  It is
-    a valuation of Λ = targets, the sequent's subformulas, and Ω the
-    formulas of Λ it designates, closed under every ground instance inside
-    Λ since every rule keeps designation."""
+    skipped).  It runs when the models can be checked on Λ = targets, the
+    sequent's subformulas, within budget_nodes valuations (see
+    _checkable): checking a model that is not single-valued searches
+    valuations one at a time, and every sequent the calculus proves would
+    pay that search.  A witness refutes when every rule holds in the
+    models.  It is a valuation of Λ, and Ω the formulas of Λ it
+    designates, closed under every ground instance inside Λ since every
+    rule keeps designation."""
     models = calc.models
-    compiled = models and _single_valued(models)
-    if not compiled:
-        return None, 0
-    vs = [f for f in targets if f.is_var]
-    if sum(k.n ** len(vs) for k in compiled) > budget_nodes:
-        return None, 0
-    if not _interprets(models, targets):
+    if _checkable(models, sum(f.is_var for f in targets), budget_nodes, targets) is None:
         return None, 0
     res = semantics.check_consequence(ConsequenceProblem(models, premises, goal))
     valuations = res.stats.assignments
@@ -938,38 +934,19 @@ def _or_spine(f):
     return parts
 
 
-def _prove_by_simulation(calc, premises, goal, budget_nodes):
-    """Prove the one goal formula g of a transformed calculus by replaying
-    the source's Set-Set proof of it: of g's disjuncts when g is their
-    sorted disjunction, else of g itself.  The proof is condensed, then
-    replayed (see _Simulation) as a chain of Set-Fmla steps, whose nodes
-    stats counts under route "replay"; the source's last answer is passed
-    on when neither is proved.  The attempt on g gets the budget the one
-    on its disjuncts left, and stats adds up both."""
-    (g,) = goal
-    splits = []
-    parts = _or_spine(g)
-    if len(parts) > 1:
-        psis = frozenset(parts)
-        if big_or(sorted(psis, key=canon_key)) is g:
-            splits.append(psis)
-    splits.append(frozenset({g}))
-    res = None
-    for psis in splits:
-        if res is None:
-            res = prove(calc.source, premises, psis, budget_nodes)
-        else:
-            left = budget_nodes - _spent(res.stats)
-            if left <= 0:
-                return OutOfBudget(replace(res.stats, route="replay"))
-            res = _with_work(prove(calc.source, premises, psis, left), res.stats)
-        if isinstance(res, Proved):
-            spec = _condense(calc.source, res.tree, psis)
-            steps = _Simulation(calc, calc.source, psis).run(spec, premises)
-            stats = replace(res.stats, route="replay", nodes=len(steps) + 1)
-            return Proved(_chain_tree(premises, steps), stats)
-    # the last attempt had the goal {g}: the source refuting it refutes g
-    return replace(res, stats=replace(res.stats, route="replay"))
+def _prove_by_simulation(calc, premises, psis, budget_nodes):
+    """One replay attempt of a transformed calculus (see _levels): the
+    source's answer to premises ⊢ psis, on route "replay".  A proof is
+    condensed, then replayed (see _Simulation) as a chain of Set-Fmla
+    steps, whose nodes stats counts.  The last attempt has the goal {g},
+    so a refutation that prove passes on refutes g."""
+    res = prove(calc.source, premises, psis, budget_nodes)
+    if not isinstance(res, Proved):
+        return replace(res, stats=replace(res.stats, route="replay"))
+    spec = _condense(calc.source, res.tree, psis)
+    steps = _Simulation(calc, calc.source, psis).run(spec, premises)
+    stats = replace(res.stats, route="replay", nodes=len(steps) + 1)
+    return Proved(_chain_tree(premises, steps), stats)
 
 
 def _condense(calc, tree, goal):
@@ -1324,11 +1301,8 @@ def _fresh_variable(calc):
     for r in calc.rules:
         used |= variables(r.antecedent | r.succedent)
     # shortest first, then lexicographic
-    import itertools
-    import string
-
-    for length in itertools.count(1):
-        for letters in product(string.ascii_lowercase, repeat=length):
+    for length in count(1):
+        for letters in product(ascii_lowercase, repeat=length):
             name = "".join(letters)
             if name not in used:
                 return name

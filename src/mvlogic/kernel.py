@@ -44,10 +44,9 @@ found by closure: from the whole carrier, a set with a table entry over its
 members that keeps no value in it goes on without each of that entry's
 arguments in turn.  :meth:`Compiled.designation` keeps, per designated set
 of a matrix, what a consequence check reads of each component (its plans,
-member values and designated and undesignated masks), and
-:meth:`Bitsets.where` reads a mask's value indices from a tuple kept per
-mask.  All of these fill on first use and live on the compiled form, so
-they go with the algebra.
+member values and designated and undesignated positions), and
+:meth:`Bitsets.where` ORs the rows at such positions.  All of these fill on
+first use and live on the compiled form, so they go with the algebra.
 """
 
 from __future__ import annotations
@@ -99,34 +98,6 @@ class _Row(dict):
         return out
 
 
-class _Indices(dict):
-    """Masks mapped to the tuples of their set bits' positions, ascending,
-    each computed on first use."""
-
-    __slots__ = ()
-
-    def __missing__(self, mask):
-        out = self[mask] = tuple(bits(mask))
-        return out
-
-
-class _Plans(dict):
-    """The plans of one component shape, by connective (see
-    :meth:`Compiled.single_valued`); indices is the algebra's memo of the
-    positions of each mask's set bits, which :meth:`Bitsets.where` reads."""
-
-    __slots__ = ("indices",)
-
-    def __init__(self, indices):
-        super().__init__()
-        self.indices = indices
-
-
-def _positions(mask, members):
-    """mask with bit i of each member moved to that member's position."""
-    return sum(1 << j for j, i in enumerate(members) if mask >> i & 1)
-
-
 class Compiled:
     """A MultiAlgebra with values as indices and value sets as masks."""
 
@@ -155,7 +126,6 @@ class Compiled:
         self._shapes = {}
         self._components = None
         self._designations = {}
-        self.indices = _Indices()
 
     @staticmethod
     def mask(indices):
@@ -204,10 +174,7 @@ class Compiled:
             entries = {}
             for table in self.tables.values():
                 for key, out in table.items():
-                    args = 0
-                    for i in key:
-                        args |= 1 << i
-                    entries[args, out] = None
+                    entries[self.mask(key), out] = None
             entries = sorted(entries, key=lambda entry: entry[0].bit_count())
             found, seen, stack = [], set(), [self.all]
             while stack:
@@ -231,26 +198,27 @@ class Compiled:
 
     def designation(self, designated):
         """How a matrix designating the frozenset designated reads the
-        algebra, made on first use and kept per designated set:
-        (des, parts), des the mask of the designated values and parts, per
-        total component in order, (comp, plans, values, inside, outside).
-        comp is the component's mask and plans its :meth:`single_valued`
-        plans; values lists its members' values by position; inside and
-        outside are the masks of its designated and undesignated members,
-        by position when plans is not None, which read values by position."""
+        algebra, made on first use and kept per designated set: per total
+        component in order, (plans, values, inside, outside).  plans is the
+        component's :meth:`single_valued` plans and values lists its
+        members' values by position.  When plans is not None, which read
+        values by position, inside and outside are the ascending tuples of
+        the positions of its designated and undesignated members, as
+        :meth:`Bitsets.where` takes them; otherwise they are the frozensets
+        of those members' values."""
         got = self._designations.get(designated)
         if got is None:
-            des = self.mask_of(designated)
             parts = []
             for comp in self.components():
                 plans = self.single_valued(comp)
-                members = self.members(comp)
-                inside, outside = des & comp, comp & ~des
-                if plans is not None:
-                    inside, outside = _positions(inside, members), _positions(outside, members)
-                values = tuple(self.carrier[i] for i in members)
-                parts.append((comp, plans, values, inside, outside))
-            got = self._designations[designated] = des, tuple(parts)
+                values = tuple(self.carrier[i] for i in self.members(comp))
+                inside = tuple(j for j, v in enumerate(values) if v in designated)
+                outside = tuple(j for j, v in enumerate(values) if v not in designated)
+                if plans is None:
+                    inside = designated.intersection(values)
+                    outside = frozenset(values) - designated
+                parts.append((plans, values, inside, outside))
+            got = self._designations[designated] = tuple(parts)
         return got
 
     def single_valued(self, comp):
@@ -282,7 +250,7 @@ class Compiled:
         inside = self.members(comp)
         positions = range(len(inside))
         position = dict(zip(inside, positions))
-        out = _Plans(self.indices)
+        out = {}
         for conn, table in self.tables.items():
             arity = self.arity[conn]
             plan = []
@@ -545,11 +513,11 @@ class Bitsets:
         # f comes off the stack last
         return row
 
-    def where(self, f, mask):
-        """Assignments under which f takes a value in mask."""
+    def where(self, f, positions):
+        """Assignments under which f takes a value at one of the positions."""
         row = self.rows.get(f) or self.row(f)
         out = 0
-        for v in self.plans.indices[mask]:
+        for v in positions:
             out |= row[v]
         return out
 

@@ -593,19 +593,35 @@ def matrix_to_json(m):
     )
 
 
+def _typed(value, kind, field):
+    """value when json.loads read it as the type kind, or as a list of
+    kind[0]s when kind is a one-item list; else a ValueError naming the
+    field (so true is no integer, and a string no list of characters)."""
+    if type(kind) is list:
+        ok = type(value) is list and all(type(v) is kind[0] for v in value)
+    else:
+        ok = type(value) is kind
+    if not ok:
+        raise ValueError("%s has the wrong JSON type" % field)
+    return value
+
+
 def matrix_from_json(text):
-    data = json.loads(text)
+    data = _typed(json.loads(text), dict, "the export")
+    name = _typed(data["name"], str, "name")
     interp = {}
-    for conn, spec in data["connectives"].items():
+    for conn, spec in _typed(data["connectives"], dict, "connectives").items():
+        field = "connective %r" % conn
+        arity = _typed(_typed(spec, dict, field)["arity"], int, field + " arity")
         table = {}
-        for key, out in spec["table"].items():
+        for key, out in _typed(spec["table"], dict, field + " table").items():
             parts = tuple(k for k in key.split(",") if k != "")
-            if len(parts) != spec["arity"]:
+            if len(parts) != arity:
                 raise ValueError("entry %r has the wrong arity" % key)
-            table[parts] = set(out)
+            table[parts] = set(_typed(out, [str], "%s entry %r" % (field, key)))
         interp[conn] = table
-    alg = MultiAlgebra(data["name"], data["values"], interp)
-    return PNMatrix(data["name"], alg, data["designated"])
+    alg = MultiAlgebra(name, _typed(data["values"], [str], "values"), interp)
+    return PNMatrix(name, alg, _typed(data["designated"], [str], "designated"))
 
 
 def calculus_to_json(c):
@@ -634,24 +650,24 @@ def calculus_to_json(c):
 
 
 def calculus_from_json(text):
-    data = json.loads(text)
+    data = _typed(json.loads(text), dict, "the export")
     rules = [
         Rule(
-            r["name"],
-            frozenset(parse_formula(f) for f in r["premises"]),
-            frozenset(parse_formula(f) for f in r["conclusions"]),
+            _typed(r["name"], str, "a rule's name"),
+            frozenset(map(parse_formula, _typed(r["premises"], [str], "premises"))),
+            frozenset(map(parse_formula, _typed(r["conclusions"], [str], "conclusions"))),
         )
-        for r in data["rules"]
+        for r in _typed(data["rules"], [dict], "rules")
     ]
-    fmt = data.get("format", 1)
+    fmt = _typed(data.get("format", 1), int, "format")
     if fmt not in (1, 2):
         raise ValueError("unknown calculus format %r" % fmt)
     xi = data.get("xi")
     if fmt == 1:
         xi = xi or None  # before format 2, an empty list meant no Ξ
-    xi = None if xi is None else tuple(parse_formula(f) for f in xi)
+    xi = None if xi is None else tuple(map(parse_formula, _typed(xi, [str], "xi")))
     framework = data.get("framework", SET_SET)
     if framework not in (SET_SET, SET_FMLA):
         raise ValueError("unknown framework %r" % framework)
-    models = resolve_models(data.get("models", [])) or None
-    return Calculus(data["name"], rules, xi, framework, models=models)
+    models = resolve_models(_typed(data.get("models", []), [str], "models")) or None
+    return Calculus(_typed(data["name"], str, "name"), rules, xi, framework, models=models)

@@ -183,20 +183,21 @@ def total_components(m):
 
 class _Visit:
     """One total component of one matrix, as check_consequence visits it.
-    comp, plans, values, inside and outside are the component's part of
-    the matrix's designation, set up once per designated set and kept on
-    the algebra's compiled form (:meth:`kernel.Compiled.designation`): a
+    plans, values, inside and outside are the component's part of the
+    matrix's designation, set up once per designated set and kept on the
+    algebra's compiled form (:meth:`kernel.Compiled.designation`): a
     position is the index of a member of the component in carrier order,
     values maps each position to its value, and plans is None when some
     table keeps other than one value on the component.  Premises must take
-    a value in inside and conclusions one in outside, masks by position
-    when there are plans, which read values by position."""
+    a value in inside and conclusions one in outside: tuples of positions
+    when there are plans, which read values by position, and sets of
+    values otherwise."""
 
-    __slots__ = ("idx", "m", "comp", "plans", "values", "wants")
+    __slots__ = ("idx", "m", "plans", "values", "wants")
 
     def __init__(self, idx, m, part, premises, conclusions):
         self.idx, self.m = idx, m
-        self.comp, self.plans, self.values, inside, outside = part
+        self.plans, self.values, inside, outside = part
         self.wants = (premises, inside), (conclusions, outside)
 
     def select(self, bitsets):
@@ -212,9 +213,9 @@ class _Visit:
     def backtrack(self, domain, variables):
         """The first valuation solve_valuations finds on the component and
         the rank of its variables' values, or (None, None)."""
-        k = kernel.compiled(self.m.algebra)
-        masks = {f: allowed for formulas, allowed in self.wants for f in formulas}
-        cons = {f: k.values(masks.get(f, self.comp)) for f in domain}
+        wanted = {f: allowed for formulas, allowed in self.wants for f in formulas}
+        everywhere = frozenset(self.values)
+        cons = {f: wanted.get(f, everywhere) for f in domain}
         found = solve_valuations(self.m, domain, cons, limit=1)
         if not found:
             return None, None
@@ -231,15 +232,16 @@ def check_consequence(problem):
     Each matrix is searched on its total components in turn.  Components
     whose tables restrict to single values are decided by the bitset
     kernel, the others by solve_valuations.  What a matrix needs of its
-    components (plans, member values, designated and undesignated masks)
-    is set up on its first check and kept on the algebra's compiled form,
-    so a call pays only for its formulas.  Rows are shared per component
-    shape: every component of one algebra whose restricted tables are equal
-    once its values are renamed to their positions has one plan, and every
-    matrix over such a component (a class of filters on one algebra, or
-    the like components of one PNmatrix) reads the same rows, of every
-    assignment of positions to the variables: each formula is evaluated
-    once per chunk, and each visit only selects what it wants."""
+    components (plans, member values, designated and undesignated positions
+    or values) is set up on its first check and kept on the algebra's
+    compiled form, so a call pays only for its formulas.  Rows are shared
+    per component shape: every component of one algebra whose restricted
+    tables are equal once its values are renamed to their positions has
+    one plan, and every matrix over such a component (a class of filters
+    on one algebra, or the like components of one PNmatrix) reads the same
+    rows, of every assignment of positions to the variables: each formula
+    is evaluated once per chunk, and each visit only selects what it
+    wants."""
     premises = frozenset(problem.premises)
     conclusions = frozenset(problem.conclusions)
     if problem.mode == SET_FMLA and len(conclusions) != 1:
@@ -254,11 +256,11 @@ def check_consequence(problem):
     if not premises & conclusions:
         for idx, m in enumerate(problem.models):
             k = kernel.compiled(m.algebra)
-            des, parts = k.designation(m.designated)
             # no premise can be designated, or no conclusion undesignated
-            if (premises and not des) or (conclusions and des == k.all):
+            if (premises and not m.designated) or (conclusions and len(m.designated) == k.n):
                 continue
-            visits.extend(_Visit(idx, m, part, premises, conclusions) for part in parts)
+            visits.extend(_Visit(idx, m, part, premises, conclusions)
+                          for part in k.designation(m.designated))
     # the visits that read the same rows: one group per plan
     shared = {}
     for i, v in enumerate(visits):

@@ -711,6 +711,57 @@ def test_set_fmla_attempts_share_one_budget(monkeypatch):
     assert own.assignments > 0 and res.stats.assignments == own.assignments
 
 
+def test_every_ending_of_a_transformed_calculus_without_analyticity(monkeypatch):
+    # pp-top-rules has no analyticity set, so its Set-Fmla calculus decides
+    # its own clause set first and then replays the source's answer to the
+    # one goal.  Whatever the ending, each clause set gets the budget the
+    # ones before it left, the answer carries the last attempt's stats and
+    # it adds up the work of all of them.
+    from mvlogic import calculus
+
+    attempts = []
+
+    def spy(calc, premises, goal, universe, ground, budget_nodes, valuations=0):
+        res = _decide(calc, premises, goal, universe, ground, budget_nodes, valuations)
+        attempts.append((budget_nodes, res.stats))
+        return res
+
+    monkeypatch.setattr(calculus, "_decide", spy)
+    rv = to_set_fmla_calculus(lookup(KIND_CALCULUS, "pp-top-rules").payload)
+    cases = [
+        # the own clause set proves it
+        ("p | q", "q | p", (10, 1000), Proved, "cdcl", 1),
+        # the own clause set spends the budget: no replay starts
+        ("", "top", (15,), OutOfBudget, "cdcl", 1),
+        ("p", "q", (56,), OutOfBudget, "cdcl", 1),
+        # the replay runs out of what the own clause set left
+        ("", "top", (16, 23), OutOfBudget, "replay", 2),
+        ("p", "q", (57, 75), OutOfBudget, "replay", 2),
+        ("p & q", "p", (142, 173), OutOfBudget, "replay", 2),
+        # the source's clause set has a model, which proves nothing
+        ("", "top", (24, 1000), Inconclusive, "replay", 2),
+        ("p & q", "p", (174, 1000), Inconclusive, "replay", 2),
+        # the source's models refute p |- q once the 36 valuations fit
+        ("p", "q", (92, 1000), Refuted, "replay", 1),
+    ]
+    for prem_text, goal_text, budgets, verdict, route, clause_sets in cases:
+        for budget in budgets:
+            del attempts[:]
+            res = prove(rv, parse_formula_set(prem_text),
+                        parse_formula_set(goal_text), budget_nodes=budget)
+            assert isinstance(res, verdict) and res.stats.route == route
+            assert len(attempts) == clause_sets
+            left = budget
+            for given_budget, stats in attempts:
+                assert given_budget == left > 0
+                left -= stats.assignments + stats.steps
+            for count in ("assignments", "conflicts", "steps"):
+                spent = sum(getattr(stats, count) for _, stats in attempts)
+                assert getattr(res.stats, count) == spent
+            if verdict is not Refuted:
+                assert res.stats.instances == attempts[-1][1].instances
+
+
 def test_universe_levels_share_one_budget(monkeypatch):
     # r-leq's ~~p |- p: Λ's instances have a model, which proves nothing,
     # so the Ξ-universe decides with the budget Λ left.  The answer adds up

@@ -590,6 +590,58 @@ def test_matrix_export_with_values_outside_the_carrier_is_input_error(tmp_path, 
                               message)
 
 
+def _json_paths(data, path=()):
+    """The path of every value in JSON data, the data's own first."""
+    yield path
+    if isinstance(data, (dict, list)):
+        items = data.items() if isinstance(data, dict) else enumerate(data)
+        for key, value in items:
+            yield from _json_paths(value, path + (key,))
+
+
+def _json_with(data, path, value):
+    """A copy of JSON data with value at path."""
+    if not path:
+        return value
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+def test_exports_with_any_json_value_anywhere_never_crash(tmp_path, capsys):
+    # a matrix export whose connectives, or a connective's table, was null,
+    # a list, a string, a number or true once ended in AttributeError (exit
+    # 4); every such value at every place of an export gives an answer or
+    # an input error
+    cases = [
+        ("matrix", "dm4-bt", ["check", "--premises", "~p", "--conclusions", "p",
+                              "--matrix"]),
+        ("calculus", "r-b", ["prove", "--premises", "p", "--goal", "p | q",
+                             "--budget-nodes", "100", "--calculus"]),
+    ]
+    path = tmp_path / "edited.json"
+    for kind, name, argv in cases:
+        assert run(["export", "--kind", kind, "--name", name]) == EXIT_POSITIVE
+        data = json.loads(capsys.readouterr().out)
+        for where in list(_json_paths(data)):
+            for value in (None, [], {}, "x", 3, 1.5, True):
+                path.write_text(json.dumps(_json_with(data, where, value)))
+                code = run(argv + ["@%s" % path])
+                err = capsys.readouterr().err
+                assert code != EXIT_INTERNAL, (kind, where, value, err)
+    # a string where a list belongs is no list of its characters
+    for kind, name, field, argv in [
+        ("matrix", "dm4-bt", "designated", ["check", "--conclusions", "p", "--matrix"]),
+        ("calculus", "r-b", "xi", ["prove", "--goal", "p", "--calculus"]),
+    ]:
+        edited = _edited_export(tmp_path, capsys, kind, name,
+                                lambda data: data.update({field: "bt" if kind == "matrix" else "p"}))
+        _fails_as_input_error(capsys, argv + [edited], "%s has the wrong JSON type" % field)
+
+
 def test_algebra_filters_need_a_lattice_reduct(tmp_path, capsys):
     path = _edited_export(tmp_path, capsys, "matrix", "dm4-bt",
                           lambda data: data["connectives"].pop("or"))

@@ -295,28 +295,24 @@ def test_a_copy_under_a_non_monotone_renaming_keeps_its_own_rows():
 
 
 def test_a_dropped_algebra_takes_its_plans_with_it():
-    # plans, each matrix's setup and the mask indices are kept on the
-    # algebra's compiled form, not in a table of the module, so a loaded
-    # matrix checked and dropped is collected with all of them
+    # plans and each matrix's setup are kept on the algebra's compiled
+    # form, not in a table of the module, so a loaded matrix checked and
+    # dropped is collected with all of them
     m = matrix_from_json(matrix_to_json(lookup("matrix", "m-up").payload))
     res = check_consequence(ConsequenceProblem([m], *_ladder(3)))
     assert res.stats == CheckStats("bitset", 4, 4 * 6**3, 1)
     k = kernel.compiled(m.algebra)
     plans = k.single_valued(k.components()[0])
     setup = k.designation(m.designated)
-    indices = k.indices
-    assert plans.indices is indices and indices
     alg, form = weakref.ref(m.algebra), weakref.ref(k)
     del m, res, k
     gc.collect()
     assert alg() is None and form() is None
     # each name, and getrefcount's argument, are all that hold them: the
-    # setup holds the plans, and the plans the indices
+    # setup holds the plans
     assert sys.getrefcount(setup) == 2
     del setup
     assert sys.getrefcount(plans) == 2
-    del plans
-    assert sys.getrefcount(indices) == 2
     # and no table of the kernel or of semantics outlives a check
     for module in (kernel, semantics):
         assert not [name for name, value in vars(module).items()
@@ -501,7 +497,8 @@ def test_chunks_give_the_answers_of_one_bitset(case, data):
     # chunk, down to one assignment, gives them too
     plans, n, xs, fs = case
     masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=3))
-    selects = [lambda b, f=f, mask=mask: b.where(f, mask) for f, mask in zip(fs * 3, masks)]
+    selects = [lambda b, f=f, mask=mask: b.where(f, tuple(kernel.bits(mask)))
+               for f, mask in zip(fs * 3, masks)]
     whole = kernel.Bitsets(plans, n, xs)
     values = [whole.values(f, whole.full) for f in fs]
     want_hit = None
