@@ -171,6 +171,8 @@ class Refuted:
 
 @dataclass
 class OutOfBudget:
+    """The budget ran out, or was too small to check the models (see prove)."""
+
     stats: ProveStats = field(default=None, compare=False)
 
 
@@ -181,8 +183,8 @@ class Inconclusive:
     those instances build, do not derive the sequent, and either its models
     do not interpret every connective of the sequent, or it has no
     analyticity set, so that a model of those instances is no countermodel
-    and the calculus may still derive the sequent.  Its models, where they
-    could be checked, do not refute the sequent."""
+    and the calculus may still derive the sequent.  Its models do not
+    refute the sequent, or cannot be checked on it at any budget."""
 
     stats: ProveStats = field(default=None, compare=False)
 
@@ -203,14 +205,14 @@ def _compiled_rule(rule):
     targets that passed), else in the loop of its last variable, in
     canon_key order.  A missing id or row, or a rule formula's id not below
     size (a missing one reads as size), drops the assignment and its
-    extensions, as does an instance whose sides meet (only formulas of
-    the two sides that unify are compared).  Otherwise its clause, the
-    sorted literals 2*id + 1 of its antecedent and 2*id of its succedent,
-    each once, goes to emit and (name, target positions) to record, unless
-    seen holds it already.  Every clause is a list sorted in place that
-    goes through a set only when two formulas of one side that unify have
-    taken one id, and its tuple is the key.  The source splices in only
-    generated names."""
+    extensions, as does an instance whose sides meet (every antecedent
+    formula's id is compared with every succedent one's).  Otherwise its
+    clause, the sorted literals 2*id + 1 of its antecedent and 2*id of its
+    succedent, each once, goes to emit and (name, target positions) to
+    record, unless seen holds it already.  Every clause is a list sorted in
+    place that goes through a set only when two formulas of one side (any
+    two) have taken one id, and its tuple is the key.  The source splices
+    in only generated names."""
     sides = rule.antecedent | rule.succedent
     vs = sorted(variables(sides))
     level = {v: j for j, v in enumerate(vs)}
@@ -276,7 +278,7 @@ def _compiled_rule(rule):
         lines += ["%sif %s: %s" % (pad, test, skip) for test in deep[j]]
     meets = [
         "%s == %s" % (local[a], local[s])
-        for a in rule.antecedent for s in rule.succedent if _unifiable(a, s)
+        for a in rule.antecedent for s in rule.succedent
     ]
     if meets:
         lines.append("%sif %s: %s" % (pad, " or ".join(meets), skip))
@@ -286,7 +288,7 @@ def _compiled_rule(rule):
     merges = [
         "%s == %s" % (local[f], local[g])
         for side in (rule.antecedent, rule.succedent)
-        for f, g in combinations(side, 2) if _unifiable(f, g)
+        for f, g in combinations(side, 2)
     ]
     if merges:
         lines.append("%sif %s: clause = [*{*clause}]" % (pad, " or ".join(merges)))
@@ -341,38 +343,6 @@ def _rule_heads(rule):
         if f.args is not None:
             heads.setdefault((f.head, len(f.args)))
     return tuple(heads)
-
-
-def _unifiable(f, g):
-    """Whether some substitution of formulas for the variables makes f and
-    g one formula."""
-    env, pairs = {}, [(f, g)]
-    while pairs:
-        a, b = pairs.pop()
-        while a.args is None and a.head in env:
-            a = env[a.head]
-        while b.args is None and b.head in env:
-            b = env[b.head]
-        if b.args is None:
-            a, b = b, a
-        if a is b:
-            continue
-        if a.args is not None:
-            if a.head != b.head or len(a.args) != len(b.args):
-                return False
-            pairs.extend(zip(a.args, b.args))
-            continue
-        stack = [b]  # a variable bound to a formula containing it
-        while stack:
-            t = stack.pop()
-            if t.args is not None:
-                stack.extend(t.args)
-            elif t.head == a.head:
-                return False
-            elif t.head in env:
-                stack.append(env[t.head])
-        env[a.head] = b
-    return True
 
 
 class _Built(dict):
@@ -500,11 +470,11 @@ def _model_truths(calc, base, formulas):
     shared = {}
     shift = 0
     for m, k in zip(models, compiled):
+        ((plans, _, des, _),) = k.designation(m.designated)  # the carrier
         bitsets = shared.get(k)
         if bitsets is None:
             # at most CHUNK assignments: one bitset covers them all
-            bitsets = shared[k] = kernel.Bitsets(k.single_valued(k.all), k.n, vs)
-        des = [i for i, v in enumerate(k.carrier) if v in m.designated]
+            bitsets = shared[k] = kernel.Bitsets(plans, k.n, vs)
         for f in formulas:
             masks[f] |= bitsets.where(f, des) << shift
         shift += bitsets.size
@@ -754,7 +724,8 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
     until every instance in it is needed, and the proof tree is searched
     over those instances only.  The solver's assignments and the search's
     steps share budget_nodes.  A decided sequent whose tree does not fit
-    stays OutOfBudget.
+    stays OutOfBudget, as does an Inconclusive one whose models were
+    left unchecked only because their valuations outnumber budget_nodes.
 
     A calculus made by to_set_fmla_calculus replays the source's Set-Set
     proofs with the disjunction rules (see _prove_by_simulation), and
@@ -793,6 +764,10 @@ def prove(calc, premises, goal, budget_nodes=1_000_000):
         res = got if res is None else _with_work(got, res.stats)
         if isinstance(res, (Proved, OutOfBudget)):
             break
+    if isinstance(res, Inconclusive) and not valuations and _checkable(
+        calc.models, sum(f.is_var for f in targets), float("inf"), targets
+    ):  # a larger budget checks the models, which may refute the sequent
+        return OutOfBudget(res.stats)
     return res
 
 

@@ -1,14 +1,15 @@
 """Command-line front-end.
 
 Exit codes: 0 positive answer (Proved/Holds/Sound/Valid), 1 negative with a
-certificate printed, 2 usage or input error, 3 budget exhausted, 4 internal
-error (an unexpected exception, never an answer), 5 inconclusive (no proof
-and no refutation, which no budget changes: the calculus's ground
-instances over the sequent's subformulas, with the formulas those instances
-build, do not derive the sequent, its models, where checked, do not refute
-it, and either they do not interpret it, or the calculus has no
-analyticity set, so that a model of those instances is no countermodel and
-the calculus may still derive it).
+certificate printed, 2 usage or input error, 3 budget exhausted (or too
+small to check the models, where the answer would be 5), 4 internal error
+(an unexpected exception, never an answer), 5 inconclusive (no proof and
+no refutation, which no budget changes: the calculus's ground instances
+over the sequent's subformulas, with the formulas those instances build,
+do not derive the sequent, its models do not refute it or cannot be
+checked at any budget, and either they do not interpret it, or the
+calculus has no analyticity set, so that a model of those instances is no
+countermodel and the calculus may still derive it).
 
 A refutation's certificate is its saturated set Ω ("none" when empty) and,
 when the calculus has models, a countermodel above it: on the first model

@@ -47,16 +47,15 @@ def _lattice_tables(carrier, up):
 NEG6 = {"hf": "ht", "f": "t", "n": "n", "b": "b", "t": "f", "ht": "hf"}
 CIRC6 = {v: ("ht" if v in ("hf", "ht") else "hf") for v in V6}
 
-# Heyting implication on the six-valued lattice, rows indexed by the first
-# argument in carrier order
-IMP_H = {
-    "hf": {"hf": "ht", "f": "ht", "n": "ht", "b": "ht", "t": "ht", "ht": "ht"},
-    "f": {"hf": "hf", "f": "ht", "n": "ht", "b": "ht", "t": "ht", "ht": "ht"},
-    "n": {"hf": "hf", "f": "b", "n": "ht", "b": "b", "t": "ht", "ht": "ht"},
-    "b": {"hf": "hf", "f": "n", "n": "n", "b": "ht", "t": "ht", "ht": "ht"},
-    "t": {"hf": "hf", "f": "f", "n": "n", "b": "b", "t": "ht", "ht": "ht"},
-    "ht": {"hf": "hf", "f": "f", "n": "n", "b": "b", "t": "t", "ht": "ht"},
-}
+_MEET6 = _lattice_tables(V6, _LEQ6)["and"]
+
+
+def _imp_h(a, b):
+    """Heyting implication on the six-valued lattice, the relative
+    pseudo-complement: the greatest c with a ∧ c ≤ b."""
+    below = [c for c in V6 if all(leq6(m, b) for m in _MEET6[a, c])]
+    return {min(below, key=lambda c: len(_LEQ6[c]))}
+
 
 # The deterministic refinement of the classic-like implication
 IMP_LETK = {
@@ -97,7 +96,7 @@ def _imp_a1(a, b):
 
 
 ALG_PP6 = MultiAlgebra("pp6", V6, _pp6_interp())
-ALG_PP6H = MultiAlgebra("pp6h", V6, _pp6_interp(lambda a, b: {IMP_H[a][b]}))
+ALG_PP6H = MultiAlgebra("pp6h", V6, _pp6_interp(_imp_h))
 ALG_PP6A1 = MultiAlgebra("pp6a1", V6, _pp6_interp(_imp_a1))
 ALG_LETK = MultiAlgebra("letk", V6, _pp6_interp(lambda a, b: {IMP_LETK[a][b]}))
 

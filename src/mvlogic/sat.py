@@ -39,7 +39,7 @@ class Outcome:
 
 def solve(nvars, clauses, budget):
     """Decide a list of clauses (lists of literals, no variable twice in a
-    clause) within ``budget`` assignments."""
+    clause, which grounding guarantees) within ``budget`` assignments."""
     solver = _Solver(nvars, clauses)
     out = solver.run(budget)
     if solver.assignments > budget:

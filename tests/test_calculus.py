@@ -2,6 +2,7 @@
 transform."""
 
 from dataclasses import replace
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -47,6 +48,7 @@ from mvlogic.formula import (
     subformulas,
     substitute,
     var,
+    variables,
 )
 from mvlogic.registry import (
     ALG_PP6H,
@@ -655,13 +657,16 @@ def test_saturated_search_without_analyticity_is_inconclusive():
     assert res.countermodel[0].name == "pp6h-uht"
     # the models do not refute p & q |- p; the clause set has a model,
     # which refutes nothing without an analyticity set, and the solver
-    # finds it in 33 assignments
+    # finds it in 33 assignments.  The answer is Inconclusive only once the
+    # models' 36 valuations fit the budget: below that they could refute
+    # the sequent for all the budget shows
     premises, goal = parse_formula_set("p & q"), parse_formula_set("p")
     assert isinstance(prove(source, premises, goal), Inconclusive)
-    assert isinstance(prove(source, premises, goal, budget_nodes=33),
+    assert isinstance(prove(source, premises, goal, budget_nodes=36),
                       Inconclusive)
-    assert isinstance(prove(source, premises, goal, budget_nodes=32),
-                      OutOfBudget)
+    for budget in (32, 33, 35):
+        res = prove(source, premises, goal, budget_nodes=budget)
+        assert isinstance(res, OutOfBudget) and res.stats.valuations == 0
     # neither the transformed rules nor the replay prove it
     rv = to_set_fmla_calculus(source)
     assert isinstance(prove(rv, premises, goal), Inconclusive)
@@ -738,9 +743,12 @@ def test_every_ending_of_a_transformed_calculus_without_analyticity(monkeypatch)
         ("", "top", (16, 23), OutOfBudget, "replay", 2),
         ("p", "q", (57, 75), OutOfBudget, "replay", 2),
         ("p & q", "p", (142, 173), OutOfBudget, "replay", 2),
+        # the source's clause set has a model, but what the own clause set
+        # left is below the source models' 36 valuations
+        ("p & q", "p", (174, 176), OutOfBudget, "replay", 2),
         # the source's clause set has a model, which proves nothing
         ("", "top", (24, 1000), Inconclusive, "replay", 2),
-        ("p & q", "p", (174, 1000), Inconclusive, "replay", 2),
+        ("p & q", "p", (177, 1000), Inconclusive, "replay", 2),
         # the source's models refute p |- q once the 36 valuations fit
         ("p", "q", (92, 1000), Refuted, "replay", 1),
     ]
@@ -1003,6 +1011,58 @@ def test_clauses_on_ids_match_clauses_on_formulas(name, data):
         res = _decide(calc, premises, goal, universe, ground, 10)
     assert isinstance(res, OutOfBudget)
     assert got == [(len(order), want)]
+
+
+def _substituted(calc, targets, universe):
+    """The instances grounding keeps, found by substitution: each rule in
+    order, each assignment of the targets to its sorted variables in
+    product order, dropped when a formula leaves the universe (if any) or
+    sits on both sides, and only the first of instances with equal
+    sides."""
+    out, seen = [], set()
+    for rule in calc.rules:
+        vs = sorted(variables(rule.antecedent | rule.succedent))
+        for values in product(targets, repeat=len(vs)):
+            subst = dict(zip(vs, values))
+            ant = frozenset(substitute(f, subst) for f in rule.antecedent)
+            succ = frozenset(substitute(f, subst) for f in rule.succedent)
+            if universe is not None and not ant | succ <= universe:
+                continue
+            if ant & succ or (ant, succ) in seen:
+                continue
+            seen.add((ant, succ))
+            out.append((rule.name, subst, ant, succ))
+    return out
+
+
+GROUNDED = {n: lookup(KIND_CALCULUS, n).payload for n in names(KIND_CALCULUS)}
+GROUNDED.update({
+    n + "/set-fmla": to_set_fmla_calculus(c)
+    for n, c in list(GROUNDED.items()) if c.framework == SET_SET
+})
+
+
+@pytest.mark.parametrize("name", sorted(GROUNDED))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_grounding_keeps_the_instances_substitution_keeps(name, data):
+    # the generated loops over ids against substituting every assignment
+    # into every rule, at Λ and Ξ(Λ) for an analytic calculus and without
+    # a universe otherwise; no clause holds a variable twice, as sat.solve
+    # needs
+    calc = GROUNDED[name]
+    sig = dict((calc.source or calc).models[0].algebra.connectives)
+    side = st.frozensets(formulas(sig, ["p", "q"], 2), max_size=2)
+    base = data.draw(side) | data.draw(side)
+    targets = sorted(subformulas(base), key=canon_key)
+    universes = [None]
+    if calc.xi is not None:
+        xi = frozenset(generalized_subformulas(base, calc.xi))
+        universes = [frozenset(targets), xi]
+    for universe in universes:
+        ground = _build_instances(calc, targets, universe)
+        assert materialized(ground) == _substituted(calc, targets, universe)
+        assert all(len({q >> 1 for q in c}) == len(c) for c in ground.clauses)
 
 
 def test_grounding_on_a_universe_interns_nothing():

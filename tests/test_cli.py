@@ -146,6 +146,19 @@ def test_prove_refutation_without_countermodel(capsys):
     assert capsys.readouterr().out.strip() == "Inconclusive."
 
 
+def test_prove_answer_while_the_models_outnumber_the_budget(capsys):
+    # pp-top-rules has no analyticity set, so only its model pp6h-uht can
+    # refute p |- q, on 36 valuations: below that budget the check is
+    # skipped, and the clause set's model is no answer that no budget
+    # changes
+    argv = ["prove", "--calculus", "pp-top-rules", "--premises", "p",
+            "--goal", "q", "--budget-nodes"]
+    assert run(argv + ["35"]) == EXIT_BUDGET
+    assert capsys.readouterr().out.strip() == "Out of budget."
+    assert run(argv + ["36"]) == EXIT_NEGATIVE
+    assert "Countermodel on pp6h-uht" in capsys.readouterr().out
+
+
 def test_prove_negative_budget_is_usage_error(capsys):
     argv = ["prove", "--calculus", "r-b", "--goal", "q", "--budget-nodes", "-5"]
     assert run(argv) == EXIT_USAGE

@@ -79,3 +79,42 @@ def test_functions_import_only_the_package_s_own_modules():
                 if isinstance(node, (ast.Import, ast.ImportFrom)) and not _own(node)
             }
     assert sorted(late) == []
+
+
+def _bounded(call):
+    """Whether an lru_cache call gives a finite int maxsize."""
+    size = [k.value for k in call.keywords if k.arg == "maxsize"]
+    size += call.args[:1]
+    return bool(size) and isinstance(size[0], ast.Constant) and (
+        type(size[0].value) is int
+    )
+
+
+def test_every_cache_is_bounded():
+    # a long-running process keeps what a cache holds, so every
+    # functools.lru_cache is given a finite maxsize and functools.cache,
+    # which has none, is not used
+    caches, unbounded = 0, []
+    for path in sorted((ROOT / "src" / "mvlogic").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = {
+            id(node.func): _bounded(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                unbounded += [
+                    "%s:%d" % (path.name, node.lineno)
+                    for a in node.names if a.name == "cache"
+                ]
+            if isinstance(node, ast.Attribute) and node.attr == "cache" and (
+                getattr(node.value, "id", None) == "functools"
+            ):
+                unbounded.append("%s:%d" % (path.name, node.lineno))
+            # a Name's id or an Attribute's attr
+            if getattr(node, "id", getattr(node, "attr", None)) == "lru_cache":
+                caches += 1
+                if not calls.get(id(node)):
+                    unbounded.append("%s:%d" % (path.name, node.lineno))
+    assert caches > 0
+    assert unbounded == []
