@@ -4,12 +4,11 @@ automatic generation of analytic Set-Set rules for matrix refinements."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from . import kernel
 from .calculus import Rule
 from .errors import NotARefinement
-from .formula import app, substitute, subformulas, var, variables
+from .formula import app, substitute, subformulas, var
 
 
 @dataclass
@@ -131,6 +130,19 @@ def generate_refinement_rules(base, refined, d):
         raise NotARefinement(
             "connectives differ: %s" % ", ".join(sorted({c for c, _ in differ}))
         )
+    moved = {}
+
+    def at(a, t):
+        # a's pos and neg formulas with t for p, substituted once per (a, t)
+        hit = moved.get((a, t))
+        if hit is None:
+            rho = {"p": t}
+            hit = moved[a, t] = (
+                frozenset(substitute(f, rho) for f in d.pos.get(a, ())),
+                frozenset(substitute(f, rho) for f in d.neg.get(a, ())),
+            )
+        return hit
+
     rules = []
     for conn in base.algebra.interp:
         k = base.algebra.arity(conn)
@@ -142,39 +154,61 @@ def generate_refinement_rules(base, refined, d):
                     "entry %r%r is not a refinement" % (conn, key)
                 )
             compound = app(conn, *_ARG_VARS[:k])
+            args = [at(a, _ARG_VARS[i]) for i, a in enumerate(key)]
             for c in base.algebra.sort_values(old - new):
-                ant = set()
-                succ = set()
-                for i, a in enumerate(key):
-                    for f in d.pos.get(a, ()):
-                        ant.add(substitute(f, {"p": _ARG_VARS[i]}))
-                    for f in d.neg.get(a, ()):
-                        succ.add(substitute(f, {"p": _ARG_VARS[i]}))
-                for f in d.pos.get(c, ()):
-                    ant.add(substitute(f, {"p": compound}))
-                for f in d.neg.get(c, ()):
-                    succ.add(substitute(f, {"p": compound}))
+                pos, neg = at(c, compound)
+                ant = pos.union(*(ps for ps, _ in args))
+                succ = neg.union(*(ns for _, ns in args))
                 name = "del_%s_%s_%s" % (conn, "_".join(key), c)
-                rules.append(Rule(name, frozenset(ant), frozenset(succ)))
+                rules.append(Rule(name, ant, succ))
     return rules
 
 
-def _embeds(small, small_vars, big, big_vars):
-    """True when a renaming of the variable names small_vars into
-    big_vars (into p when big has none) embeds small's antecedent and
-    succedent into big's: big is then a dilution of small."""
-    if not small_vars:
-        return (
-            small.antecedent <= big.antecedent
-            and small.succedent <= big.succedent
-        )
-    targets = [var(v) for v in big_vars] or [_P]
-    for target in product(targets, repeat=len(small_vars)):
-        rho = dict(zip(small_vars, target))
-        ant = {substitute(f, rho) for f in small.antecedent}
-        succ = {substitute(f, rho) for f in small.succedent}
-        if ant <= big.antecedent and succ <= big.succedent:
+def _read(f, reads):
+    """f's shape, the formula with every variable replaced by p, and the
+    names of its variables in preorder, one per occurrence; reads keeps
+    what was read, subformulas included."""
+    hit = reads.get(f)
+    if hit is None:
+        if f.is_var:
+            hit = (_P, (f.head,))
+        elif not f.args:
+            hit = (f, ())
+        else:
+            parts = [_read(a, reads) for a in f.args]
+            hit = (
+                app(f.head, *(shape for shape, _ in parts)),
+                tuple(v for _, names in parts for v in names),
+            )
+        reads[f] = hit
+    return hit
+
+
+def _maps_into(small, big):
+    """Whether one variable map sends every formula of small onto a formula
+    of big.  Both map a key, a (side, shape) pair, to the names of their
+    formulas of that side and shape, which differ only in the names at
+    their variable positions.  The map is built position by position, two
+    variables may go to one, and the formulas with the fewest candidates
+    are placed first, backtracking on a clash."""
+    order = [
+        (names, big[key])
+        for key in sorted(small, key=lambda key: len(big[key]))
+        for names in small[key]
+    ]
+    stack = [(0, {})]
+    while stack:
+        k, rho = stack.pop()
+        if k == len(order):
             return True
+        names, targets = order[k]
+        for target in targets:
+            ext = dict(rho)
+            for a, b in zip(names, target):
+                if ext.setdefault(a, b) != b:
+                    break
+            else:
+                stack.append((k + 1, ext))
     return False
 
 
@@ -182,36 +216,46 @@ def subsume_simplify(rules):
     """Drop dilutions: every rule into which another rule of the list
     embeds under a variable renaming, except that of renamed duplicates
     (rules embedding into each other) the first stays.  Output order
-    follows the input.
+    follows the input, and the kept rules are the input's objects.
 
     A renaming maps variables to variables, so it keeps each formula's
-    shape, the formula with every variable replaced by p.  The renaming
-    search runs only on pairs whose shapes are already subsets."""
+    shape, the formula with every variable replaced by p.  Each distinct
+    formula is read once, into its shape and its variables in preorder, and
+    a rule becomes a bitmask over the (side, shape) pairs it holds: a rule
+    embeds into another only if its mask is a subset of the other's, and
+    rules of one mask are tested together.  A pair that passes is decided
+    by matching each formula of the embedded rule against the other's
+    formulas of its side and shape (_maps_into).  A rule with variables
+    never embeds into one without, whose shapes hold no p."""
     rules = list(rules)
-    names, shapes = [], []
+    reads, bits = {}, {}
+    masks, held = [], []
     for r in rules:
-        vs = sorted(variables(r.antecedent | r.succedent))
-        to_p = dict.fromkeys(vs, _P)
-        names.append(vs)
-        shapes.append((
-            {substitute(f, to_p) for f in r.antecedent},
-            {substitute(f, to_p) for f in r.succedent},
-        ))
+        mask, by_key = 0, {}
+        for side, fs in enumerate((r.antecedent, r.succedent)):
+            for f in fs:
+                shape, names = _read(f, reads)
+                key = bits.setdefault((side, shape), 1 << len(bits))
+                mask |= key
+                by_key.setdefault(key, []).append(names)
+        masks.append(mask)
+        held.append(by_key)
+    by_mask = {}
+    for i, mask in enumerate(masks):
+        by_mask.setdefault(mask, []).append(i)
 
-    def subsumes(i, j):
-        (ant_i, succ_i), (ant_j, succ_j) = shapes[i], shapes[j]
-        return (
-            ant_i <= ant_j
-            and succ_i <= succ_j
-            and _embeds(rules[i], names[i], rules[j], names[j])
-        )
+    def dropped(i):
+        mine = masks[i]
+        for mask, js in by_mask.items():
+            if mask & ~mine:
+                continue
+            for j in js:
+                # of mutually embedding rules (renamed duplicates), which
+                # share a mask, keep the first
+                if j != i and _maps_into(held[j], held[i]) and not (
+                    i < j and mask == mine and _maps_into(held[i], held[j])
+                ):
+                    return True
+        return False
 
-    keep = []
-    for i, r in enumerate(rules):
-        for j in range(len(rules)):
-            # of mutually subsuming rules (renamed duplicates) keep the first
-            if i != j and subsumes(j, i) and not (i < j and subsumes(i, j)):
-                break
-        else:
-            keep.append(r)
-    return keep
+    return [r for i, r in enumerate(rules) if not dropped(i)]

@@ -1004,7 +1004,7 @@ class _Simulation:
     def __init__(self, rv, source, psis):
         self.rules = {r.name: r for r in rv.rules}
         self.src_rules = {r.name: r for r in source.rules}
-        self.s_name = _fresh_variable(source)
+        self.s_name = _fresh_variable(tuple(source.rules))
         self.goal_parts = sorted(psis, key=canon_key)
         self.big_goal = big_or(self.goal_parts)
         self.steps = []
@@ -1271,11 +1271,14 @@ def countermodel_from_partition(part, variant):
 
 # --- Set-Fmla transform --------------------------------------------------
 
-def _fresh_variable(calc):
+@lru_cache(maxsize=64)
+def _fresh_variable(rules):
+    """The first variable name, shortest first, then lexicographic, that
+    none of the tuple rules uses.  The transform and every replay of one
+    source ask for it, so it is kept per rule tuple."""
     used = set()
-    for r in calc.rules:
+    for r in rules:
         used |= variables(r.antecedent | r.succedent)
-    # shortest first, then lexicographic
     for length in count(1):
         for letters in product(ascii_lowercase, repeat=length):
             name = "".join(letters)
@@ -1304,7 +1307,7 @@ def to_set_fmla_calculus(calc):
         ),
         Rule("or_contr", frozenset({app("or", p, p)}), frozenset({p})),
     ]
-    s = var(_fresh_variable(calc))
+    s = var(_fresh_variable(tuple(calc.rules)))
     out = list(base)
     for rule in calc.rules:
         ant = sorted(rule.antecedent, key=canon_key)

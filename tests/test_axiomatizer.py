@@ -1,6 +1,7 @@
 """Discriminator search and refinement-rule generation."""
 
-from itertools import product
+from itertools import permutations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from mvlogic.axiomatizer import (
 from mvlogic.calculus import Rule
 from mvlogic.errors import NotARefinement
 from mvlogic.formula import (
+    app,
     parse_formula,
     parse_formula_set,
     subformulas,
@@ -219,6 +221,19 @@ def test_subsume_simplify():
     assert subsume_simplify([base, other]) == [base, other]
 
 
+def test_subsume_simplify_backtracks():
+    # p & q has three candidates, and only one of them leaves q & r a
+    # candidate too; each naming of the dilution's variables orders the
+    # candidates differently
+    small = Rule("chain", parse_formula_set("p & q, q & r"), frozenset())
+    for a, b, c, d, e in permutations("abcde"):
+        big = Rule("big", parse_formula_set(
+            "%s & %s, %s & %s, %s & %s" % (a, b, c, d, d, e)
+        ), parse_formula_set(a))
+        assert subsume_simplify([small, big]) == [small]
+        assert subsume_simplify([big, small]) == [small]
+
+
 def _rule_subsumes(small, big):
     """True when a variable renaming embeds small's antecedent and succedent
     into big's (big is then a dilution of small)."""
@@ -266,21 +281,34 @@ CALCULI = [lookup("calculus", n).payload for n in names("calculus")]
 
 @st.composite
 def rule_lists(draw):
-    """Rules of one registered calculus, each maybe followed by a renamed
-    copy (variables to variables, not always injective) and a dilution
-    (formulas of the calculus added on either side), in shuffled order."""
-    calc = draw(st.sampled_from(CALCULI))
-    pool = sorted({f for r in calc.rules for f in r.antecedent | r.succedent})
+    """Rules of two registered calculi (maybe one twice), each maybe
+    followed by a renamed copy (variables to variables: any, not always
+    injective; or all to one), a copy without variables (each variable
+    replaced by top or bot) and a dilution (formulas of the calculi added
+    on either side), in shuffled order.  A renaming that merges every
+    variable cannot embed a rule into a copy without variables: the
+    reference's "into p" case."""
+    calcs = [draw(st.sampled_from(CALCULI)) for _ in range(2)]
+    source = [r for calc in calcs for r in calc.rules]
+    pool = sorted({f for r in source for f in r.antecedent | r.succedent})
     extra = st.frozensets(st.sampled_from(pool), max_size=2)
-    picked = draw(st.lists(st.sampled_from(calc.rules), min_size=1, max_size=5))
+    targets = st.sampled_from(["p", "q", "r", "s"]).map(var)
+    closed = st.sampled_from([app("top"), app("bot")])
+    picked = draw(st.lists(st.sampled_from(source), min_size=1, max_size=6))
     rules = []
     for r in picked:
         rules.append(r)
-        if draw(st.booleans()):
-            targets = st.sampled_from(["p", "q", "r", "s"]).map(var)
-            rho = {v: draw(targets) for v in sorted(variables(r.antecedent | r.succedent))}
+        vs = sorted(variables(r.antecedent | r.succedent))
+        how = draw(st.sampled_from(["as is", "renamed", "merged", "closed"]))
+        if how != "as is":
+            if how == "renamed":
+                rho = {v: draw(targets) for v in vs}
+            elif how == "merged":
+                rho = dict.fromkeys(vs, draw(targets))
+            else:
+                rho = {v: draw(closed) for v in vs}
             r = Rule(
-                r.name + "-renamed",
+                "%s-%s" % (r.name, how),
                 frozenset(substitute(f, rho) for f in r.antecedent),
                 frozenset(substitute(f, rho) for f in r.succedent),
             )
@@ -298,6 +326,30 @@ def test_subsume_simplify_matches_pairwise_search(rules):
     got = subsume_simplify(rules)
     want = reference_subsume_simplify(rules)
     assert [id(r) for r in got] == [id(r) for r in want]
+
+
+def test_subsume_simplify_on_every_registered_rule():
+    # the rules of all calculi in one list: renamed duplicates across
+    # calculi collapse to the first, and the dilutions go
+    rules = [r for calc in CALCULI for r in calc.rules]
+    got = subsume_simplify(rules)
+    want = reference_subsume_simplify(rules)
+    assert (len(rules), len(want)) == (364, 110)
+    assert [id(r) for r in got] == [id(r) for r in want]
+
+
+def test_subsume_simplify_reads_each_formula_once():
+    # no rule pair substitutes a renaming: at most one substitution per
+    # distinct formula of the list
+    d = find_discriminator(MAT_PP6_UB, 3)
+    rules = generate_refinement_rules(MAT_PP6A1_UB, MAT_LETK_UB, d)
+    distinct = {f for r in rules for f in r.antecedent | r.succedent}
+    with mock.patch(
+        "mvlogic.axiomatizer.substitute", wraps=substitute
+    ) as calls:
+        subsume_simplify(rules)
+    assert len(distinct) == 9
+    assert calls.call_count <= len(distinct)
 
 
 def test_subsume_simplify_keeps_generated_rules():
